@@ -5,7 +5,7 @@ unit eigenvector of a dense essentially nonnegative tensor by Euler-Newton
 homotopy continuation, with a power-type baseline for cross-validation.
 """
 
-from .bench import RunRecord, run_comparison, summarize
+from .bench import run_comparison, summarize
 from .homotopy import (
     HomotopyConfig,
     NewtonStalled,

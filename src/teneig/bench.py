@@ -3,53 +3,9 @@ on seeded random instances, with per-instance records and cell averages."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
-from .homotopy import HomotopyConfig, solve_dominant
+from .homotopy import HomotopyConfig, SolveReport, solve_dominant
 from .instances import GENERATOR_ID, random_instance
 from .pta import PtaConfig, pta_solve
-
-
-@dataclass
-class RunRecord:
-    """One solver run on one seeded instance; the seed regenerates it."""
-
-    order: int
-    dim: int
-    d: int
-    seed: int
-    generator: str
-    solver: str  # homotopy | pta
-    lam: float
-    residual_norm: float
-    iter: int
-    nwtiter: int
-    wall_time_s: float
-    perturbed: bool
-    alpha: float
-    status: str
-
-    def to_dict(self):
-        return asdict(self)
-
-
-def _record(order, dim, d, seed, solver, report):
-    return RunRecord(
-        order=order,
-        dim=dim,
-        d=d,
-        seed=seed,
-        generator=GENERATOR_ID,
-        solver=solver,
-        lam=report.eigen.lam,
-        residual_norm=report.residual_norm,
-        iter=report.iter,
-        nwtiter=report.nwtiter,
-        wall_time_s=report.wall_time_s,
-        perturbed=report.perturbed,
-        alpha=report.alpha,
-        status=report.status,
-    )
 
 
 def run_comparison(order, dim, d, count, seed=0, hconfig=None, pconfig=None):
@@ -57,6 +13,8 @@ def run_comparison(order, dim, d, count, seed=0, hconfig=None, pconfig=None):
 
     Instance i uses seed ``seed + i``.  Returns (records, summary); records
     are emitted in instance order, homotopy before pta for each instance.
+    A record is the instance's order, dim, d, seed and generator followed
+    by ``SolveReport.to_dict()``; the seed regenerates the instance.
     Solver exceptions are recorded as status "error" rather than aborting
     the batch.
     """
@@ -68,65 +26,50 @@ def run_comparison(order, dim, d, count, seed=0, hconfig=None, pconfig=None):
     for i in range(count):
         inst_seed = seed + i
         A = random_instance(order, dim, d=d, seed=inst_seed)
-        for solver, runner in (
+        instance = {"order": order, "dim": dim, "d": d, "seed": inst_seed, "generator": GENERATOR_ID}
+        for method, runner in (
             ("homotopy", lambda t: solve_dominant(t, config=hconfig)),
             ("pta", lambda t: pta_solve(t, config=pconfig)),
         ):
             try:
-                records.append(_record(order, dim, d, inst_seed, solver, runner(A)))
+                report = runner(A)
             except Exception as exc:  # record, keep the batch going
-                records.append(
-                    RunRecord(
-                        order=order,
-                        dim=dim,
-                        d=d,
-                        seed=inst_seed,
-                        generator=GENERATOR_ID,
-                        solver=solver,
-                        lam=float("nan"),
-                        residual_norm=float("nan"),
-                        iter=0,
-                        nwtiter=0,
-                        wall_time_s=0.0,
-                        perturbed=False,
-                        alpha=float("nan"),
-                        status="error: %s" % exc,
-                    )
-                )
+                report = SolveReport(method, "error: %s" % exc)
+            records.append({**instance, **report.to_dict()})
     return records, summarize(records)
 
 
 def summarize(records):
     """Arithmetic means over the per-solver records, plus the PTA cap count
     and the largest cross-solver eigenvalue gap on jointly converged runs."""
-    homo = [r for r in records if r.solver == "homotopy"]
-    pta = [r for r in records if r.solver == "pta"]
+    homo = [r for r in records if r["method"] == "homotopy"]
+    pta = [r for r in records if r["method"] == "pta"]
 
-    def mean(rows, attr):
-        return sum(getattr(r, attr) for r in rows) / len(rows) if rows else float("nan")
+    def mean(rows, key):
+        return sum(r[key] for r in rows) / len(rows) if rows else float("nan")
 
-    by_seed = {(r.seed, r.solver): r for r in records}
+    by_seed = {(r["seed"], r["method"]): r for r in records}
     gaps = [
-        abs(by_seed[(s, "homotopy")].lam - by_seed[(s, "pta")].lam)
-        for s in {r.seed for r in records}
+        abs(by_seed[(s, "homotopy")]["lambda"] - by_seed[(s, "pta")]["lambda"])
+        for s in {r["seed"] for r in records}
         if by_seed.get((s, "homotopy"), None) is not None
         and by_seed.get((s, "pta"), None) is not None
-        and by_seed[(s, "homotopy")].status == "converged"
-        and by_seed[(s, "pta")].status == "converged"
+        and by_seed[(s, "homotopy")]["status"] == "converged"
+        and by_seed[(s, "pta")]["status"] == "converged"
     ]
     return {
         "homotopy": {
             "aiter": mean(homo, "iter"),
             "anwtiter": mean(homo, "nwtiter"),
             "atime_s": mean(homo, "wall_time_s"),
-            "converged": sum(r.status == "converged" for r in homo),
+            "converged": sum(r["status"] == "converged" for r in homo),
             "count": len(homo),
         },
         "pta": {
             "aiter": mean(pta, "iter"),
             "atime_s": mean(pta, "wall_time_s"),
-            "converged": sum(r.status == "converged" for r in pta),
-            "capped": sum(r.status == "step_limit" for r in pta),
+            "converged": sum(r["status"] == "converged" for r in pta),
+            "capped": sum(r["status"] == "step_limit" for r in pta),
             "count": len(pta),
         },
         "max_lambda_gap": max(gaps) if gaps else float("nan"),

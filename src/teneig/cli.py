@@ -25,33 +25,33 @@ EXIT_BAD_INPUT = 2
 EXIT_IO = 3
 
 
+# (flag, HomotopyConfig field, help); each flag's default is the field's.
+_SOLVER_FLAGS = (
+    ("--dtau0", "dtau0", "initial continuation step"),
+    ("--eps1", "eps1", "path Newton tolerance"),
+    ("--eps2", "eps2", "endgame / PTA residual tolerance"),
+    ("--beta", "beta", "endgame threshold"),
+    ("--epsilon", "eps_perturb", "perturbation for reducible input"),
+    ("--max-steps", "max_steps", "step / iteration cap"),
+    ("--newton-cap-path", "newton_cap_path", None),
+    ("--newton-cap-endgame", "newton_cap_endgame", None),
+    ("--dtau-min", "dtau_min", None),
+    ("--dtau-max", "dtau_max", None),
+)
+
+
 def _add_solver_flags(p):
-    p.add_argument("--dtau0", type=float, default=0.1, help="initial continuation step")
-    p.add_argument("--eps1", type=float, default=1e-5, help="path Newton tolerance")
-    p.add_argument("--eps2", type=float, default=1e-10, help="endgame / PTA residual tolerance")
-    p.add_argument("--beta", type=float, default=0.9999, help="endgame threshold")
-    p.add_argument("--epsilon", type=float, default=1e-9, help="perturbation for reducible input")
-    p.add_argument("--max-steps", type=int, default=50000, help="step / iteration cap")
-    p.add_argument("--newton-cap-path", type=int, default=10)
-    p.add_argument("--newton-cap-endgame", type=int, default=100)
-    p.add_argument("--dtau-min", type=float, default=1e-6)
-    p.add_argument("--dtau-max", type=float, default=0.4)
+    for flag, name, help_text in _SOLVER_FLAGS:
+        default = getattr(HomotopyConfig, name)
+        p.add_argument(flag, type=type(default), default=default, help=help_text)
 
 
 def _configs(args):
+    """The solver configs the flags select; ValueError names a bad value."""
     hconfig = HomotopyConfig(
-        dtau0=args.dtau0,
-        eps1=args.eps1,
-        eps2=args.eps2,
-        beta=args.beta,
-        eps_perturb=args.epsilon,
-        max_steps=args.max_steps,
-        newton_cap_path=args.newton_cap_path,
-        newton_cap_endgame=args.newton_cap_endgame,
-        dtau_min=args.dtau_min,
-        dtau_max=args.dtau_max,
+        **{name: getattr(args, flag[2:].replace("-", "_")) for flag, name, _ in _SOLVER_FLAGS}
     )
-    pconfig = PtaConfig(tol=args.eps2, max_iter=args.max_steps, eps_perturb=args.epsilon)
+    pconfig = PtaConfig(tol=hconfig.eps2, max_iter=hconfig.max_steps, eps_perturb=hconfig.eps_perturb)
     return hconfig, pconfig
 
 
@@ -94,25 +94,9 @@ def build_parser():
     return parser
 
 
-def _report_dict(method, report):
-    return {
-        "method": method,
-        "status": report.status,
-        "lambda": report.eigen.lam,
-        "x": [float(v) for v in report.eigen.x],
-        "residual_norm": report.residual_norm,
-        "iter": report.iter,
-        "nwtiter": report.nwtiter,
-        "wall_time_s": report.wall_time_s,
-        "alpha": report.alpha,
-        "lambda_shifted": report.lambda_shifted,
-        "perturbed": report.perturbed,
-    }
-
-
-def _print_report(method, report, out):
-    d = _report_dict(method, report)
-    out.write("method:    %s\n" % method)
+def _print_report(report, out):
+    d = report.to_dict()
+    out.write("method:    %s\n" % d["method"])
     out.write("status:    %s\n" % d["status"])
     out.write("lambda:    %.16g\n" % d["lambda"])
     out.write("x:         [%s]\n" % ", ".join("%.16g" % v for v in d["x"]))
@@ -124,7 +108,7 @@ def _print_report(method, report, out):
     out.write("perturbed: %s\n" % ("true" if d["perturbed"] else "false"))
 
 
-def _cmd_solve(args):
+def _cmd_solve(args, hconfig, pconfig):
     try:
         A = load_tensor(args.path)
     except OSError as exc:
@@ -133,25 +117,24 @@ def _cmd_solve(args):
     except TensorFileError as exc:
         print("error: %s: %s" % (args.path, exc), file=sys.stderr)
         return EXIT_BAD_INPUT
-    hconfig, pconfig = _configs(args)
-    reports = {}
+    reports = []
     try:
         if args.method in ("homotopy", "both"):
-            reports["homotopy"] = solve_dominant(A, config=hconfig, assume=args.assume)
+            reports.append(solve_dominant(A, config=hconfig, assume=args.assume))
         if args.method in ("pta", "both"):
-            reports["pta"] = pta_solve(A, config=pconfig)
+            reports.append(pta_solve(A, config=pconfig))
     except EssentialNonnegativityError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT
     if args.json:
-        payload = [_report_dict(m, r) for m, r in reports.items()]
+        payload = [r.to_dict() for r in reports]
         print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
     else:
-        for i, (method, report) in enumerate(reports.items()):
+        for i, report in enumerate(reports):
             if i:
                 print()
-            _print_report(method, report, sys.stdout)
-    if all(r.status == "converged" for r in reports.values()):
+            _print_report(report, sys.stdout)
+    if all(r.status == "converged" for r in reports):
         return EXIT_OK
     return EXIT_NO_CONVERGENCE
 
@@ -187,8 +170,8 @@ def _format_compare_text(records, summary):
     lines.append("-" * len(header))
     for r in records:
         lines.append(
-            "%-6d %-10s %12.6g %6d %8d %9.4f %9.2e  %s"
-            % (r.seed, r.solver, r.lam, r.iter, r.nwtiter, r.wall_time_s, r.residual_norm, r.status)
+            "%(seed)-6d %(method)-10s %(lambda)12.6g %(iter)6d %(nwtiter)8d %(wall_time_s)9.4f"
+            " %(residual_norm)9.2e  %(status)s" % r
         )
     h, p = summary["homotopy"], summary["pta"]
     lines.append("")
@@ -205,8 +188,7 @@ def _format_compare_text(records, summary):
     return "\n".join(lines) + "\n"
 
 
-def _cmd_compare(args):
-    hconfig, pconfig = _configs(args)
+def _cmd_compare(args, hconfig, pconfig):
     try:
         records, summary = run_comparison(
             args.order,
@@ -222,7 +204,7 @@ def _cmd_compare(args):
         return EXIT_BAD_INPUT
     if args.json:
         text = json.dumps(
-            {"records": [r.to_dict() for r in records], "summary": summary}, indent=2
+            {"records": records, "summary": summary}, indent=2
         ) + "\n"
     else:
         text = _format_compare_text(records, summary)
@@ -235,17 +217,22 @@ def _cmd_compare(args):
             return EXIT_IO
     else:
         sys.stdout.write(text)
-    ok = all(r.status in ("converged", "step_limit") for r in records)
+    ok = all(r["status"] in ("converged", "step_limit") for r in records)
     return EXIT_OK if ok else EXIT_NO_CONVERGENCE
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.command == "solve":
-        return _cmd_solve(args)
     if args.command == "gen":
         return _cmd_gen(args)
-    return _cmd_compare(args)
+    try:
+        configs = _configs(args)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_BAD_INPUT
+    if args.command == "solve":
+        return _cmd_solve(args, *configs)
+    return _cmd_compare(args, *configs)
 
 
 if __name__ == "__main__":

@@ -16,24 +16,25 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .linalg import SingularMatrixError, lu_apply, lu_factor
 from .tensor import (
     EigenPair,
-    add_identity,
-    diagonal,
+    alpha_shift,
     eigen_residual,
-    perturb,
     rank_one_start,
-    require_essentially_nonnegative,
     start_pair,
     tvp,
     tvp_jacobian,
     weak_irreducibility_check,
 )
+
+# Not called here since alpha_shift builds T; perfbench/spans.py wraps these
+# names in this module and needs them to exist.
+from .tensor import add_identity, perturb, require_essentially_nonnegative  # noqa: F401
 
 POSITIVITY_WARN_FLOOR = 1e-12
 
@@ -83,8 +84,8 @@ class HomotopyConfig:
             raise ValueError("beta must lie in (0, 1)")
         if self.eps_perturb <= 0:
             raise ValueError("eps_perturb must be positive")
-        if self.dtau_min > self.dtau_max:
-            raise ValueError("dtau_min must not exceed dtau_max")
+        if not 0.0 < self.dtau_min <= self.dtau_max:
+            raise ValueError("dtau_min must lie in (0, dtau_max]")
         if self.max_steps < 1 or self.newton_cap_path < 1 or self.newton_cap_endgame < 1:
             raise ValueError("iteration caps must be at least 1")
 
@@ -108,20 +109,39 @@ class SolveReport:
 
     ``eigen`` is the pair for the original tensor A (eigenvalue already
     shifted back by alpha); ``lambda_shifted`` is the eigenvalue of the
-    nonnegative tensor the solver actually iterated on.
+    nonnegative tensor the solver actually iterated on.  The defaults
+    describe a solve that produced nothing, as recorded for a solver that
+    raised.
     """
 
-    eigen: EigenPair
-    residual_norm: float
-    iter: int
-    nwtiter: int
-    wall_time_s: float
-    perturbed: bool
-    alpha: float
+    method: str  # homotopy | pta
     status: str  # converged | step_limit | endgame_failure
-    lambda_shifted: float
+    eigen: EigenPair | None = None
+    residual_norm: float = np.nan
+    iter: int = 0
+    nwtiter: int = 0
+    wall_time_s: float = 0.0
+    perturbed: bool = False
+    alpha: float = np.nan
+    lambda_shifted: float = np.nan
     path_min_x: float = np.nan
     path: list | None = None
+
+    def to_dict(self):
+        """The JSON report of ``teneig solve`` and of ``teneig compare`` records."""
+        return {
+            "method": self.method,
+            "status": self.status,
+            "lambda": self.eigen.lam if self.eigen else np.nan,
+            "x": [float(v) for v in self.eigen.x] if self.eigen else [],
+            "residual_norm": self.residual_norm,
+            "iter": self.iter,
+            "nwtiter": self.nwtiter,
+            "wall_time_s": self.wall_time_s,
+            "alpha": self.alpha,
+            "lambda_shifted": self.lambda_shifted,
+            "perturbed": self.perturbed,
+        }
 
 
 def _check_pair(T, S):
@@ -251,23 +271,13 @@ def endgame(T, S, u_at_beta, config, beta=None):
 
 
 def _snapshot(state):
-    return PathState(
-        tau=state.tau,
-        lam=state.lam,
-        x=state.x.copy(),
-        dtau=state.dtau,
-        last_two_uncut=state.last_two_uncut,
-        step_count=state.step_count,
-        newton_total=state.newton_total,
-    )
+    return replace(state, x=state.x.copy())
 
 
 def _solve_shifted(A, config, a, b, use_perturbation, record_path):
     """Run the full pipeline on T = (A_eps or A) + alpha*I; wall time unset."""
     m = A.order
-    alpha = float(np.abs(diagonal(A)).max()) + 1.0
-    base = perturb(A, config.eps_perturb) if use_perturbation else A
-    T = add_identity(base, alpha)
+    alpha, T = alpha_shift(A, config.eps_perturb if use_perturbation else 0.0)
     S = rank_one_start(a, b, m)
     start = start_pair(a, b, m)
     state = PathState(tau=0.0, lam=start.lam, x=np.array(start.x), dtau=config.dtau0)
@@ -360,14 +370,14 @@ def _solve_shifted(A, config, a, b, use_perturbation, record_path):
         lam_shift = state.lam
     residual = float(np.linalg.norm(eigen_residual(T, lam_shift, x)))
     return SolveReport(
+        method="homotopy",
+        status=status,
         eigen=EigenPair(lam_shift - alpha, x),
         residual_norm=residual,
         iter=state.step_count + endgame_attempts,
         nwtiter=state.newton_total,
-        wall_time_s=0.0,
         perturbed=use_perturbation,
         alpha=alpha,
-        status=status,
         lambda_shifted=lam_shift,
         path_min_x=min_x,
         path=trace,
@@ -391,7 +401,6 @@ def solve_dominant(A, config=None, a=None, b=None, assume="auto", record_path=Fa
     """
     t_start = time.perf_counter()
     config = HomotopyConfig() if config is None else config
-    require_essentially_nonnegative(A)
     n = A.dim
     a = np.ones(n) if a is None else np.asarray(a, dtype=float)
     b = np.ones(n) if b is None else np.asarray(b, dtype=float)

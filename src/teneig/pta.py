@@ -13,22 +13,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .homotopy import SolveReport
-from .tensor import (
-    EigenPair,
-    add_identity,
-    diagonal,
-    perturb,
-    require_essentially_nonnegative,
-    tvp,
-)
+from .homotopy import HomotopyConfig, SolveReport
+from .tensor import EigenPair, alpha_shift, tvp
+
+# Not called here since alpha_shift builds T; perfbench/spans.py wraps these
+# names in this module and needs them to exist.
+from .tensor import add_identity, perturb, require_essentially_nonnegative  # noqa: F401
 
 
 @dataclass
 class PtaConfig:
-    tol: float = 1e-10
-    max_iter: int = 50000
-    eps_perturb: float = 1e-9
+    """Knobs of the power baseline; defaults are the path follower's."""
+
+    tol: float = HomotopyConfig.eps2
+    max_iter: int = HomotopyConfig.max_steps
+    eps_perturb: float = HomotopyConfig.eps_perturb
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -51,10 +50,8 @@ def pta_solve(A, config=None, x0=None):
     """
     t_start = time.perf_counter()
     config = PtaConfig() if config is None else config
-    require_essentially_nonnegative(A)
+    alpha, T = alpha_shift(A, config.eps_perturb)
     m, n = A.order, A.dim
-    alpha = float(np.abs(diagonal(A)).max()) + 1.0
-    T = add_identity(perturb(A, config.eps_perturb), alpha)
     if x0 is None:
         x = np.ones(n) / np.sqrt(n)
     else:
@@ -86,6 +83,8 @@ def pta_solve(A, config=None, x0=None):
         min_x = min(min_x, float(x.min()))
         iters += 1
     return SolveReport(
+        method="pta",
+        status=status,
         eigen=EigenPair(lam - alpha, x),
         residual_norm=residual,
         iter=iters,
@@ -93,7 +92,6 @@ def pta_solve(A, config=None, x0=None):
         wall_time_s=time.perf_counter() - t_start,
         perturbed=True,
         alpha=alpha,
-        status=status,
         lambda_shifted=float(lam),
         path_min_x=min_x,
     )

@@ -180,14 +180,22 @@ def semi_symmetrize(T):
     return Tensor(acc / factorial(m - 1))
 
 
-def alpha_shift(A):
-    """Diagonal shift making an essentially nonnegative tensor nonnegative.
+def alpha_shift(A, eps=0.0):
+    """The tensor both solvers iterate on, built in one array.
 
-    Returns (alpha, A + alpha * I) with alpha = max_i |a_{i...i}| + 1.
+    Returns (alpha, T) with alpha = max_i |a_{i...i}| + 1 and
+    T = (A + eps) + alpha * I, equal bit for bit to
+    ``add_identity(perturb(A, eps), alpha)`` for eps > 0.  T is nonnegative
+    for essentially nonnegative A, and positive when eps > 0.
     """
     require_essentially_nonnegative(A)
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
     alpha = float(np.abs(diagonal(A)).max()) + 1.0
-    return alpha, add_identity(A, alpha)
+    # A + 0.0 would turn -0.0 entries into +0.0, so copy when eps == 0.
+    data = A.data + eps if eps else np.array(A.data)
+    data[_diag_index(A.order, A.dim)] += alpha
+    return alpha, Tensor(data)
 
 
 def perturb(A, eps):

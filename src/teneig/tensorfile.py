@@ -18,6 +18,8 @@ written with 17 significant digits so a round trip is exact.
 
 from __future__ import annotations
 
+from math import isfinite
+
 import numpy as np
 
 from .tensor import Tensor
@@ -77,9 +79,12 @@ def _parse_dense(lines, order, dim):
     for lineno, body in lines:
         for tok in body.split():
             try:
-                values.append(float(tok))
+                value = float(tok)
             except ValueError:
                 raise TensorFileError("not a number: %r" % tok, lineno) from None
+            if not isfinite(value):
+                raise TensorFileError("entries must be finite, got %r" % tok, lineno)
+            values.append(value)
         if len(values) > expected:
             raise TensorFileError(
                 "too many entries: expected %d for order %d, dim %d" % (expected, order, dim),
@@ -115,6 +120,8 @@ def _parse_coo(lines, order, dim):
             value = float(toks[order])
         except ValueError:
             raise TensorFileError("not a number: %r" % toks[order], lineno) from None
+        if not isfinite(value):
+            raise TensorFileError("entries must be finite, got %r" % toks[order], lineno)
         data[tuple(i - 1 for i in idx)] = value
     return Tensor(data)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from teneig import Tensor, load_tensor, save_tensor
+from teneig import HomotopyConfig, Tensor, load_tensor, save_tensor
 from teneig.cli import main
 from teneig.instances import dense_demo, random_instance, sparse_ring_demo
 
@@ -71,6 +71,31 @@ def test_solve_malformed_file_exit_2(tmp_path, capsys):
     assert "line 4" in err
 
 
+def test_solve_nonfinite_entry_exit_2(tmp_path, capsys):
+    path = tmp_path / "nan.ten"
+    path.write_text("order 2\ndim 2\nformat dense\n1 2\nnan 4\n")
+    code, _, err = run_cli(capsys, "solve", str(path))
+    assert code == 2
+    assert "line 5" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "FILE", "--beta", "2"],
+        ["solve", "FILE", "--dtau-min", "0"],
+        ["compare", "3", "3", "--eps2", "-1"],
+    ],
+)
+def test_bad_solver_flag_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "demo.ten"
+    save_tensor(path, dense_demo())
+    code, out, err = run_cli(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_solve_pta_cap_exit_1(tmp_path, capsys):
     path = tmp_path / "slow.ten"
     save_tensor(path, random_instance(3, 10, d=6, seed=0))
@@ -122,8 +147,8 @@ def test_compare_json_records_and_averages(tmp_path, capsys):
     records = payload["records"]
     assert len(records) == 6  # two solvers per instance
     assert [r["seed"] for r in records] == [11, 11, 12, 12, 13, 13]
-    homo = [r for r in records if r["solver"] == "homotopy"]
-    pta = [r for r in records if r["solver"] == "pta"]
+    homo = [r for r in records if r["method"] == "homotopy"]
+    pta = [r for r in records if r["method"] == "pta"]
     assert all(r["status"] == "converged" for r in records)
     # averages equal the arithmetic mean of the emitted records
     assert payload["summary"]["homotopy"]["aiter"] == pytest.approx(
@@ -137,21 +162,51 @@ def test_compare_json_records_and_averages(tmp_path, capsys):
     from teneig import solve_dominant
 
     again = solve_dominant(random_instance(3, 4, seed=11))
-    assert again.eigen.lam == pytest.approx(homo[0]["lam"], abs=1e-12)
+    assert again.eigen.lam == pytest.approx(homo[0]["lambda"], abs=1e-12)
+
+
+def test_solve_and_compare_json_share_report_keys(tmp_path, capsys):
+    # a compare record is the instance's fields followed by the solve report
+    path = tmp_path / "inst.ten"
+    save_tensor(path, random_instance(3, 4, seed=11))
+    _, out, _ = run_cli(capsys, "solve", str(path), "--method", "both", "--json")
+    reports = json.loads(out)
+    _, out, _ = run_cli(capsys, "compare", "3", "4", "--count", "1", "--seed", "11", "--json")
+    records = json.loads(out)["records"]
+    assert [r["method"] for r in records] == [r["method"] for r in reports]
+    for report, record in zip(reports, records):
+        assert list(record) == ["order", "dim", "d", "seed", "generator", *report]
+        assert (record["lambda"], record["x"]) == (report["lambda"], report["x"])
+
+
+def test_compare_records_solver_error(monkeypatch):
+    from teneig import bench
+
+    def broken(A, config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(bench, "pta_solve", broken)
+    records, summary = bench.run_comparison(3, 3, d=0, count=1)
+    homo, pta = records
+    assert list(pta) == list(homo)
+    assert pta["status"] == "error: boom"
+    assert np.isnan(pta["lambda"]) and np.isnan(pta["residual_norm"]) and np.isnan(pta["alpha"])
+    assert (pta["iter"], pta["nwtiter"], pta["wall_time_s"], pta["perturbed"]) == (0, 0, 0.0, False)
+    assert summary["pta"]["converged"] == 0 and summary["pta"]["aiter"] == 0.0
 
 
 def test_report_residual_reproducible_from_file(tmp_path, capsys):
-    # substituting the reported eigenpair back into the reconstructed shifted
-    # tensor reproduces the reported residual norm
-    from teneig import add_identity, eigen_residual, perturb
+    # substituting the reported eigenpair back into the shifted tensor, rebuilt
+    # from the file, reproduces the reported residual norm
+    from teneig import alpha_shift, eigen_residual
 
     path = tmp_path / "demo.ten"
     save_tensor(path, dense_demo())
     _, out, _ = run_cli(capsys, "solve", str(path), "--method", "both", "--json")
     for report in json.loads(out):
-        A = load_tensor(path)
-        base = perturb(A, 1e-9) if report["perturbed"] else A
-        T = add_identity(base, report["alpha"])
+        eps = HomotopyConfig().eps_perturb if report["perturbed"] else 0.0  # --epsilon default
+        alpha, T = alpha_shift(load_tensor(path), eps)
+        assert alpha == report["alpha"]
         x = np.array(report["x"])
         r = np.linalg.norm(eigen_residual(T, report["lambda_shifted"], x))
         assert abs(r - report["residual_norm"]) <= 1e-12

@@ -60,6 +60,9 @@ def test_config_validation():
         HomotopyConfig(eps_perturb=0.0)
     with pytest.raises(ValueError):
         HomotopyConfig(dtau_min=0.5, dtau_max=0.4)
+    for floor in (0.0, -1e-6):  # a floor <= 0 would never stop the halving
+        with pytest.raises(ValueError):
+            HomotopyConfig(dtau_min=floor)
     with pytest.raises(ValueError):
         HomotopyConfig(newton_cap_path=0)
 

@@ -4,9 +4,8 @@ import pytest
 from teneig import (
     PtaConfig,
     Tensor,
-    add_identity,
+    alpha_shift,
     convergence_rate_estimate,
-    perturb,
     pta_solve,
     rank_one_start,
     solve_dominant,
@@ -15,7 +14,7 @@ from teneig import (
     unit_tensor,
 )
 from teneig.instances import dense_demo, random_instance
-from teneig.tensor import EssentialNonnegativityError, diagonal
+from teneig.tensor import EssentialNonnegativityError
 
 
 def test_config_validation():
@@ -78,8 +77,7 @@ def test_pta_bracket_contains_perron_value():
     assert rep.status == "converged"
     rho = rep.lambda_shifted
     # replay the sweep on the same shifted tensor and check the bracket
-    alpha = float(np.abs(diagonal(A)).max()) + 1.0
-    T = add_identity(perturb(A, 1e-9), alpha)
+    _, T = alpha_shift(A, PtaConfig().eps_perturb)
     x = np.ones(4) / 2.0
     for _ in range(25):
         y = tvp(T, x)

@@ -247,6 +247,12 @@ def test_alpha_shift_demo_values():
     assert (T.data >= 0).all()
     alpha2, _ = alpha_shift(sparse_ring_demo())
     assert alpha2 == 2.0
+    # with eps > 0: the solvers' T, equal to the two-copy build bit for bit
+    alpha3, T3 = alpha_shift(dense_demo(), 1e-9)
+    assert alpha3 == alpha
+    assert np.array_equal(T3.data, add_identity(perturb(dense_demo(), 1e-9), alpha).data)
+    with pytest.raises(ValueError):
+        alpha_shift(dense_demo(), -1e-9)
 
 
 def test_alpha_shift_zero_tensor():

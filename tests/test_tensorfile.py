@@ -91,6 +91,21 @@ def test_dense_bad_token_reports_line():
     assert err.value.line == 5
 
 
+@pytest.mark.parametrize(
+    "payload, line",
+    [
+        ("format dense\n1 2\n3 nan\n", 5),
+        ("format dense\n1 inf 3 4\n", 4),
+        ("format dense\n1 2 3\n1e400\n", 5),  # overflows to inf
+        ("format coo\n1 1 1.0\n2 1 -inf\n", 5),
+    ],
+)
+def test_nonfinite_entry_reports_line(payload, line):
+    with pytest.raises(TensorFileError, match="finite") as err:
+        loads_tensor("order 2\ndim 2\n" + payload)
+    assert err.value.line == line
+
+
 def test_coo_errors_report_line():
     head = "order 3\ndim 2\nformat coo\n"
     with pytest.raises(TensorFileError, match="out of range") as err:
