@@ -22,8 +22,8 @@ from .homotopy import (
     update_step_size,
 )
 from .instances import dense_demo, random_instance, sparse_ring_demo
-from .linalg import LuFactorization, SingularMatrixError, fd_jacobian, lu_factor, lu_solve
-from .pta import PtaConfig, convergence_rate_estimate, pta_solve
+from .linalg import LuFactorization, SingularMatrixError, lu_factor, lu_solve
+from .pta import convergence_rate_estimate, pta_solve
 from .tensor import (
     EigenPair,
     EssentialNonnegativityError,

@@ -5,10 +5,10 @@ from __future__ import annotations
 
 from .homotopy import HomotopyConfig, SolveReport, solve_dominant
 from .instances import GENERATOR_ID, random_instance
-from .pta import PtaConfig, pta_solve
+from .pta import pta_solve
 
 
-def run_comparison(order, dim, d, count, seed=0, hconfig=None, pconfig=None):
+def run_comparison(order, dim, d, count, seed=0, config=None):
     """Run both solvers on ``count`` seeded instances of one (m, n, d) cell.
 
     Instance i uses seed ``seed + i``.  Returns (records, summary); records
@@ -16,20 +16,19 @@ def run_comparison(order, dim, d, count, seed=0, hconfig=None, pconfig=None):
     A record is the instance's order, dim, d, seed and generator followed
     by ``SolveReport.to_dict()``; the seed regenerates the instance.
     Solver exceptions are recorded as status "error" rather than aborting
-    the batch.
+    the batch.  Both solvers take ``config`` (default ``HomotopyConfig()``).
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    hconfig = hconfig or HomotopyConfig()
-    pconfig = pconfig or PtaConfig()
+    config = HomotopyConfig() if config is None else config
     records = []
     for i in range(count):
         inst_seed = seed + i
         A = random_instance(order, dim, d=d, seed=inst_seed)
         instance = {"order": order, "dim": dim, "d": d, "seed": inst_seed, "generator": GENERATOR_ID}
         for method, runner in (
-            ("homotopy", lambda t: solve_dominant(t, config=hconfig)),
-            ("pta", lambda t: pta_solve(t, config=pconfig)),
+            ("homotopy", lambda t: solve_dominant(t, config=config)),
+            ("pta", lambda t: pta_solve(t, config=config)),
         ):
             try:
                 report = runner(A)

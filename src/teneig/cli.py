@@ -15,7 +15,7 @@ import numpy as np
 from .bench import run_comparison
 from .homotopy import HomotopyConfig, solve_dominant
 from .instances import random_instance
-from .pta import PtaConfig, pta_solve
+from .pta import pta_solve
 from .tensor import EssentialNonnegativityError
 from .tensorfile import TensorFileError, load_tensor, save_tensor
 
@@ -46,13 +46,11 @@ def _add_solver_flags(p):
         p.add_argument(flag, type=type(default), default=default, help=help_text)
 
 
-def _configs(args):
-    """The solver configs the flags select; ValueError names a bad value."""
-    hconfig = HomotopyConfig(
+def _config(args):
+    """The solver config the flags select; ValueError names a bad value."""
+    return HomotopyConfig(
         **{name: getattr(args, flag[2:].replace("-", "_")) for flag, name, _ in _SOLVER_FLAGS}
     )
-    pconfig = PtaConfig(tol=hconfig.eps2, max_iter=hconfig.max_steps, eps_perturb=hconfig.eps_perturb)
-    return hconfig, pconfig
 
 
 def build_parser():
@@ -108,7 +106,7 @@ def _print_report(report, out):
     out.write("perturbed: %s\n" % ("true" if d["perturbed"] else "false"))
 
 
-def _cmd_solve(args, hconfig, pconfig):
+def _cmd_solve(args, config):
     try:
         A = load_tensor(args.path)
     except OSError as exc:
@@ -120,9 +118,9 @@ def _cmd_solve(args, hconfig, pconfig):
     reports = []
     try:
         if args.method in ("homotopy", "both"):
-            reports.append(solve_dominant(A, config=hconfig, assume=args.assume))
+            reports.append(solve_dominant(A, config=config, assume=args.assume))
         if args.method in ("pta", "both"):
-            reports.append(pta_solve(A, config=pconfig))
+            reports.append(pta_solve(A, config=config))
     except EssentialNonnegativityError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -142,7 +140,7 @@ def _cmd_solve(args, hconfig, pconfig):
 def _cmd_gen(args):
     try:
         A = random_instance(args.order, args.dim, d=args.d, seed=args.seed)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
@@ -188,7 +186,7 @@ def _format_compare_text(records, summary):
     return "\n".join(lines) + "\n"
 
 
-def _cmd_compare(args, hconfig, pconfig):
+def _cmd_compare(args, config):
     try:
         records, summary = run_comparison(
             args.order,
@@ -196,10 +194,9 @@ def _cmd_compare(args, hconfig, pconfig):
             d=args.d,
             count=args.count,
             seed=args.seed,
-            hconfig=hconfig,
-            pconfig=pconfig,
+            config=config,
         )
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT
     if args.json:
@@ -226,13 +223,13 @@ def main(argv=None):
     if args.command == "gen":
         return _cmd_gen(args)
     try:
-        configs = _configs(args)
+        config = _config(args)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT
     if args.command == "solve":
-        return _cmd_solve(args, *configs)
-    return _cmd_compare(args, *configs)
+        return _cmd_solve(args, config)
+    return _cmd_compare(args, config)
 
 
 if __name__ == "__main__":

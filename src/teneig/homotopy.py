@@ -60,6 +60,10 @@ class PositivityLost(RuntimeError):
         super().__init__("corrected point left the positive cone")
 
 
+# How a prediction-correction step fails; Newton's failures carry .iterations.
+_STEP_FAILURES = (SingularMatrixError, NewtonStalled, PositivityLost)
+
+
 @dataclass
 class HomotopyConfig:
     """Knobs of the path follower; defaults follow the standard recipe."""
@@ -190,13 +194,6 @@ def tau_derivative(T, S, x):
     return np.concatenate([tvp(T, x) - tvp(S, x), [0.0]])
 
 
-def _tangent(T, S, tau, lam, x):
-    fact = lu_factor(homotopy_jacobian(T, S, tau, lam, x))
-    if fact.singular:
-        raise SingularMatrixError(fact.pivot_index)
-    return lu_apply(fact, -tau_derivative(T, S, x))
-
-
 def predict(T, S, state, dtau=None):
     """Euler predictor: move along the path tangent at the current state.
 
@@ -205,9 +202,9 @@ def predict(T, S, state, dtau=None):
     """
     if dtau is None:
         dtau = state.dtau
-    g = _tangent(T, S, state.tau, state.lam, state.x)
-    u = np.concatenate([[state.lam], state.x])
-    return u + dtau * g
+    fact = lu_factor(homotopy_jacobian(T, S, state.tau, state.lam, state.x))
+    g = lu_apply(fact, -tau_derivative(T, S, state.x))
+    return np.concatenate([[state.lam], state.x]) + dtau * g
 
 
 def newton_correct(T, S, tau, u0, tol, cap):
@@ -253,20 +250,31 @@ def update_step_size(state, newton_iters_used, config):
     return state.dtau
 
 
+def _step(T, S, state, dtau, tau_next, tol, cap):
+    """One prediction-correction step from state to tau_next = state.tau + dtau.
+
+    Returns the corrected (u, newton_iterations); raises one of _STEP_FAILURES.
+    A nonpositive component means Newton left the strictly positive curve
+    for a sign-mixed eigenpair of the blend.
+    """
+    ubar = predict(T, S, state, dtau)
+    u, iters = newton_correct(T, S, tau_next, ubar, tol, cap)
+    if u[1:].min() <= 0.0:
+        raise PositivityLost(iters)
+    return u, iters
+
+
 def endgame(T, S, u_at_beta, config, beta=None):
     """Final jump from tau = beta to tau = 1 with Newton polish.
 
-    One Euler prediction over 1 - beta, then Newton on the target system to
-    the tight tolerance eps2.  Returns (EigenPair, newton_iterations).
+    The last prediction-correction step, over 1 - beta and to the tight
+    tolerance eps2.  Returns (EigenPair, newton_iterations).
     """
     if beta is None:
         beta = config.beta
     u = np.asarray(u_at_beta, dtype=float)
-    g = _tangent(T, S, beta, u[0], u[1:])
-    ubar = u + (1.0 - beta) * g
-    v, iters = newton_correct(T, S, 1.0, ubar, config.eps2, config.newton_cap_endgame)
-    if v[1:].min() <= 0.0:
-        raise PositivityLost(iters)
+    state = PathState(tau=beta, lam=u[0], x=u[1:], dtau=1.0 - beta)
+    v, iters = _step(T, S, state, 1.0 - beta, 1.0, config.eps2, config.newton_cap_endgame)
     return EigenPair(v[0], v[1:]), iters
 
 
@@ -284,45 +292,31 @@ def _solve_shifted(A, config, a, b, use_perturbation, record_path):
     trace = [_snapshot(state)] if record_path else None
     min_x = float(state.x.min())
 
-    def reject_step(newton_spent):
-        """Halve the step after a failed attempt; True when already at the floor."""
-        state.step_count += 1
-        state.newton_total += newton_spent
-        if state.dtau <= config.dtau_min:
-            return True
-        state.dtau = max(0.5 * state.dtau, config.dtau_min)
-        return False
-
     def follow(target):
-        """Advance until a correction at tau = target is accepted."""
+        """Step until tau = target is accepted; False at max_steps or the dtau_min floor."""
         nonlocal min_x
         while state.tau < target:
             if state.step_count >= config.max_steps:
-                return "step_limit"
+                return False
             dtau = state.dtau
             tau_next = state.tau + dtau
             if tau_next >= target:
                 tau_next = target
                 dtau = target - state.tau
+            state.step_count += 1
             try:
-                ubar = predict(T, S, state, dtau)
-                u_new, iters = newton_correct(
-                    T, S, tau_next, ubar, config.eps1, config.newton_cap_path
+                u_new, iters = _step(
+                    T, S, state, dtau, tau_next, config.eps1, config.newton_cap_path
                 )
-            except (SingularMatrixError, NewtonStalled) as exc:
-                if reject_step(getattr(exc, "iterations", 0)):
-                    return "step_limit"
-                continue
-            if u_new[1:].min() <= 0.0:
-                # Newton landed on a sign-mixed eigenpair of the blend; the
-                # true curve is strictly positive, so shorten the step.
-                if reject_step(iters):
-                    return "step_limit"
+            except _STEP_FAILURES as exc:
+                state.newton_total += getattr(exc, "iterations", 0)
+                if state.dtau <= config.dtau_min:
+                    return False
+                state.dtau = max(0.5 * state.dtau, config.dtau_min)
                 continue
             state.tau = tau_next
             state.lam = float(u_new[0])
             state.x = u_new[1:]
-            state.step_count += 1
             state.newton_total += iters
             lo = float(state.x.min())
             min_x = min(min_x, lo)
@@ -334,33 +328,25 @@ def _solve_shifted(A, config, a, b, use_perturbation, record_path):
             state.dtau = update_step_size(state, iters, config)
             if trace is not None:
                 trace.append(_snapshot(state))
-            if state.tau >= target:
-                return "ok"
-        return "ok"
+        return True
 
-    status = follow(config.beta)
-    endgame_attempts = 0
-    pair = None
-    if status == "ok":
-        beta_used = config.beta
-        for attempt in range(2):
-            endgame_attempts += 1
-            u_beta = np.concatenate([[state.lam], state.x])
-            try:
-                pair, iters = endgame(T, S, u_beta, config, beta=beta_used)
-                state.newton_total += iters
-                status = "converged"
-                break
-            except (SingularMatrixError, NewtonStalled, PositivityLost) as exc:
-                state.newton_total += getattr(exc, "iterations", 0)
-                if attempt == 0:
-                    # Push the jump-off point closer to 1 and try once more.
-                    beta_used = 0.5 * (1.0 + beta_used)
-                    if follow(beta_used) != "ok":
-                        status = "step_limit"
-                        break
-                else:
-                    status = "endgame_failure"
+    # A failed jump is retried once from closer to 1.  Jumps count in iter,
+    # not in the path's step_count (its max_steps budget and snapshots).
+    pair, jumps = None, 0
+    for beta in (config.beta, 0.5 * (1.0 + config.beta)):
+        if not follow(beta):
+            status = "step_limit"
+            break
+        jumps += 1
+        try:
+            pair, iters = endgame(T, S, np.concatenate([[state.lam], state.x]), config, beta=beta)
+        except _STEP_FAILURES as exc:
+            state.newton_total += getattr(exc, "iterations", 0)
+            status = "endgame_failure"
+            continue
+        state.newton_total += iters
+        status = "converged"
+        break
 
     if pair is not None:
         lam_shift, x = pair.lam, np.array(pair.x)
@@ -374,7 +360,7 @@ def _solve_shifted(A, config, a, b, use_perturbation, record_path):
         status=status,
         eigen=EigenPair(lam_shift - alpha, x),
         residual_norm=residual,
-        iter=state.step_count + endgame_attempts,
+        iter=state.step_count + jumps,
         nwtiter=state.newton_total,
         perturbed=use_perturbation,
         alpha=alpha,

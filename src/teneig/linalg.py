@@ -1,4 +1,4 @@
-"""Small dense linear solves and a finite-difference Jacobian for testing."""
+"""Small dense linear solves by LU with partial pivoting."""
 
 from __future__ import annotations
 
@@ -72,23 +72,3 @@ def lu_apply(fact, rhs):
 def lu_solve(M, rhs):
     """Solve M y = rhs by LU with partial pivoting."""
     return lu_apply(lu_factor(M), rhs)
-
-
-def fd_jacobian(f, x, h=None):
-    """Central-difference Jacobian of f at x: column j is
-    (f(x + h e_j) - f(x - h e_j)) / (2h).
-
-    Default step is 1e-6 * max(1, ||x||_inf), the double-precision sweet
-    spot for central differences.
-    """
-    x = np.asarray(x, dtype=float)
-    if h is None:
-        h = 1e-6 * max(1.0, float(np.abs(x).max()) if x.size else 1.0)
-    cols = []
-    for j in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        cols.append((np.asarray(f(xp), dtype=float) - np.asarray(f(xm), dtype=float)) / (2.0 * h))
-    return np.column_stack(cols)

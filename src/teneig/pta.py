@@ -9,7 +9,6 @@ path-following solver and as the slow baseline on badly scaled instances.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,46 +20,22 @@ from .tensor import EigenPair, alpha_shift, tvp
 from .tensor import add_identity, perturb, require_essentially_nonnegative  # noqa: F401
 
 
-@dataclass
-class PtaConfig:
-    """Knobs of the power baseline; defaults are the path follower's."""
-
-    tol: float = HomotopyConfig.eps2
-    max_iter: int = HomotopyConfig.max_steps
-    eps_perturb: float = HomotopyConfig.eps_perturb
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.eps_perturb <= 0:
-            raise ValueError("eps_perturb must be positive")
-
-
-def pta_solve(A, config=None, x0=None):
+def pta_solve(A, config=None):
     """Power-type iteration for the dominant eigenpair of A.
 
     Always iterates on T = (A + eps) + alpha*I, which is positive, so the
     iterates stay strictly positive and the ratio bracket
     [min_i y_i/x_i^{m-1}, max_i y_i/x_i^{m-1}] encloses the Perron value of
     T.  The reported eigenvalue estimate is the bracket midpoint, shifted
-    back by alpha.  Stops when the stacked eigen-residual on T drops to
-    ``tol`` or after ``max_iter`` sweeps (status "step_limit").
+    back by alpha.  Of the HomotopyConfig it reads ``eps_perturb`` (eps),
+    ``eps2`` and ``max_steps``: it stops when the stacked eigen-residual on T
+    drops to eps2 or after max_steps sweeps (status "step_limit").
     """
     t_start = time.perf_counter()
-    config = PtaConfig() if config is None else config
+    config = HomotopyConfig() if config is None else config
     alpha, T = alpha_shift(A, config.eps_perturb)
     m, n = A.order, A.dim
-    if x0 is None:
-        x = np.ones(n) / np.sqrt(n)
-    else:
-        x = np.asarray(x0, dtype=float)
-        if x.shape != (n,):
-            raise ValueError("x0 must have length %d" % n)
-        if (x <= 0).any():
-            raise ValueError("x0 must be strictly positive")
-        x = x / np.linalg.norm(x)
+    x = np.ones(n) / np.sqrt(n)
     ex = 1.0 / (m - 1)
     iters = 0
     min_x = float(x.min())
@@ -71,10 +46,10 @@ def pta_solve(A, config=None, x0=None):
         lam = 0.5 * (ratios.max() + ratios.min())
         r = y - lam * xp
         residual = float(np.sqrt(r @ r + (x @ x - 1.0) ** 2))
-        if residual <= config.tol:
+        if residual <= config.eps2:
             status = "converged"
             break
-        if iters >= config.max_iter:
+        if iters >= config.max_steps:
             status = "step_limit"
             break
         x = y**ex

@@ -98,7 +98,10 @@ def _parse_dense(lines, order, dim):
 
 
 def _parse_coo(lines, order, dim):
-    data = np.zeros((dim,) * order)
+    try:
+        data = np.zeros((dim,) * order)
+    except (ValueError, MemoryError) as exc:
+        raise TensorFileError("cannot allocate order %d, dim %d: %s" % (order, dim, exc)) from None
     seen = set()
     for lineno, body in lines:
         toks = body.split()

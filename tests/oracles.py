@@ -1,7 +1,8 @@
 """Independent reference implementations used to pin expected values.
 
 Everything here is deliberately naive (full index enumeration, bisection,
-long-run matrix power iteration) and shares no code path with the library.
+long-run matrix power iteration, central differences) and shares no code
+path with the library.
 """
 
 from itertools import permutations, product
@@ -92,3 +93,23 @@ def block2_dominant_bisect(data, iters=200):
     x = np.array([np.cos(t), np.sin(t)])
     y = tvp_naive(data, x)
     return y[0] / x[0] ** 2
+
+
+def fd_jacobian(f, x, h=None):
+    """Central-difference Jacobian of f at x: column j is
+    (f(x + h e_j) - f(x - h e_j)) / (2h).
+
+    Default step is 1e-6 * max(1, ||x||_inf), the double-precision sweet
+    spot for central differences.
+    """
+    x = np.asarray(x, dtype=float)
+    if h is None:
+        h = 1e-6 * max(1.0, float(np.abs(x).max()) if x.size else 1.0)
+    cols = []
+    for j in range(x.size):
+        xp = x.copy()
+        xm = x.copy()
+        xp[j] += h
+        xm[j] -= h
+        cols.append((np.asarray(f(xp), dtype=float) - np.asarray(f(xm), dtype=float)) / (2.0 * h))
+    return np.column_stack(cols)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from teneig import (
-    PtaConfig,
+    HomotopyConfig,
     Tensor,
     add_identity,
     homotopy_jacobian,
@@ -22,11 +22,10 @@ from teneig import (
     tvp,
 )
 from teneig.instances import dense_demo, random_instance, sparse_ring_demo
-from teneig.linalg import fd_jacobian
 from teneig.pta import convergence_rate_estimate
 from teneig.tensor import diagonal
 
-from oracles import block2_dominant_bisect, full_symmetrize, matrix_power_iteration
+from oracles import block2_dominant_bisect, fd_jacobian, full_symmetrize, matrix_power_iteration
 
 
 def _verdict(num, label, failures):
@@ -97,7 +96,7 @@ def test_criterion_3_large_instance_scale():
         failures.append("lambda %.1f outside [0.3, 0.7] * n^(m-1)" % rep.eigen.lam)
     # shrink the constant perturbation so its bias (<= eps * n^(m-1)) stays
     # well below the cross-solver agreement bound
-    rep_pta = pta_solve(A, config=PtaConfig(eps_perturb=1e-12))
+    rep_pta = pta_solve(A, config=HomotopyConfig(eps_perturb=1e-12))
     if rep_pta.status != "converged":
         failures.append("pta status %s" % rep_pta.status)
     if abs(rep_pta.eigen.lam - rep.eigen.lam) > 1e-6:

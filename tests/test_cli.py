@@ -106,6 +106,44 @@ def test_solve_pta_cap_exit_1(tmp_path, capsys):
     assert report["iter"] == 50000
 
 
+def test_solve_pta_reads_max_steps(tmp_path, capsys):
+    path = tmp_path / "slow.ten"
+    save_tensor(path, random_instance(3, 10, d=6, seed=0))
+    code, out, _ = run_cli(
+        capsys, "solve", str(path), "--method", "pta", "--max-steps", "7", "--json"
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert report["status"] == "step_limit"
+    assert report["iter"] == 7
+
+
+def test_solve_unallocatable_coo_header_exit_2(tmp_path, capsys):
+    path = tmp_path / "huge.ten"
+    path.write_text("order 8\ndim 100000\nformat coo\n")
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["gen", "compare"])
+def test_unallocatable_instance_exit_2(tmp_path, capsys, monkeypatch, command):
+    from teneig import bench, cli
+
+    def too_big(*args, **kwargs):
+        raise MemoryError("Unable to allocate 589. TiB")
+
+    monkeypatch.setattr(cli, "random_instance", too_big)
+    monkeypatch.setattr(bench, "random_instance", too_big)
+    argv = [command, "4", "3000"]
+    argv += ["-o", str(tmp_path / "x.ten")] if command == "gen" else ["--count", "1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: Unable to allocate 589. TiB\n"
+
+
 def test_solve_flags_reach_the_solver(tmp_path, capsys):
     path = tmp_path / "demo.ten"
     save_tensor(path, dense_demo())

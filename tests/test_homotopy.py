@@ -24,9 +24,9 @@ from teneig import (
     update_step_size,
 )
 from teneig.instances import dense_demo, random_instance, sparse_ring_demo
-from teneig.linalg import SingularMatrixError, fd_jacobian, lu_factor
+from teneig.linalg import SingularMatrixError, lu_factor
 
-from oracles import block2_dominant_bisect, tvp_naive
+from oracles import block2_dominant_bisect, fd_jacobian, tvp_naive
 
 
 def positive_instance(m=3, n=3, seed=0):
@@ -65,6 +65,10 @@ def test_config_validation():
             HomotopyConfig(dtau_min=floor)
     with pytest.raises(ValueError):
         HomotopyConfig(newton_cap_path=0)
+    with pytest.raises(ValueError):
+        HomotopyConfig(max_steps=0)
+    with pytest.raises(ValueError):
+        HomotopyConfig(eps2=0.0)
 
 
 # ---------------------------------------------------------- residual/jacobian
@@ -338,7 +342,37 @@ def test_endgame_trivial_when_systems_coincide():
     assert np.allclose(got.x, pair.x, atol=1e-12)
 
 
+def test_failed_jump_retries_once_closer_to_one(monkeypatch):
+    from teneig import homotopy
+
+    real = homotopy.endgame
+    betas = []
+
+    def stalls_once(T, S, u, config, beta=None):
+        betas.append(beta)
+        if len(betas) == 1:
+            raise NewtonStalled(3)
+        return real(T, S, u, config, beta=beta)
+
+    monkeypatch.setattr(homotopy, "endgame", stalls_once)
+    rep = solve_dominant(dense_demo())
+    assert rep.status == "converged" and not rep.perturbed
+    assert betas == [0.9999, 0.99995]
+    # 5 path steps, 1 more to the second beta and 2 jumps; the failed jump's
+    # 3 Newton iterations are counted
+    assert (rep.iter, rep.nwtiter) == (8, 14)
+
+
 # --------------------------------------------------------------------- driver
+
+
+def test_step_size_floor_ends_in_step_limit():
+    # every correction stalls after one Newton iteration, so the first step
+    # halves from 0.1 down to dtau_min = 1e-6 (17 tries) and fails there once more
+    cfg = HomotopyConfig(newton_cap_path=1, eps1=1e-300, eps2=1e-300)
+    rep = solve_dominant(dense_demo(), config=cfg)
+    assert rep.status == "step_limit"
+    assert rep.iter == rep.nwtiter == 18
 
 
 def test_solve_matrix_hand_case():

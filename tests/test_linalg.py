@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from teneig.linalg import (
     SingularMatrixError,
-    fd_jacobian,
     lu_factor,
     lu_solve,
 )
+
+from oracles import fd_jacobian
 
 
 def well_conditioned(rng, k, cond=1e3):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from teneig import (
-    PtaConfig,
+    HomotopyConfig,
     Tensor,
     alpha_shift,
     convergence_rate_estimate,
@@ -15,15 +15,6 @@ from teneig import (
 )
 from teneig.instances import dense_demo, random_instance
 from teneig.tensor import EssentialNonnegativityError
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        PtaConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        PtaConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        PtaConfig(eps_perturb=-1.0)
 
 
 def test_pta_recovers_rank_one_perron_pair():
@@ -77,7 +68,7 @@ def test_pta_bracket_contains_perron_value():
     assert rep.status == "converged"
     rho = rep.lambda_shifted
     # replay the sweep on the same shifted tensor and check the bracket
-    _, T = alpha_shift(A, PtaConfig().eps_perturb)
+    _, T = alpha_shift(A, HomotopyConfig().eps_perturb)
     x = np.ones(4) / 2.0
     for _ in range(25):
         y = tvp(T, x)
@@ -93,18 +84,6 @@ def test_pta_validates_input():
     bad[0, 1, 1] = -1.0
     with pytest.raises(EssentialNonnegativityError):
         pta_solve(Tensor(bad))
-    with pytest.raises(ValueError):
-        pta_solve(dense_demo(), x0=np.array([1.0, -1.0, 1.0]))
-    with pytest.raises(ValueError):
-        pta_solve(dense_demo(), x0=np.ones(2))
-
-
-def test_pta_default_start_matches_explicit_uniform():
-    A = random_instance(3, 4, seed=6)
-    rep_default = pta_solve(A)
-    rep_explicit = pta_solve(A, x0=np.ones(4))
-    assert rep_default.iter == rep_explicit.iter
-    assert rep_default.eigen.lam == rep_explicit.eigen.lam
 
 
 # --------------------------------------------------------- rate estimate

@@ -24,9 +24,8 @@ from teneig import (
     weak_irreducibility_check,
 )
 from teneig.instances import dense_demo, sparse_ring_demo
-from teneig.linalg import fd_jacobian
 
-from oracles import matrix_contraction_naive, semi_symmetrize_naive, tvp_naive
+from oracles import fd_jacobian, matrix_contraction_naive, semi_symmetrize_naive, tvp_naive
 
 
 def small_tensors(max_order=4, max_dim=3, lo=-10.0, hi=10.0):
