@@ -17,6 +17,16 @@ from teneig.instances import dense_demo, random_instance
 from teneig.tensor import EssentialNonnegativityError
 
 
+def test_config_validation():
+    # the three HomotopyConfig fields pta_solve reads reject bad values
+    with pytest.raises(ValueError):
+        HomotopyConfig(eps2=0.0)
+    with pytest.raises(ValueError):
+        HomotopyConfig(max_steps=0)
+    with pytest.raises(ValueError):
+        HomotopyConfig(eps_perturb=-1.0)
+
+
 def test_pta_recovers_rank_one_perron_pair():
     a = b = np.ones(3)
     S = rank_one_start(a, b, 3)
