@@ -27,6 +27,8 @@ from .pta import convergence_rate_estimate, pta_solve
 from .tensor import (
     EigenPair,
     EssentialNonnegativityError,
+    RankOne,
+    ShiftedTensor,
     Tensor,
     add_identity,
     alpha_shift,
@@ -37,7 +39,9 @@ from .tensor import (
     power_vector,
     rank_one_start,
     semi_symmetrize,
+    shift_alpha,
     start_pair,
+    start_system,
     tvp,
     tvp_jacobian,
     unit_tensor,

@@ -20,21 +20,23 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import SingularMatrixError, lu_apply, lu_factor
+from .linalg import SingularMatrixError, solve
 from .tensor import (
     EigenPair,
-    alpha_shift,
+    ShiftedTensor,
     eigen_residual,
-    rank_one_start,
+    shift_alpha,
     start_pair,
-    tvp,
-    tvp_jacobian,
+    start_system,
     weak_irreducibility_check,
 )
 
-# Not called here since alpha_shift builds T; perfbench/spans.py wraps these
-# names in this module and needs them to exist.
-from .tensor import add_identity, perturb, require_essentially_nonnegative  # noqa: F401
+# Not called here since T and S are evaluated in closed form and solved by
+# LAPACK; perfbench/spans.py wraps these names in this module and needs them
+# to exist.
+from .linalg import lu_apply, lu_factor  # noqa: F401
+from .tensor import add_identity, perturb, rank_one_start, tvp, tvp_jacobian  # noqa: F401
+from .tensor import require_essentially_nonnegative  # noqa: F401
 
 POSITIVITY_WARN_FLOOR = 1e-12
 
@@ -156,42 +158,52 @@ def _check_pair(T, S):
         )
 
 
+def _system(T, S, tau, lam, x):
+    """Residual, (lam, x)-Jacobian and tau-derivative of H_tau at (lam, x).
+
+    One tvp_and_jacobian call on each of T and S gives all three.  The
+    Jacobian's first column is -x^{[m-1]} stacked over 0, its trailing n-by-n
+    block is the x-Jacobian of the blended contraction minus
+    lam*(m-1)*diag(x^{m-2}), and its bottom row is (0, 2x^T) from the
+    normalization constraint.  The tau-derivative is ((T - S) x^{m-1}; 0).
+    """
+    m, n = T.order, T.dim
+    yT, JT = T.tvp_and_jacobian(x)
+    yS, JS = S.tvp_and_jacobian(x)
+    xp = x ** (m - 1)
+    r = np.empty(n + 1)
+    r[:n] = tau * yT + (1.0 - tau) * yS - lam * xp
+    r[n] = x @ x - 1.0
+    J = np.empty((n + 1, n + 1))
+    J[:n, 0] = -xp
+    J[n, 0] = 0.0
+    J[:n, 1:] = tau * JT + (1.0 - tau) * JS
+    idx = np.arange(n)
+    J[idx, idx + 1] -= lam * (m - 1) * x ** (m - 2)
+    J[n, 1:] = 2.0 * x
+    dH = np.append(yT - yS, 0.0)
+    return r, J, dH
+
+
 def homotopy_residual(T, S, tau, lam, x):
     """Residual of the blended system at (lam, x), a vector of length n+1."""
     _check_pair(T, S)
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
-    x = np.asarray(x, dtype=float)
-    r = tau * tvp(T, x) + (1.0 - tau) * tvp(S, x) - lam * x ** (T.order - 1)
-    return np.concatenate([r, [x @ x - 1.0]])
+    return _system(T, S, tau, lam, np.asarray(x, dtype=float))[0]
 
 
 def homotopy_jacobian(T, S, tau, lam, x):
-    """Jacobian of the blended system in (lam, x), an (n+1)x(n+1) matrix.
-
-    First column is -x^{[m-1]} stacked over 0, the trailing n-by-n block is
-    the x-Jacobian of the blended contraction minus lam*(m-1)*diag(x^{m-2}),
-    and the bottom row is (0, 2x^T) from the normalization constraint.
-    """
+    """Jacobian of the blended system in (lam, x), an (n+1)x(n+1) matrix."""
     _check_pair(T, S)
-    x = np.asarray(x, dtype=float)
-    m, n = T.order, T.dim
-    J = np.empty((n + 1, n + 1))
-    J[:n, 0] = -(x ** (m - 1))
-    J[n, 0] = 0.0
-    B = tau * tvp_jacobian(T, x) + (1.0 - tau) * tvp_jacobian(S, x)
-    idx = np.arange(n)
-    B[idx, idx] -= lam * (m - 1) * x ** (m - 2)
-    J[:n, 1:] = B
-    J[n, 1:] = 2.0 * x
-    return J
+    return _system(T, S, tau, lam, np.asarray(x, dtype=float))[1]
 
 
 def tau_derivative(T, S, x):
     """Derivative of the homotopy residual in tau at fixed (lam, x):
     ((T - S) x^{m-1}; 0)."""
     _check_pair(T, S)
-    return np.concatenate([tvp(T, x) - tvp(S, x), [0.0]])
+    return _system(T, S, 0.0, 0.0, np.asarray(x, dtype=float))[2]
 
 
 def predict(T, S, state, dtau=None):
@@ -202,8 +214,8 @@ def predict(T, S, state, dtau=None):
     """
     if dtau is None:
         dtau = state.dtau
-    fact = lu_factor(homotopy_jacobian(T, S, state.tau, state.lam, state.x))
-    g = lu_apply(fact, -tau_derivative(T, S, state.x))
+    _, J, dH = _system(T, S, state.tau, state.lam, state.x)
+    g = solve(J, -dH)
     return np.concatenate([[state.lam], state.x]) + dtau * g
 
 
@@ -220,17 +232,16 @@ def newton_correct(T, S, tau, u0, tol, cap):
         raise ValueError("cap must be at least 1")
     u = np.array(u0, dtype=float)
     for i in range(cap + 1):
-        r = homotopy_residual(T, S, tau, u[0], u[1:])
+        r, J, _ = _system(T, S, tau, u[0], u[1:])
         if np.linalg.norm(r) <= tol:
             return u, i
         if i == cap:
             raise NewtonStalled(cap)
-        fact = lu_factor(homotopy_jacobian(T, S, tau, u[0], u[1:]))
-        if fact.singular:
-            err = SingularMatrixError(fact.pivot_index)
+        try:
+            u = u - solve(J, r)
+        except SingularMatrixError as err:
             err.iterations = i
-            raise err
-        u = u - lu_apply(fact, r)
+            raise
     raise AssertionError("unreachable")
 
 
@@ -283,10 +294,14 @@ def _snapshot(state):
 
 
 def _solve_shifted(A, config, a, b, use_perturbation, record_path):
-    """Run the full pipeline on T = (A_eps or A) + alpha*I; wall time unset."""
+    """Run the full pipeline on T = (A_eps or A) + alpha*I; wall time unset.
+
+    T and the start system S are closed-form operators over A and the start
+    vectors, so the only n^m array is the input.
+    """
     m = A.order
-    alpha, T = alpha_shift(A, config.eps_perturb if use_perturbation else 0.0)
-    S = rank_one_start(a, b, m)
+    T = ShiftedTensor(A, shift_alpha(A), config.eps_perturb if use_perturbation else 0.0)
+    S = start_system(a, b, m)
     start = start_pair(a, b, m)
     state = PathState(tau=0.0, lam=start.lam, x=np.array(start.x), dtau=config.dtau0)
     trace = [_snapshot(state)] if record_path else None
@@ -358,12 +373,12 @@ def _solve_shifted(A, config, a, b, use_perturbation, record_path):
     return SolveReport(
         method="homotopy",
         status=status,
-        eigen=EigenPair(lam_shift - alpha, x),
+        eigen=EigenPair(lam_shift - T.alpha, x),
         residual_norm=residual,
         iter=state.step_count + jumps,
         nwtiter=state.newton_total,
         perturbed=use_perturbation,
-        alpha=alpha,
+        alpha=T.alpha,
         lambda_shifted=lam_shift,
         path_min_x=min_x,
         path=trace,

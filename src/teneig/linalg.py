@@ -1,4 +1,9 @@
-"""Small dense linear solves by LU with partial pivoting."""
+"""Dense linear solves: LAPACK with a conditioning check, and a hand LU.
+
+The solver's Newton and tangent systems go through ``solve``.  ``lu_factor``
+and ``lu_apply`` are the hand-written LU with partial pivoting that it
+replaced; they are kept for the tests and tools that still call them.
+"""
 
 from __future__ import annotations
 
@@ -6,14 +11,43 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# A pivot this small relative to its row's largest input entry is singular.
+# A matrix is singular to working precision when an LU pivot is this small
+# relative to its row's largest entry, or when a lower bound on its
+# infinity-norm condition number exceeds 1 / PIVOT_RTOL.
 PIVOT_RTOL = 1e-14
 
 
 class SingularMatrixError(RuntimeError):
-    def __init__(self, pivot_index):
+    """A linear system is singular to working precision.
+
+    ``pivot_index`` names the column of the negligible pivot when the hand
+    LU found one.  It is None when ``solve`` rejected the system: LAPACK
+    reports no relative pivot, so no column is named.
+    """
+
+    def __init__(self, pivot_index=None):
         self.pivot_index = pivot_index
-        super().__init__("matrix is numerically singular at pivot column %d" % pivot_index)
+        where = "" if pivot_index is None else " at pivot column %d" % pivot_index
+        super().__init__("matrix is numerically singular" + where)
+
+
+def solve(M, rhs):
+    """Solve M y = rhs with LAPACK (``np.linalg.solve``).
+
+    Raises SingularMatrixError when LAPACK meets an exactly zero pivot, when
+    y is not finite, or when ||M||_inf ||y||_inf > ||rhs||_inf / PIVOT_RTOL.
+    Since ||y|| <= ||M^{-1}|| ||rhs||, that ratio is a lower bound on
+    kappa_inf(M), so a system that fails it is singular to working precision.
+    """
+    try:
+        y = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError() from None
+    if not np.isfinite(y).all():
+        raise SingularMatrixError()
+    if np.abs(M).sum(axis=1).max() * np.abs(y).max() > np.abs(rhs).max() / PIVOT_RTOL:
+        raise SingularMatrixError()
+    return y
 
 
 @dataclass

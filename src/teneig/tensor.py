@@ -61,6 +61,27 @@ class Tensor:
     def __repr__(self):
         return "Tensor(order=%d, dim=%d)" % (self.order, self.dim)
 
+    def tvp_and_jacobian(self, x):
+        """(T x^{m-1}, its n-by-n Jacobian in x) from views of the data.
+
+        The chain P_0 = T, P_j = P_{j-1} @ x ends in y = P_{m-1}.  The
+        derivative in trailing mode k+1 contracts P_{m-1-k}'s k-1 middle
+        modes, flattened into one, with the (k-1)-fold outer power of x:
+        k = 1 is P_{m-2} itself and k = m-1 is a second pass over the data.
+        Every trailing mode counts, so T need not be semi-symmetric.
+        """
+        x = _check_vector(self, x)
+        m, n = self.order, self.dim
+        P = [self.data]
+        for _ in range(m - 1):
+            P.append(P[-1] @ x)  # matmul contracts the last axis
+        J = np.array(P[m - 2])
+        xk = np.ones(1)
+        for k in range(2, m):
+            xk = np.multiply.outer(xk, x).reshape(-1)
+            J += xk @ P[m - 1 - k].reshape(n, n ** (k - 1), n)
+        return P[m - 1], J
+
     @classmethod
     def zeros(cls, order, dim):
         return cls(np.zeros((dim,) * order))
@@ -150,21 +171,10 @@ def power_vector(x, p):
 def tvp_jacobian(T, x):
     """Jacobian of x -> tvp(T, x), an n-by-n matrix.
 
-    Accumulates one contraction per trailing mode, which equals
-    (m-1) * (semi_symmetrize(T) contracted with x^{m-2}) without ever
-    materializing the semi-symmetric tensor.
+    Equals (m-1) * (semi_symmetrize(T) contracted with x^{m-2}) without
+    materializing the semi-symmetric tensor; see Tensor.tvp_and_jacobian.
     """
-    x = _check_vector(T, x)
-    m, n = T.order, T.dim
-    J = np.zeros((n, n))
-    for k in range(1, m):
-        M = T.data
-        # Contract from the last axis down so surviving axes keep their positions.
-        for ax in range(m - 1, 0, -1):
-            if ax != k:
-                M = np.tensordot(M, x, axes=([ax], [0]))
-        J += M
-    return J
+    return T.tvp_and_jacobian(x)[1]
 
 
 def semi_symmetrize(T):
@@ -180,22 +190,66 @@ def semi_symmetrize(T):
     return Tensor(acc / factorial(m - 1))
 
 
+def shift_alpha(A):
+    """The diagonal shift alpha = max_i |a_{i...i}| + 1 of both solvers.
+
+    Scans A first and raises EssentialNonnegativityError on a negative
+    off-diagonal entry, so (A + eps) + alpha*I is nonnegative for eps >= 0.
+    """
+    require_essentially_nonnegative(A)
+    return float(np.abs(diagonal(A)).max()) + 1.0
+
+
 def alpha_shift(A, eps=0.0):
     """The tensor both solvers iterate on, built in one array.
 
-    Returns (alpha, T) with alpha = max_i |a_{i...i}| + 1 and
+    Returns (alpha, T) with alpha = shift_alpha(A) and
     T = (A + eps) + alpha * I, equal bit for bit to
     ``add_identity(perturb(A, eps), alpha)`` for eps > 0.  T is nonnegative
-    for essentially nonnegative A, and positive when eps > 0.
+    for essentially nonnegative A, and positive when eps > 0.  The homotopy
+    solver uses ShiftedTensor instead, which stores no copy of A.
     """
-    require_essentially_nonnegative(A)
+    alpha = shift_alpha(A)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    alpha = float(np.abs(diagonal(A)).max()) + 1.0
     # A + 0.0 would turn -0.0 entries into +0.0, so copy when eps == 0.
     data = A.data + eps if eps else np.array(A.data)
     data[_diag_index(A.order, A.dim)] += alpha
     return alpha, Tensor(data)
+
+
+@dataclass(frozen=True, eq=False)
+class ShiftedTensor:
+    """T = (A + eps) + alpha*I as the input A plus closed-form terms.
+
+    Holds no n^m array but A.  alpha*I adds alpha*x^{[m-1]} to T x^{m-1} and
+    the constant tensor eps adds eps*(1.x)^{m-1} to every component.
+    """
+
+    A: Tensor
+    alpha: float
+    eps: float = 0.0
+
+    @property
+    def order(self):
+        return self.A.order
+
+    @property
+    def dim(self):
+        return self.A.dim
+
+    def tvp_and_jacobian(self, x):
+        """(T x^{m-1}, its Jacobian in x): A's kernel plus the closed-form terms."""
+        x = _check_vector(self, x)
+        m = self.order
+        y, J = self.A.tvp_and_jacobian(x)
+        y += self.alpha * x ** (m - 1)
+        J[np.diag_indices(self.dim)] += self.alpha * (m - 1) * x ** (m - 2)
+        if self.eps:
+            s = x.sum()
+            y += self.eps * s ** (m - 1)
+            J += self.eps * (m - 1) * s ** (m - 2)
+        return y, J
 
 
 def perturb(A, eps):
@@ -205,14 +259,42 @@ def perturb(A, eps):
     return Tensor(A.data + eps)
 
 
-def rank_one_start(a, b, order):
-    """Positive rank-one tensor with entries a_{i1}^{m-1} * b_{i2} * ... * b_{im}."""
+@dataclass(frozen=True, eq=False)
+class RankOne:
+    """The order-m tensor with entries c_{i1} * b_{i2} * ... * b_{im}, never stored.
+
+    Its contraction is (b.x)^{m-1} c and its Jacobian (m-1)(b.x)^{m-2} c b^T.
+    """
+
+    c: np.ndarray
+    b: np.ndarray
+    order: int
+
+    @property
+    def dim(self):
+        return self.b.shape[0]
+
+    def tvp_and_jacobian(self, x):
+        x = _check_vector(self, x)
+        m = self.order
+        s = self.b @ x
+        return s ** (m - 1) * self.c, (m - 1) * s ** (m - 2) * np.outer(self.c, self.b)
+
+
+def start_system(a, b, order):
+    """The positive rank-one start tensor a^{[m-1]} (x) b (x) ... (x) b as a RankOne."""
     a, b = _positive_pair(a, b)
     if order < 2:
         raise ValueError("order must be at least 2")
-    out = a ** (order - 1)
+    return RankOne(a ** (order - 1), b, order)
+
+
+def rank_one_start(a, b, order):
+    """start_system(a, b, order) stored densely: entries a_{i1}^{m-1} * b_{i2} * ... * b_{im}."""
+    S = start_system(a, b, order)
+    out = S.c
     for _ in range(order - 1):
-        out = np.multiply.outer(out, b)
+        out = np.multiply.outer(out, S.b)
     return Tensor(out)
 
 
@@ -236,9 +318,13 @@ def _positive_pair(a, b):
 
 
 def eigen_residual(T, lam, x):
-    """Stacked residual (tvp(T,x) - lam * x^{[m-1]}; x.x - 1) of length n+1."""
+    """Stacked residual (T x^{m-1} - lam * x^{[m-1]}; x.x - 1) of length n+1.
+
+    T is any operator with ``order`` and ``tvp_and_jacobian``: a Tensor, a
+    ShiftedTensor or a RankOne.
+    """
     x = _check_vector(T, x)
-    r = tvp(T, x) - lam * x ** (T.order - 1)
+    r = T.tvp_and_jacobian(x)[0] - lam * x ** (T.order - 1)
     return np.concatenate([r, [x @ x - 1.0]])
 
 

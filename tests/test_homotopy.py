@@ -8,6 +8,7 @@ from teneig import (
     HomotopyConfig,
     NewtonStalled,
     PathState,
+    ShiftedTensor,
     Tensor,
     add_identity,
     alpha_shift,
@@ -18,8 +19,10 @@ from teneig import (
     newton_correct,
     predict,
     rank_one_start,
+    shift_alpha,
     solve_dominant,
     start_pair,
+    start_system,
     tau_derivative,
     update_step_size,
 )
@@ -151,6 +154,26 @@ def test_jacobian_nonsingular_on_path():
     assert pivot_ratio > 1e-10
 
 
+def test_system_from_closed_form_operators_matches_dense_tensors():
+    # the solver's T and S are operators over A; the wrappers take either
+    rng = np.random.default_rng(40)
+    A = random_instance(3, 4, seed=41)
+    a = rng.uniform(0.5, 2.0, size=4)
+    b = rng.uniform(0.5, 2.0, size=4)
+    for eps in (0.0, 1e-3):
+        _, T = alpha_shift(A, eps)
+        dense = (T, rank_one_start(a, b, 3))
+        ops = (ShiftedTensor(A, shift_alpha(A), eps), start_system(a, b, 3))
+        x = rng.uniform(0.2, 1.0, size=4)
+        for f, args in (
+            (homotopy_residual, (0.4, 7.5, x)),
+            (homotopy_jacobian, (0.4, 7.5, x)),
+            (tau_derivative, (x,)),
+        ):
+            want = f(*dense, *args)
+            assert np.allclose(f(*ops, *args), want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
 # -------------------------------------------------------------- tau derivative
 
 
@@ -278,6 +301,19 @@ def test_newton_singular_jacobian_is_distinct():
         newton_correct(T, S, 0.5, u0, 1e-10, 10)
 
 
+def test_newton_near_singular_jacobian_is_distinct():
+    # m = 2 and x = 1e-15 * 1: the Jacobian's first column and last row are
+    # 1e-15 of its other entries, a relative pivot far below PIVOT_RTOL
+    T, S = positive_instance(m=2, n=3, seed=23)
+    u0 = np.concatenate([[1.0], np.full(3, 1e-15)])
+    fact = lu_factor(homotopy_jacobian(T, S, 0.5, u0[0], u0[1:]))
+    assert fact.singular and fact.pivot_index == 0
+    with pytest.raises(SingularMatrixError) as err:
+        newton_correct(T, S, 0.5, u0, 1e-10, 10)
+    assert err.value.pivot_index is None
+    assert err.value.iterations == 0
+
+
 def test_newton_validates_arguments():
     T, S = positive_instance(seed=24)
     with pytest.raises(ValueError):
@@ -366,9 +402,15 @@ def test_failed_jump_retries_once_closer_to_one(monkeypatch):
 # --------------------------------------------------------------------- driver
 
 
-def test_step_size_floor_ends_in_step_limit():
+def test_step_size_floor_ends_in_step_limit(monkeypatch):
     # every correction stalls after one Newton iteration, so the first step
     # halves from 0.1 down to dtau_min = 1e-6 (17 tries) and fails there once more
+    from teneig import homotopy
+
+    def stalls(T, S, tau, u0, tol, cap):
+        raise NewtonStalled(cap)
+
+    monkeypatch.setattr(homotopy, "newton_correct", stalls)
     cfg = HomotopyConfig(newton_cap_path=1, eps1=1e-300, eps2=1e-300)
     rep = solve_dominant(dense_demo(), config=cfg)
     assert rep.status == "step_limit"
@@ -472,12 +514,43 @@ def test_solve_step_limit_status():
     assert rep.iter == 1
 
 
-def test_solve_endgame_failure_after_escalation():
+def test_solve_endgame_failure_after_escalation(monkeypatch):
+    # every jump stalls: both betas fail, then the perturbed retry fails too
+    from teneig import homotopy
+
+    def stalls(T, S, u, config, beta=None):
+        raise NewtonStalled(config.newton_cap_endgame)
+
+    monkeypatch.setattr(homotopy, "endgame", stalls)
     cfg = HomotopyConfig(eps2=1e-16, newton_cap_endgame=1)
     rep = solve_dominant(dense_demo(), config=cfg)
     assert rep.status == "endgame_failure"
     assert rep.perturbed  # the final retry switched the perturbation on
     assert rep.residual_norm > 1e-16
+
+
+def _block_diagonal_3_60():
+    data = np.zeros((60, 60, 60))
+    data[:30, :30, :30] = random_instance(3, 30, seed=51).data
+    data[30:, 30:, 30:] = 1.25 * random_instance(3, 30, seed=52).data
+    return Tensor(data)
+
+
+@pytest.mark.parametrize("reducible", [False, True])
+def test_solve_keeps_no_copy_of_the_input(reducible):
+    # T and S are evaluated in closed form on A: the peak of everything the
+    # solve allocates stays far below one more n^m array
+    import tracemalloc
+
+    A = _block_diagonal_3_60() if reducible else random_instance(3, 60, seed=50)
+    tracemalloc.start()
+    try:
+        rep = solve_dominant(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.status == "converged" and rep.perturbed == reducible
+    assert peak < 0.5 * A.data.nbytes
 
 
 def test_solve_validates_input():

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teneig.linalg import (
+    PIVOT_RTOL,
     SingularMatrixError,
     lu_factor,
     lu_solve,
+    solve,
 )
 
 from oracles import fd_jacobian
@@ -116,3 +118,33 @@ def test_fd_jacobian_second_order_by_h_halving():
         errs.append(np.abs(fd_jacobian(f, x, h=h) - exact).max())
     order = np.log2(errs[0] / errs[1])
     assert abs(order - 2.0) <= 0.2
+
+
+# ------------------------------------------------------------- LAPACK solve
+
+
+@pytest.mark.parametrize("seed, k", [(0, 1), (1, 4), (2, 11), (3, 40)])
+def test_solve_agrees_with_lu(seed, k):
+    rng = np.random.default_rng(seed)
+    M = well_conditioned(rng, k)
+    rhs = rng.standard_normal(k)
+    y = solve(M, rhs)
+    assert np.allclose(y, lu_solve(M, rhs), rtol=1e-10, atol=1e-12)
+    assert np.abs(M @ y - rhs).max() <= 1e-10 * np.abs(rhs).max()
+
+
+def test_solve_rejects_singular_systems():
+    exact = np.array([[1.0, 2.0], [2.0, 4.0]])
+    near = np.array([[1.0, 0.0], [0.0, 0.1 * PIVOT_RTOL]])  # relative pivot 1e-15
+    nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    for M in (exact, near, nan):
+        with pytest.raises(SingularMatrixError) as err:
+            solve(M, np.ones(2))
+        assert err.value.pivot_index is None
+        assert "numerically singular" in str(err.value)
+
+
+def test_singular_error_names_a_pivot_only_when_given():
+    assert SingularMatrixError().pivot_index is None
+    assert "column" not in str(SingularMatrixError())
+    assert "column 3" in str(SingularMatrixError(3))

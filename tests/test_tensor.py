@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 from teneig import (
     EigenPair,
     EssentialNonnegativityError,
+    ShiftedTensor,
     Tensor,
     add_identity,
     alpha_shift,
@@ -17,7 +18,9 @@ from teneig import (
     power_vector,
     rank_one_start,
     semi_symmetrize,
+    shift_alpha,
     start_pair,
+    start_system,
     tvp,
     tvp_jacobian,
     unit_tensor,
@@ -192,6 +195,82 @@ def test_jacobian_equals_semisymmetric_contraction():
 def test_jacobian_dimension_mismatch():
     with pytest.raises(ValueError):
         tvp_jacobian(sparse_ring_demo(), np.ones(2))
+
+
+# ------------------------------------------------------- fused (y, J) kernel
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_kernel_matches_naive_contraction_and_finite_differences(m, n):
+    # a non-symmetric tensor: each trailing mode adds its own Jacobian term
+    rng = np.random.default_rng(10 * m + n)
+    data = rng.standard_normal((n,) * m)
+    x = rng.uniform(-1.5, 1.5, size=n)
+    y, J = Tensor(data).tvp_and_jacobian(x)
+    ref = tvp_naive(data, x)
+    assert np.allclose(y, ref, rtol=0, atol=1e-13 * max(1.0, np.abs(ref).max()))
+    Jfd = fd_jacobian(lambda v: tvp_naive(data, v), x)
+    assert np.abs(J - Jfd).max() <= 1e-6 * max(1.0, np.abs(J).max())
+
+
+def test_kernel_leaves_the_input_untouched():
+    rng = np.random.default_rng(13)
+    for m in (2, 3, 4):
+        T = Tensor(rng.uniform(0.0, 1.0, size=(3,) * m))
+        before = np.array(T.data)
+        y, J = T.tvp_and_jacobian(rng.uniform(0.1, 1.0, size=3))
+        y += 1.0
+        J += 1.0
+        assert np.array_equal(T.data, before)
+
+
+def _essentially_nonnegative(rng, m, n):
+    data = rng.uniform(0.0, 1.0, size=(n,) * m)
+    data[(np.arange(n),) * m] = rng.uniform(-2.0, 0.0, size=n)
+    return Tensor(data)
+
+
+@pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (4, 3), (5, 2)])
+def test_closed_form_shift_matches_dense_alpha_shift(m, n):
+    rng = np.random.default_rng(20 * m + n)
+    A = _essentially_nonnegative(rng, m, n)
+    x = rng.uniform(0.1, 1.5, size=n)
+    for eps in (0.0, 1e-9, 0.3):
+        alpha, T = alpha_shift(A, eps)
+        op = ShiftedTensor(A, shift_alpha(A), eps)
+        assert op.alpha == alpha and (op.order, op.dim) == (m, n)
+        y, J = op.tvp_and_jacobian(x)
+        y_ref, J_ref = T.tvp_and_jacobian(x)
+        assert np.allclose(y, y_ref, rtol=1e-13, atol=0)
+        assert np.allclose(J, J_ref, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (4, 3), (5, 2)])
+def test_closed_form_start_matches_dense_rank_one_start(m, n):
+    rng = np.random.default_rng(30 * m + n)
+    a = rng.uniform(0.2, 2.0, size=n)
+    b = rng.uniform(0.2, 2.0, size=n)
+    S = start_system(a, b, m)
+    dense = rank_one_start(a, b, m)
+    assert (S.order, S.dim) == (m, n)
+    for _ in range(3):
+        x = rng.uniform(0.1, 1.5, size=n)
+        y, J = S.tvp_and_jacobian(x)
+        y_ref, J_ref = dense.tvp_and_jacobian(x)
+        assert np.allclose(y, y_ref, rtol=1e-13, atol=0)
+        assert np.allclose(J, J_ref, rtol=1e-13, atol=0)
+    with pytest.raises(ValueError):
+        start_system(a, -b, m)
+
+
+def test_shift_alpha_is_alpha_shifts_alpha():
+    for A in (dense_demo(), sparse_ring_demo(), Tensor.zeros(3, 2)):
+        assert shift_alpha(A) == alpha_shift(A)[0]
+    bad = np.zeros((2, 2, 2))
+    bad[1, 0, 0] = -1.0
+    with pytest.raises(EssentialNonnegativityError):
+        shift_alpha(Tensor(bad))
 
 
 # ------------------------------------------------------------ semi_symmetrize
