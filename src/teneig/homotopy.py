@@ -10,6 +10,17 @@ For every tau in [0,1) the positive blend has a unique positive Perron pair
 and a nonsingular Jacobian there, so the solution curve can be followed by
 an Euler predictor and a Newton corrector with adaptive step control, with a
 final jump ("endgame") from tau = beta to tau = 1.
+
+Cost model.  Each Newton iterate makes one (y, J) evaluation of T and one of
+S, each a pass over the input, and one LAPACK solve.  The predictor makes
+none after the start: the corrector's converged iterate has just evaluated
+the system at the accepted point, so it also solves for the tangent there
+and hands on that n+1 vector, which every prediction from the point (its
+retries after a rejection and the endgame jump included) reuses.  Only the
+start point at tau = 0 and a point whose converged Jacobian was singular
+evaluate their tangent afresh.  The input checks run once per solve and
+scan A a block of slices A[i] at a time, so their temporaries hold at most
+max(n^{m-1}, tensor.SCAN_BLOCK_ENTRIES) entries, not n^m.
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ from .tensor import (
     EigenPair,
     ShiftedTensor,
     eigen_residual,
+    require_essentially_nonnegative,
     shift_alpha,
     start_pair,
     start_system,
@@ -36,7 +48,6 @@ from .tensor import (
 # to exist.
 from .linalg import lu_apply, lu_factor  # noqa: F401
 from .tensor import add_identity, perturb, rank_one_start, tvp, tvp_jacobian  # noqa: F401
-from .tensor import require_essentially_nonnegative  # noqa: F401
 
 POSITIVITY_WARN_FLOOR = 1e-12
 
@@ -107,6 +118,10 @@ class PathState:
     last_two_uncut: tuple = (False, False)
     step_count: int = 0
     newton_total: int = 0
+    # The path tangent at this very point, left by the corrector that
+    # accepted it; None makes predict evaluate it.  Not an __init__ argument,
+    # so a state built by a caller or by dataclasses.replace has none.
+    tangent: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -178,8 +193,9 @@ def _system(T, S, tau, lam, x):
     J[:n, 0] = -xp
     J[n, 0] = 0.0
     J[:n, 1:] = tau * JT + (1.0 - tau) * JS
-    idx = np.arange(n)
-    J[idx, idx + 1] -= lam * (m - 1) * x ** (m - 2)
+    # Entries (i, i+1) sit at flat offsets 1 + i*(n+2): a strided view, where
+    # fancy indexing would hold two index arrays at the solve's memory peak.
+    J.reshape(-1)[1 :: n + 2] -= lam * (m - 1) * x ** (m - 2)
     J[n, 1:] = 2.0 * x
     dH = np.append(yT - yS, 0.0)
     return r, J, dH
@@ -209,20 +225,27 @@ def tau_derivative(T, S, x):
 def predict(T, S, state, dtau=None):
     """Euler predictor: move along the path tangent at the current state.
 
-    Solves JH * g = -dH/dtau for the tangent and returns u + dtau * g with
-    u = (lam, x).  Raises SingularMatrixError when the Jacobian degenerates.
+    Returns u + dtau * g with u = (lam, x) and g the tangent, JH * g =
+    -dH/dtau.  g is state.tangent when the solver left one there, else it is
+    solved for here, which raises SingularMatrixError when the Jacobian
+    degenerates.
     """
     if dtau is None:
         dtau = state.dtau
-    _, J, dH = _system(T, S, state.tau, state.lam, state.x)
-    g = solve(J, -dH)
+    g = state.tangent
+    if g is None:
+        _, J, dH = _system(T, S, state.tau, state.lam, state.x)
+        g = solve(J, -dH)
     return np.concatenate([[state.lam], state.x]) + dtau * g
 
 
 def newton_correct(T, S, tau, u0, tol, cap):
     """Newton iteration on the homotopy at fixed tau from u0 = (lam, x...).
 
-    Returns (u, iterations) once the residual 2-norm drops to tol.  Raises
+    Returns (u, iterations, g) once the residual 2-norm drops to tol, where
+    g is the path tangent at u, solved from the Jacobian and tau-derivative
+    of that last evaluation, or None when that Jacobian is singular or tau
+    is 1, where the path ends and no prediction follows.  Raises
     NewtonStalled after cap updates, or SingularMatrixError on a degenerate
     Jacobian; both carry the Newton iterations already spent.
     """
@@ -232,9 +255,14 @@ def newton_correct(T, S, tau, u0, tol, cap):
         raise ValueError("cap must be at least 1")
     u = np.array(u0, dtype=float)
     for i in range(cap + 1):
-        r, J, _ = _system(T, S, tau, u[0], u[1:])
+        r, J, dH = _system(T, S, tau, u[0], u[1:])
         if np.linalg.norm(r) <= tol:
-            return u, i
+            if tau == 1.0:
+                return u, i, None
+            try:
+                return u, i, solve(J, -dH)
+            except SingularMatrixError:
+                return u, i, None
         if i == cap:
             raise NewtonStalled(cap)
         try:
@@ -264,28 +292,30 @@ def update_step_size(state, newton_iters_used, config):
 def _step(T, S, state, dtau, tau_next, tol, cap):
     """One prediction-correction step from state to tau_next = state.tau + dtau.
 
-    Returns the corrected (u, newton_iterations); raises one of _STEP_FAILURES.
-    A nonpositive component means Newton left the strictly positive curve
-    for a sign-mixed eigenpair of the blend.
+    Returns newton_correct's (u, newton_iterations, tangent at u); raises one
+    of _STEP_FAILURES.  A nonpositive component means Newton left the
+    strictly positive curve for a sign-mixed eigenpair of the blend.
     """
     ubar = predict(T, S, state, dtau)
-    u, iters = newton_correct(T, S, tau_next, ubar, tol, cap)
+    u, iters, g = newton_correct(T, S, tau_next, ubar, tol, cap)
     if u[1:].min() <= 0.0:
         raise PositivityLost(iters)
-    return u, iters
+    return u, iters, g
 
 
-def endgame(T, S, u_at_beta, config, beta=None):
+def endgame(T, S, u_at_beta, config, beta=None, tangent=None):
     """Final jump from tau = beta to tau = 1 with Newton polish.
 
     The last prediction-correction step, over 1 - beta and to the tight
-    tolerance eps2.  Returns (EigenPair, newton_iterations).
+    tolerance eps2.  ``tangent`` is the path tangent at u_at_beta when the
+    caller has it; None evaluates it.  Returns (EigenPair, newton_iterations).
     """
     if beta is None:
         beta = config.beta
     u = np.asarray(u_at_beta, dtype=float)
     state = PathState(tau=beta, lam=u[0], x=u[1:], dtau=1.0 - beta)
-    v, iters = _step(T, S, state, 1.0 - beta, 1.0, config.eps2, config.newton_cap_endgame)
+    state.tangent = tangent
+    v, iters, _ = _step(T, S, state, 1.0 - beta, 1.0, config.eps2, config.newton_cap_endgame)
     return EigenPair(v[0], v[1:]), iters
 
 
@@ -293,14 +323,14 @@ def _snapshot(state):
     return replace(state, x=state.x.copy())
 
 
-def _solve_shifted(A, config, a, b, use_perturbation, record_path):
+def _solve_shifted(A, alpha, config, a, b, use_perturbation, record_path):
     """Run the full pipeline on T = (A_eps or A) + alpha*I; wall time unset.
 
     T and the start system S are closed-form operators over A and the start
     vectors, so the only n^m array is the input.
     """
     m = A.order
-    T = ShiftedTensor(A, shift_alpha(A), config.eps_perturb if use_perturbation else 0.0)
+    T = ShiftedTensor(A, alpha, config.eps_perturb if use_perturbation else 0.0)
     S = start_system(a, b, m)
     start = start_pair(a, b, m)
     state = PathState(tau=0.0, lam=start.lam, x=np.array(start.x), dtau=config.dtau0)
@@ -320,7 +350,7 @@ def _solve_shifted(A, config, a, b, use_perturbation, record_path):
                 dtau = target - state.tau
             state.step_count += 1
             try:
-                u_new, iters = _step(
+                u_new, iters, g = _step(
                     T, S, state, dtau, tau_next, config.eps1, config.newton_cap_path
                 )
             except _STEP_FAILURES as exc:
@@ -332,6 +362,7 @@ def _solve_shifted(A, config, a, b, use_perturbation, record_path):
             state.tau = tau_next
             state.lam = float(u_new[0])
             state.x = u_new[1:]
+            state.tangent = g
             state.newton_total += iters
             lo = float(state.x.min())
             min_x = min(min_x, lo)
@@ -354,7 +385,8 @@ def _solve_shifted(A, config, a, b, use_perturbation, record_path):
             break
         jumps += 1
         try:
-            pair, iters = endgame(T, S, np.concatenate([[state.lam], state.x]), config, beta=beta)
+            u = np.concatenate([[state.lam], state.x])
+            pair, iters = endgame(T, S, u, config, beta=beta, tangent=state.tangent)
         except _STEP_FAILURES as exc:
             state.newton_total += getattr(exc, "iterations", 0)
             status = "endgame_failure"
@@ -407,17 +439,18 @@ def solve_dominant(A, config=None, a=None, b=None, assume="auto", record_path=Fa
     b = np.ones(n) if b is None else np.asarray(b, dtype=float)
     if a.shape != (n,) or b.shape != (n,):
         raise ValueError("a and b must have length %d" % n)
+    if assume not in ("auto", "irreducible", "reducible"):
+        raise ValueError("assume must be one of auto, irreducible, reducible")
+    # One scan of A serves both attempts.
+    require_essentially_nonnegative(A)
+    alpha = shift_alpha(A, check=False)
     if assume == "auto":
         perturbed = not weak_irreducibility_check(A)
-    elif assume == "irreducible":
-        perturbed = False
-    elif assume == "reducible":
-        perturbed = True
     else:
-        raise ValueError("assume must be one of auto, irreducible, reducible")
-    report = _solve_shifted(A, config, a, b, perturbed, record_path)
+        perturbed = assume == "reducible"
+    report = _solve_shifted(A, alpha, config, a, b, perturbed, record_path)
     if report.status == "endgame_failure" and not perturbed:
-        retry = _solve_shifted(A, config, a, b, True, record_path)
+        retry = _solve_shifted(A, alpha, config, a, b, True, record_path)
         retry.iter += report.iter
         retry.nwtiter += report.nwtiter
         report = retry

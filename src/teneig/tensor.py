@@ -121,11 +121,34 @@ def add_identity(T, c):
     return Tensor(data)
 
 
+# The input scans read T[i0:i1], a block of slices by first index, at a time:
+# as many slices as fit this many entries, and at least one.
+SCAN_BLOCK_ENTRIES = 1 << 16
+
+
+def _slice_blocks(T):
+    rows = max(1, SCAN_BLOCK_ENTRIES // T.dim ** (T.order - 1))
+    return [(i, min(i + rows, T.dim)) for i in range(0, T.dim, rows)]
+
+
 def essential_nonnegativity_violation(T):
-    """First off-diagonal multi-index (1-based) with a negative entry, or None."""
-    for idx in np.argwhere(T.data < 0):
-        if not (idx == idx[0]).all():
-            return tuple(int(i) + 1 for i in idx)
+    """First off-diagonal multi-index (1-based) with a negative entry, or None.
+
+    Scans a block of slices at a time, so its mask holds at most
+    max(n^{m-1}, SCAN_BLOCK_ENTRIES) entries.  The one diagonal entry of
+    slice T[i], (i, ..., i), sits at flat offset i * (1 + n + ... + n^{m-2})
+    in it.
+    """
+    m, n = T.order, T.dim
+    size = n ** (m - 1)
+    step = sum(n**k for k in range(m - 1))
+    for i0, i1 in _slice_blocks(T):
+        neg = T.data[i0:i1].reshape(i1 - i0, size) < 0
+        r = np.arange(i1 - i0)
+        neg[r, (i0 + r) * step] = False
+        if neg.any():
+            first = i0 * size + int(neg.argmax())  # argmax: first True in C order
+            return tuple(int(k) + 1 for k in np.unravel_index(first, T.data.shape))
     return None
 
 
@@ -190,13 +213,16 @@ def semi_symmetrize(T):
     return Tensor(acc / factorial(m - 1))
 
 
-def shift_alpha(A):
+def shift_alpha(A, check=True):
     """The diagonal shift alpha = max_i |a_{i...i}| + 1 of both solvers.
 
     Scans A first and raises EssentialNonnegativityError on a negative
     off-diagonal entry, so (A + eps) + alpha*I is nonnegative for eps >= 0.
+    check=False skips the scan, for a caller that has run
+    require_essentially_nonnegative(A) itself.
     """
-    require_essentially_nonnegative(A)
+    if check:
+        require_essentially_nonnegative(A)
     return float(np.abs(diagonal(A)).max()) + 1.0
 
 
@@ -338,11 +364,14 @@ def weak_irreducibility_check(A):
     m, n = A.order, A.dim
     if n == 1:
         return True
-    nz = A.data != 0
+    # Row i of the adjacency comes from slice A[i] alone, so each block of
+    # slices gives its rows through a mask of the block alone.
     adj = np.zeros((n, n), dtype=bool)
-    for k in range(1, m):
-        axes = tuple(ax for ax in range(1, m) if ax != k)
-        adj |= nz.any(axis=axes) if axes else nz
+    for i0, i1 in _slice_blocks(A):
+        nz = A.data[i0:i1] != 0
+        for k in range(1, m):
+            axes = tuple(ax for ax in range(1, m) if ax != k)
+            adj[i0:i1] |= nz.any(axis=axes) if axes else nz
     np.fill_diagonal(adj, False)
     return _all_reachable(adj, 0) and _all_reachable(adj.T, 0)
 

@@ -113,3 +113,28 @@ def fd_jacobian(f, x, h=None):
         xm[j] -= h
         cols.append((np.asarray(f(xp), dtype=float) - np.asarray(f(xm), dtype=float)) / (2.0 * h))
     return np.column_stack(cols)
+
+
+def essential_nonnegativity_violation_naive(data):
+    """First off-diagonal multi-index (1-based) of a negative entry, found by
+    filtering np.argwhere over a full n^m mask."""
+    for idx in np.argwhere(data < 0):
+        if not (idx == idx[0]).all():
+            return tuple(int(i) + 1 for i in idx)
+    return None
+
+
+def weak_irreducibility_naive(data):
+    """Strong connectivity of the pattern digraph (i -> j when a nonzero
+    entry with first index i carries j among its trailing indices), from a
+    full n^m mask and the transitive closure of the adjacency."""
+    m, n = data.ndim, data.shape[0]
+    nz = data != 0
+    adj = np.zeros((n, n), dtype=bool)
+    for k in range(1, m):
+        axes = tuple(ax for ax in range(1, m) if ax != k)
+        adj |= nz.any(axis=axes) if axes else nz
+    reach = adj | np.eye(n, dtype=bool)
+    for _ in range(n):
+        reach = reach | (reach.astype(int) @ reach.astype(int) > 0)
+    return bool(reach.all())

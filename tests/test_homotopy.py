@@ -45,7 +45,7 @@ def polished_path_point(T, S, tau_target, tol=1e-13):
     pair = start_pair(np.ones(n), np.ones(n), T.order)
     u = np.concatenate([[pair.lam], pair.x])
     for tau in np.linspace(0.0, tau_target, 11)[1:]:
-        u, _ = newton_correct(T, S, float(tau), u, tol, 100)
+        u, _, _ = newton_correct(T, S, float(tau), u, tol, 100)
     return u
 
 
@@ -239,13 +239,33 @@ def test_predict_is_second_order_in_step():
     assert 2.5 <= ratio <= 6.0
 
 
+def test_corrector_hands_on_the_predictors_tangent():
+    # the tangent newton_correct returns is the one predict would solve for
+    # at the converged point, bit for bit; a state built here carries none
+    from dataclasses import replace
+
+    T, S = positive_instance(seed=16)
+    u = polished_path_point(T, S, 0.3)
+    v, _, g = newton_correct(T, S, 0.3, u, 1e-5, 10)
+    state = PathState(tau=0.3, lam=float(v[0]), x=v[1:], dtau=0.1)
+    assert state.tangent is None
+    assert np.array_equal(predict(T, S, state, dtau=1.0), v + g)
+    state.tangent = g
+    assert replace(state).tangent is None
+    # at tau = 1 the path ends, so no tangent is solved for
+    pair = start_pair(np.ones(3), np.ones(3), 3)
+    u0 = np.concatenate([[pair.lam], pair.x])
+    assert newton_correct(S, S, 0.5, u0, 1e-5, 10)[2] is not None
+    assert newton_correct(S, S, 1.0, u0, 1e-5, 10)[2] is None
+
+
 # ------------------------------------------------------------------ corrector
 
 
 def test_newton_accepts_point_already_within_tolerance():
     T, S = positive_instance(seed=17)
     u = polished_path_point(T, S, 0.4)
-    out, iters = newton_correct(T, S, 0.4, u, 1e-5, 10)
+    out, iters, _ = newton_correct(T, S, 0.4, u, 1e-5, 10)
     assert iters == 0
     assert np.array_equal(out, u)
 
@@ -256,7 +276,7 @@ def test_newton_converges_fast_from_nearby_point():
     rng = np.random.default_rng(19)
     delta = rng.standard_normal(4)
     delta *= 1e-3 / np.linalg.norm(delta)
-    _, iters = newton_correct(T, S, 0.5, u + delta, 1e-10, 10)
+    _, iters, _ = newton_correct(T, S, 0.5, u + delta, 1e-10, 10)
     assert iters <= 4
 
 
@@ -384,11 +404,11 @@ def test_failed_jump_retries_once_closer_to_one(monkeypatch):
     real = homotopy.endgame
     betas = []
 
-    def stalls_once(T, S, u, config, beta=None):
+    def stalls_once(T, S, u, config, beta=None, tangent=None):
         betas.append(beta)
         if len(betas) == 1:
             raise NewtonStalled(3)
-        return real(T, S, u, config, beta=beta)
+        return real(T, S, u, config, beta=beta, tangent=tangent)
 
     monkeypatch.setattr(homotopy, "endgame", stalls_once)
     rep = solve_dominant(dense_demo())
@@ -415,6 +435,51 @@ def test_step_size_floor_ends_in_step_limit(monkeypatch):
     rep = solve_dominant(dense_demo(), config=cfg)
     assert rep.status == "step_limit"
     assert rep.iter == rep.nwtiter == 18
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    real = ShiftedTensor.tvp_and_jacobian
+
+    def counted(self, x):
+        calls.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(ShiftedTensor, "tvp_and_jacobian", counted)
+    return calls
+
+
+@pytest.mark.parametrize("A", [dense_demo(), random_instance(3, 20, seed=40)])
+def test_each_accepted_point_is_evaluated_once(monkeypatch, A):
+    # with no rejection: the start tangent, one evaluation per Newton iterate
+    # (each of the iter steps and jumps ends in one more than its updates),
+    # and the final residual; the predictor reuses the corrector's tangent
+    calls = _count_kernel_calls(monkeypatch)
+    rep = solve_dominant(A)
+    assert rep.status == "converged"
+    assert len(calls) == 1 + rep.iter + rep.nwtiter + 1
+
+
+def test_rejected_step_reuses_the_tangent(monkeypatch):
+    # the second step stalls once before any evaluation; its retry predicts
+    # from the same accepted point without evaluating the tangent again
+    from teneig import homotopy
+
+    calls = _count_kernel_calls(monkeypatch)
+    real = homotopy.newton_correct
+    at_entry = []
+
+    def stalls_once(T, S, tau, u0, tol, cap):
+        at_entry.append(len(calls))
+        if len(at_entry) == 2:
+            raise NewtonStalled(0)
+        return real(T, S, tau, u0, tol, cap)
+
+    monkeypatch.setattr(homotopy, "newton_correct", stalls_once)
+    rep = solve_dominant(dense_demo())
+    assert rep.status == "converged"
+    assert at_entry[2] == at_entry[1]
+    assert len(calls) == 1 + (rep.iter - 1) + rep.nwtiter + 1
 
 
 def test_solve_matrix_hand_case():
@@ -518,7 +583,7 @@ def test_solve_endgame_failure_after_escalation(monkeypatch):
     # every jump stalls: both betas fail, then the perturbed retry fails too
     from teneig import homotopy
 
-    def stalls(T, S, u, config, beta=None):
+    def stalls(T, S, u, config, beta=None, tangent=None):
         raise NewtonStalled(config.newton_cap_endgame)
 
     monkeypatch.setattr(homotopy, "endgame", stalls)
@@ -527,6 +592,27 @@ def test_solve_endgame_failure_after_escalation(monkeypatch):
     assert rep.status == "endgame_failure"
     assert rep.perturbed  # the final retry switched the perturbation on
     assert rep.residual_norm > 1e-16
+
+
+def test_perturbed_retry_scans_the_input_once(monkeypatch):
+    # alpha comes from one scan that serves both attempts
+    from teneig import homotopy, tensor
+
+    scans = []
+    real = tensor.essential_nonnegativity_violation
+
+    def counted(T):
+        scans.append(T)
+        return real(T)
+
+    def stalls(T, S, u, config, beta=None, tangent=None):
+        raise NewtonStalled(1)
+
+    monkeypatch.setattr(tensor, "essential_nonnegativity_violation", counted)
+    monkeypatch.setattr(homotopy, "endgame", stalls)
+    rep = solve_dominant(dense_demo())
+    assert rep.status == "endgame_failure" and rep.perturbed
+    assert len(scans) == 1
 
 
 def _block_diagonal_3_60():

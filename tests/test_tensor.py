@@ -26,9 +26,18 @@ from teneig import (
     unit_tensor,
     weak_irreducibility_check,
 )
-from teneig.instances import dense_demo, sparse_ring_demo
+from teneig import tensor
+from teneig.instances import dense_demo, random_instance, sparse_ring_demo
+from teneig.tensor import essential_nonnegativity_violation
 
-from oracles import fd_jacobian, matrix_contraction_naive, semi_symmetrize_naive, tvp_naive
+from oracles import (
+    essential_nonnegativity_violation_naive,
+    fd_jacobian,
+    matrix_contraction_naive,
+    semi_symmetrize_naive,
+    tvp_naive,
+    weak_irreducibility_naive,
+)
 
 
 def small_tensors(max_order=4, max_dim=3, lo=-10.0, hi=10.0):
@@ -479,6 +488,56 @@ def test_irreducibility_one_way_chain_false():
     data = np.zeros((2, 2, 2))
     data[0, 1, 1] = 1.0
     assert not weak_irreducibility_check(Tensor(data))
+
+
+# ---------------------------------------------------------------- input scans
+
+
+@st.composite
+def planted_tensors(draw):
+    """m = 2..5, n = 1..6: a sparse nonnegative pattern, a diagonal of either
+    sign, and negative entries planted at drawn multi-indices (on the
+    diagonal when all of a drawn index's entries coincide)."""
+    m, n = draw(st.integers(2, 5)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]))
+    data = np.where(rng.random((n,) * m) < density, rng.uniform(0.1, 1.0, (n,) * m), 0.0)
+    data[(np.arange(n),) * m] = rng.uniform(-1.0, 1.0, n)
+    index = st.tuples(*[st.integers(0, n - 1)] * m)
+    on_diagonal = st.integers(0, n - 1).map(lambda i: (i,) * m)
+    for idx in draw(st.lists(st.one_of(index, on_diagonal), max_size=4)):
+        data[idx] = -draw(st.floats(1e-300, 1e3))
+    return Tensor(data)
+
+
+@given(planted_tensors(), st.sampled_from([1, 7, 100, 1 << 16]))
+def test_scans_match_full_mask_oracles(T, block):
+    # small blocks put several blocks, and a short last one, in one scan
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "SCAN_BLOCK_ENTRIES", block)
+        found = essential_nonnegativity_violation(T)
+        irreducible = weak_irreducibility_check(T)
+    assert found == essential_nonnegativity_violation_naive(T.data)
+    assert irreducible == weak_irreducibility_naive(T.data)
+    if found is not None:
+        with pytest.raises(EssentialNonnegativityError) as err:
+            shift_alpha(T)
+        assert err.value.index == found
+
+
+@pytest.mark.parametrize("scan", [essential_nonnegativity_violation, weak_irreducibility_check])
+def test_input_scans_allocate_no_full_mask(scan):
+    # an n^m bool mask alone would be 0.125x the input
+    import tracemalloc
+
+    A = random_instance(3, 100, seed=60)
+    tracemalloc.start()
+    try:
+        scan(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.02 * A.data.nbytes
 
 
 # ------------------------------------------------------------------ EigenPair

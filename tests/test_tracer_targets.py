@@ -41,3 +41,32 @@ def test_tracer_installs_and_restores():
     finally:
         tracer.uninstall()
     assert all(getattr(modules[m], a) is fn for (m, a), fn in before.items())
+
+
+def test_solve_reaches_the_wrapped_homotopy_names(monkeypatch):
+    # the tracer wraps these names in teneig.homotopy; a solve that stopped
+    # looking them up there would leave their layer spans empty
+    import teneig
+    from teneig import homotopy
+
+    names = (
+        "predict",
+        "newton_correct",
+        "endgame",
+        "weak_irreducibility_check",
+        "require_essentially_nonnegative",
+    )
+    wrapped = {attr for mod, attr, _, _ in load_spans().TARGETS if mod == "homotopy"}
+    assert set(names) <= wrapped
+    reached = set()
+    for name in names:
+        real = getattr(homotopy, name)
+
+        def called(*args, _name=name, _real=real, **kwargs):
+            reached.add(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(homotopy, name, called)
+    rep = teneig.solve_dominant(teneig.dense_demo())
+    assert rep.status == "converged"
+    assert reached == set(names)
