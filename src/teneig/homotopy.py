@@ -16,11 +16,19 @@ S, each a pass over the input, and one LAPACK solve.  The predictor makes
 none after the start: the corrector's converged iterate has just evaluated
 the system at the accepted point, so it also solves for the tangent there
 and hands on that n+1 vector, which every prediction from the point (its
-retries after a rejection and the endgame jump included) reuses.  Only the
-start point at tau = 0 and a point whose converged Jacobian was singular
-evaluate their tangent afresh.  The input checks run once per solve and
-scan A a block of slices A[i] at a time, so their temporaries hold at most
+retries after a rejection and the endgame jump included) reuses.  The start
+point at tau = 0 evaluates its tangent once, before the first step; only a
+point whose Jacobian was singular evaluates it again, in predict.  The final
+residual is one y-only pass.  The input checks run once per solve and scan
+A a block of slices A[i] at a time, so their temporaries hold at most
 max(n^{m-1}, tensor.SCAN_BLOCK_ENTRIES) entries, not n^m.
+
+The kernel reads A in slice blocks too.  An input of up to
+tensor.KERNEL_BLOCK_ENTRIES entries is one block, evaluated inline on the
+calling thread; a larger one is cut, by (m, n) alone, into near-equal blocks
+that up to len(os.sched_getaffinity(0)) threads evaluate at once.  Each block
+writes only its own rows of y and J, so results do not depend on the thread
+count.  Nothing about this is configurable.
 """
 
 from __future__ import annotations
@@ -257,12 +265,7 @@ def newton_correct(T, S, tau, u0, tol, cap):
     for i in range(cap + 1):
         r, J, dH = _system(T, S, tau, u[0], u[1:])
         if np.linalg.norm(r) <= tol:
-            if tau == 1.0:
-                return u, i, None
-            try:
-                return u, i, solve(J, -dH)
-            except SingularMatrixError:
-                return u, i, None
+            return u, i, None if tau == 1.0 else _tangent(J, dH)
         if i == cap:
             raise NewtonStalled(cap)
         try:
@@ -271,6 +274,14 @@ def newton_correct(T, S, tau, u0, tol, cap):
             err.iterations = i
             raise
     raise AssertionError("unreachable")
+
+
+def _tangent(J, dH):
+    """The path tangent g, J g = -dH, or None where J is singular."""
+    try:
+        return solve(J, -dH)
+    except SingularMatrixError:
+        return None
 
 
 def update_step_size(state, newton_iters_used, config):
@@ -334,6 +345,9 @@ def _solve_shifted(A, alpha, config, a, b, use_perturbation, record_path):
     S = start_system(a, b, m)
     start = start_pair(a, b, m)
     state = PathState(tau=0.0, lam=start.lam, x=np.array(start.x), dtau=config.dtau0)
+    # Every retry of a rejected first step predicts from this tangent; where
+    # it is singular predict solves again and raises.
+    state.tangent = _tangent(*_system(T, S, 0.0, state.lam, state.x)[1:])
     trace = [_snapshot(state)] if record_path else None
     min_x = float(state.x.min())
 

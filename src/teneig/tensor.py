@@ -7,6 +7,8 @@ All operations are pure; tensors are frozen after construction.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from itertools import permutations
 from math import factorial
@@ -61,6 +63,10 @@ class Tensor:
     def __repr__(self):
         return "Tensor(order=%d, dim=%d)" % (self.order, self.dim)
 
+    def tvp(self, x):
+        """T x^{m-1}: the chain P_0 = T, P_j = P_{j-1} @ x ends in P_{m-1}."""
+        return _by_blocks(self, _tvp_rows, x)[0]
+
     def tvp_and_jacobian(self, x):
         """(T x^{m-1}, its n-by-n Jacobian in x) from views of the data.
 
@@ -70,17 +76,7 @@ class Tensor:
         k = 1 is P_{m-2} itself and k = m-1 is a second pass over the data.
         Every trailing mode counts, so T need not be semi-symmetric.
         """
-        x = _check_vector(self, x)
-        m, n = self.order, self.dim
-        P = [self.data]
-        for _ in range(m - 1):
-            P.append(P[-1] @ x)  # matmul contracts the last axis
-        J = np.array(P[m - 2])
-        xk = np.ones(1)
-        for k in range(2, m):
-            xk = np.multiply.outer(xk, x).reshape(-1)
-            J += xk @ P[m - 1 - k].reshape(n, n ** (k - 1), n)
-        return P[m - 1], J
+        return _by_blocks(self, _kernel_rows, x)
 
     @classmethod
     def zeros(cls, order, dim):
@@ -121,14 +117,82 @@ def add_identity(T, c):
     return Tensor(data)
 
 
-# The input scans read T[i0:i1], a block of slices by first index, at a time:
-# as many slices as fit this many entries, and at least one.
+# The input scans and the kernel read T[i0:i1], a block of slices by first
+# index, at a time; these are their block budgets in entries.
 SCAN_BLOCK_ENTRIES = 1 << 16
+KERNEL_BLOCK_ENTRIES = 1 << 20
 
 
-def _slice_blocks(T):
-    rows = max(1, SCAN_BLOCK_ENTRIES // T.dim ** (T.order - 1))
-    return [(i, min(i + rows, T.dim)) for i in range(0, T.dim, rows)]
+def _slice_blocks(T, budget):
+    """Near-equal row ranges (i0, i1) covering 0..n-1, as few as keep each
+    block T[i0:i1] within budget entries; a block holds at least one slice.
+    The cut depends on (m, n, budget) alone."""
+    n = T.dim
+    rows = max(1, budget // n ** (T.order - 1))
+    count = -(-n // rows)
+    return [(n * j // count, n * (j + 1) // count) for j in range(count)]
+
+
+def _tvp_rows(block, x):
+    """(block @ x ... @ x,): the rows of T x^{m-1} that block = T[i0:i1] owns."""
+    for _ in range(block.ndim - 1):
+        block = block @ x  # matmul contracts the last axis
+    return (block,)
+
+
+def _kernel_rows(block, x):
+    """The rows of (T x^{m-1}, Jacobian) that block = T[i0:i1] owns; see
+    Tensor.tvp_and_jacobian."""
+    m, n = block.ndim, x.shape[0]
+    P = [block]
+    for _ in range(m - 1):
+        P.append(P[-1] @ x)
+    J = np.array(P[m - 2])
+    xk = np.ones(1)
+    for k in range(2, m):
+        xk = np.multiply.outer(xk, x).reshape(-1)
+        J += xk @ P[m - 1 - k].reshape(block.shape[0], n ** (k - 1), n)
+    return P[m - 1], J
+
+
+def _by_blocks(T, rows, x):
+    """rows(T.data, x), a tuple of arrays by row, over the kernel blocks.
+
+    Row i of every output depends on slice T[i] alone, so blocks are
+    independent and their rows are stacked: the result does not depend on
+    how many threads ran them.  A tensor of one block runs inline.
+    """
+    x = _check_vector(T, x)
+    if T.data.size <= KERNEL_BLOCK_ENTRIES:  # then _slice_blocks gives one block
+        return rows(T.data, x)
+    pool = _pool()
+    blocks = _slice_blocks(T, KERNEL_BLOCK_ENTRIES)
+    jobs = [pool.submit(rows, T.data[i0:i1], x) for i0, i1 in blocks]
+    return tuple(map(np.concatenate, zip(*[job.result() for job in jobs])))
+
+
+_POOL_LOCK = threading.Lock()
+_POOL = None  # (pid that made it, executor)
+
+
+def _pool():
+    """The kernel's thread pool, one worker per CPU this process may run on.
+
+    Made on the first multi-block call, and made again in a forked child,
+    which inherits the executor but none of its threads.
+    """
+    global _POOL
+    pid = os.getpid()
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != pid:
+            from concurrent.futures import ThreadPoolExecutor
+
+            try:
+                workers = len(os.sched_getaffinity(0))
+            except AttributeError:  # no sched_getaffinity on this platform
+                workers = os.cpu_count() or 1
+            _POOL = (pid, ThreadPoolExecutor(workers, thread_name_prefix="teneig"))
+        return _POOL[1]
 
 
 def essential_nonnegativity_violation(T):
@@ -142,7 +206,7 @@ def essential_nonnegativity_violation(T):
     m, n = T.order, T.dim
     size = n ** (m - 1)
     step = sum(n**k for k in range(m - 1))
-    for i0, i1 in _slice_blocks(T):
+    for i0, i1 in _slice_blocks(T, SCAN_BLOCK_ENTRIES):
         neg = T.data[i0:i1].reshape(i1 - i0, size) < 0
         r = np.arange(i1 - i0)
         neg[r, (i0 + r) * step] = False
@@ -176,11 +240,7 @@ def tvp(T, x):
     Component i is the sum over all trailing multi-indices (i2,...,im) of
     t[i,i2,...,im] * x[i2] * ... * x[im].
     """
-    x = _check_vector(T, x)
-    out = T.data
-    for _ in range(T.order - 1):
-        out = out @ x  # matmul contracts the last axis
-    return out
+    return T.tvp(x)
 
 
 def power_vector(x, p):
@@ -264,6 +324,16 @@ class ShiftedTensor:
     def dim(self):
         return self.A.dim
 
+    def tvp(self, x):
+        """T x^{m-1}: A's contraction plus the closed-form terms."""
+        x = _check_vector(self, x)
+        m = self.order
+        y = self.A.tvp(x)
+        y += self.alpha * x ** (m - 1)
+        if self.eps:
+            y += self.eps * x.sum() ** (m - 1)
+        return y
+
     def tvp_and_jacobian(self, x):
         """(T x^{m-1}, its Jacobian in x): A's kernel plus the closed-form terms."""
         x = _check_vector(self, x)
@@ -299,6 +369,10 @@ class RankOne:
     @property
     def dim(self):
         return self.b.shape[0]
+
+    def tvp(self, x):
+        x = _check_vector(self, x)
+        return (self.b @ x) ** (self.order - 1) * self.c
 
     def tvp_and_jacobian(self, x):
         x = _check_vector(self, x)
@@ -346,11 +420,11 @@ def _positive_pair(a, b):
 def eigen_residual(T, lam, x):
     """Stacked residual (T x^{m-1} - lam * x^{[m-1]}; x.x - 1) of length n+1.
 
-    T is any operator with ``order`` and ``tvp_and_jacobian``: a Tensor, a
-    ShiftedTensor or a RankOne.
+    T is any operator with ``order`` and ``tvp``: a Tensor, a ShiftedTensor
+    or a RankOne.  One pass over a Tensor's data, with no Jacobian.
     """
     x = _check_vector(T, x)
-    r = T.tvp_and_jacobian(x)[0] - lam * x ** (T.order - 1)
+    r = T.tvp(x) - lam * x ** (T.order - 1)
     return np.concatenate([r, [x @ x - 1.0]])
 
 
@@ -367,7 +441,7 @@ def weak_irreducibility_check(A):
     # Row i of the adjacency comes from slice A[i] alone, so each block of
     # slices gives its rows through a mask of the block alone.
     adj = np.zeros((n, n), dtype=bool)
-    for i0, i1 in _slice_blocks(A):
+    for i0, i1 in _slice_blocks(A, SCAN_BLOCK_ENTRIES):
         nz = A.data[i0:i1] != 0
         for k in range(1, m):
             axes = tuple(ax for ax in range(1, m) if ax != k)

@@ -437,27 +437,51 @@ def test_step_size_floor_ends_in_step_limit(monkeypatch):
     assert rep.iter == rep.nwtiter == 18
 
 
-def _count_kernel_calls(monkeypatch):
+def _count_kernel_calls(monkeypatch, name="tvp_and_jacobian"):
     calls = []
-    real = ShiftedTensor.tvp_and_jacobian
+    real = getattr(ShiftedTensor, name)
 
     def counted(self, x):
         calls.append(x)
         return real(self, x)
 
-    monkeypatch.setattr(ShiftedTensor, "tvp_and_jacobian", counted)
+    monkeypatch.setattr(ShiftedTensor, name, counted)
     return calls
 
 
 @pytest.mark.parametrize("A", [dense_demo(), random_instance(3, 20, seed=40)])
 def test_each_accepted_point_is_evaluated_once(monkeypatch, A):
-    # with no rejection: the start tangent, one evaluation per Newton iterate
-    # (each of the iter steps and jumps ends in one more than its updates),
-    # and the final residual; the predictor reuses the corrector's tangent
+    # with no rejection: the start tangent and one evaluation per Newton
+    # iterate (each of the iter steps and jumps ends in one more than its
+    # updates); the predictor reuses the corrector's tangent, and the final
+    # residual is one y-only pass
     calls = _count_kernel_calls(monkeypatch)
+    residuals = _count_kernel_calls(monkeypatch, "tvp")
     rep = solve_dominant(A)
     assert rep.status == "converged"
-    assert len(calls) == 1 + rep.iter + rep.nwtiter + 1
+    assert len(calls) == 1 + rep.iter + rep.nwtiter
+    assert len(residuals) == 1
+
+
+def test_rejected_first_step_reuses_the_start_tangent(monkeypatch):
+    # the first step stalls once; the start tangent is its only evaluation
+    # before either correction, the retry's included
+    from teneig import homotopy
+
+    calls = _count_kernel_calls(monkeypatch)
+    real = homotopy.newton_correct
+    at_entry = []
+
+    def stalls_once(T, S, tau, u0, tol, cap):
+        at_entry.append(len(calls))
+        if len(at_entry) == 1:
+            raise NewtonStalled(0)
+        return real(T, S, tau, u0, tol, cap)
+
+    monkeypatch.setattr(homotopy, "newton_correct", stalls_once)
+    rep = solve_dominant(dense_demo())
+    assert rep.status == "converged"
+    assert at_entry[:2] == [1, 1]
 
 
 def test_rejected_step_reuses_the_tangent(monkeypatch):
@@ -479,7 +503,7 @@ def test_rejected_step_reuses_the_tangent(monkeypatch):
     rep = solve_dominant(dense_demo())
     assert rep.status == "converged"
     assert at_entry[2] == at_entry[1]
-    assert len(calls) == 1 + (rep.iter - 1) + rep.nwtiter + 1
+    assert len(calls) == 1 + (rep.iter - 1) + rep.nwtiter
 
 
 def test_solve_matrix_hand_case():

@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -209,29 +213,139 @@ def test_jacobian_dimension_mismatch():
 # ------------------------------------------------------- fused (y, J) kernel
 
 
-@pytest.mark.parametrize("n", [1, 2, 5])
+def _block_budgets(m, n):
+    # one block (the default for every small tensor), one slice per block,
+    # and near-equal blocks of one or two slices
+    return (tensor.KERNEL_BLOCK_ENTRIES, 1, 2 * n ** (m - 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 7])
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
-def test_kernel_matches_naive_contraction_and_finite_differences(m, n):
+def test_kernel_matches_naive_contraction_and_finite_differences(monkeypatch, m, n):
     # a non-symmetric tensor: each trailing mode adds its own Jacobian term
     rng = np.random.default_rng(10 * m + n)
     data = rng.standard_normal((n,) * m)
     x = rng.uniform(-1.5, 1.5, size=n)
-    y, J = Tensor(data).tvp_and_jacobian(x)
     ref = tvp_naive(data, x)
-    assert np.allclose(y, ref, rtol=0, atol=1e-13 * max(1.0, np.abs(ref).max()))
     Jfd = fd_jacobian(lambda v: tvp_naive(data, v), x)
-    assert np.abs(J - Jfd).max() <= 1e-6 * max(1.0, np.abs(J).max())
+    for budget in _block_budgets(m, n):
+        monkeypatch.setattr(tensor, "KERNEL_BLOCK_ENTRIES", budget)
+        y, J = Tensor(data).tvp_and_jacobian(x)
+        assert np.allclose(y, ref, rtol=0, atol=1e-13 * max(1.0, np.abs(ref).max()))
+        assert np.abs(J - Jfd).max() <= 1e-6 * max(1.0, np.abs(J).max())
+        assert np.array_equal(tvp(Tensor(data), x), y)
 
 
-def test_kernel_leaves_the_input_untouched():
+@pytest.mark.parametrize("m, n", [(2, 9), (3, 7), (5, 4)])
+def test_slice_blocks_are_near_equal_and_cover_every_slice(m, n):
+    T = Tensor.zeros(m, n)
+    for budget in (1, 2 * n ** (m - 1), 3 * n ** (m - 1), n**m, 1 << 20):
+        blocks = tensor._slice_blocks(T, budget)
+        assert [b[0] for b in blocks[1:]] == [b[1] for b in blocks[:-1]]
+        assert (blocks[0][0], blocks[-1][1]) == (0, n)
+        sizes = [i1 - i0 for i0, i1 in blocks]
+        assert max(sizes) - min(sizes) <= 1 and min(sizes) >= 1
+        assert max(sizes) <= max(1, budget // n ** (m - 1))
+        assert len(blocks) == -(-n // max(1, budget // n ** (m - 1)))
+        assert (len(blocks) == 1) == (n**m <= budget)  # the kernel's inline test
+
+
+def test_kernel_leaves_the_input_untouched(monkeypatch):
     rng = np.random.default_rng(13)
     for m in (2, 3, 4):
         T = Tensor(rng.uniform(0.0, 1.0, size=(3,) * m))
         before = np.array(T.data)
-        y, J = T.tvp_and_jacobian(rng.uniform(0.1, 1.0, size=3))
-        y += 1.0
-        J += 1.0
-        assert np.array_equal(T.data, before)
+        for budget in _block_budgets(m, 3):
+            monkeypatch.setattr(tensor, "KERNEL_BLOCK_ENTRIES", budget)
+            y, J = T.tvp_and_jacobian(rng.uniform(0.1, 1.0, size=3))
+            y += 1.0
+            J += 1.0
+            y = tvp(T, rng.uniform(0.1, 1.0, size=3))
+            y += 1.0
+            assert np.array_equal(T.data, before)
+
+
+def _own_pool(monkeypatch, workers):
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(workers)
+    monkeypatch.setattr(tensor, "_POOL", (os.getpid(), pool))
+    return pool
+
+
+def test_multi_block_result_does_not_depend_on_the_worker_count(monkeypatch):
+    # each block writes only its own rows, so 1 worker, the default pool and
+    # more workers than cores under frequent thread switches agree bit for bit
+    rng = np.random.default_rng(14)
+    T = Tensor(rng.uniform(0.0, 1.0, size=(23, 23, 23)))
+    x = rng.uniform(0.1, 1.0, size=23)
+    monkeypatch.setattr(tensor, "KERNEL_BLOCK_ENTRIES", 23**2)
+    default = T.tvp_and_jacobian(x), tvp(T, x)
+    interval = sys.getswitchinterval()
+    for workers in (1, 8):
+        with _own_pool(monkeypatch, workers) as pool:
+            sys.setswitchinterval(1e-6)
+            try:
+                for _ in range(20):
+                    (y, J), y_only = T.tvp_and_jacobian(x), tvp(T, x)
+                    assert np.array_equal(y, default[0][0])
+                    assert np.array_equal(J, default[0][1])
+                    assert np.array_equal(y_only, default[1])
+            finally:
+                sys.setswitchinterval(interval)
+        assert tensor._POOL[1] is pool
+
+
+def test_a_worker_error_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(tensor, "KERNEL_BLOCK_ENTRIES", 1)
+
+    def fails(block, x):
+        raise FloatingPointError("block %d" % block.shape[0])
+
+    monkeypatch.setattr(tensor, "_tvp_rows", fails)
+    with pytest.raises(FloatingPointError):
+        tvp(random_instance(3, 4, seed=1), np.ones(4))
+
+
+def test_single_block_solves_never_make_the_pool(monkeypatch):
+    from teneig import pta_solve, solve_dominant
+
+    monkeypatch.setattr(tensor, "_POOL", None)
+    for A in (dense_demo(), random_instance(4, 10, seed=15)):
+        assert len(tensor._slice_blocks(A, tensor.KERNEL_BLOCK_ENTRIES)) == 1
+        assert solve_dominant(A).status == "converged"
+        assert pta_solve(A).status == "converged"
+    assert tensor._POOL is None
+
+
+def _kernel_in_child(T, x, expected):
+    # runs in a forked child: exit 0 iff a fresh pool gives the same result
+    y, J = T.tvp_and_jacobian(x)
+    fresh = tensor._POOL is not None and tensor._POOL[0] == os.getpid()
+    os._exit(0 if fresh and np.array_equal(J, expected) else 1)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform"
+)
+def test_forked_child_makes_its_own_pool(monkeypatch):
+    # a forked child inherits the parent's executor but none of its threads;
+    # work handed to it would never run
+    monkeypatch.setattr(tensor, "KERNEL_BLOCK_ENTRIES", 1)
+    T = random_instance(3, 6, seed=16)
+    x = np.linspace(0.5, 1.0, 6)
+    expected = T.tvp_and_jacobian(x)[1]
+    assert tensor._POOL[0] == os.getpid()
+    child = multiprocessing.get_context("fork").Process(
+        target=_kernel_in_child, args=(T, x, expected)
+    )
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child hung on the inherited pool")
+    assert child.exitcode == 0
 
 
 def _essentially_nonnegative(rng, m, n):

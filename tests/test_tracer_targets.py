@@ -7,6 +7,7 @@ calls it; otherwise `perfbench/run.py --trace 1` fails to install.
 
 import importlib
 import importlib.util
+import threading
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -70,3 +71,40 @@ def test_solve_reaches_the_wrapped_homotopy_names(monkeypatch):
     rep = teneig.solve_dominant(teneig.dense_demo())
     assert rep.status == "converged"
     assert reached == set(names)
+
+
+def test_traced_names_run_on_the_calling_thread(monkeypatch):
+    # the tracer keeps one span stack, so it needs every name it wraps to be
+    # called on the solve's own thread, even where the kernel spreads its
+    # blocks over worker threads
+    import teneig
+    from teneig import tensor
+
+    monkeypatch.setattr(tensor, "KERNEL_BLOCK_ENTRIES", 64)
+    threads = []
+    for mod, attr, _, _ in load_spans().TARGETS:
+        module = importlib.import_module("teneig." + mod)
+        real = getattr(module, attr)
+
+        def recorded(*args, _name=mod + "." + attr, _real=real, **kwargs):
+            threads.append((_name, threading.get_ident()))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, recorded)
+    workers = set()
+    real_rows = tensor._kernel_rows
+
+    def kernel_rows(*args):
+        workers.add(threading.get_ident())
+        return real_rows(*args)
+
+    monkeypatch.setattr(tensor, "_kernel_rows", kernel_rows)
+    A = teneig.random_instance(3, 12, seed=3)
+    assert len(tensor._slice_blocks(A, tensor.KERNEL_BLOCK_ENTRIES)) > 1
+    assert teneig.homotopy.solve_dominant(A).status == "converged"
+    assert teneig.pta.pta_solve(A).status == "converged"
+    me = threading.get_ident()
+    assert me not in workers
+    called = {name for name, _ in threads}
+    assert {"homotopy.predict", "homotopy.eigen_residual", "pta.tvp"} <= called
+    assert {ident for _, ident in threads} == {me}
