@@ -13,16 +13,13 @@ from .homotopy import (
     PositivityLost,
     SolveReport,
     endgame,
-    homotopy_jacobian,
-    homotopy_residual,
     newton_correct,
     predict,
     solve_dominant,
-    tau_derivative,
     update_step_size,
 )
 from .instances import dense_demo, random_instance, sparse_ring_demo
-from .linalg import LuFactorization, SingularMatrixError, lu_factor, lu_solve
+from .linalg import SingularMatrixError
 from .pta import convergence_rate_estimate, pta_solve
 from .tensor import (
     EigenPair,
@@ -30,21 +27,13 @@ from .tensor import (
     RankOne,
     ShiftedTensor,
     Tensor,
-    add_identity,
     alpha_shift,
     diagonal,
     eigen_residual,
-    is_essentially_nonnegative,
-    perturb,
-    power_vector,
-    rank_one_start,
-    semi_symmetrize,
     shift_alpha,
     start_pair,
     start_system,
     tvp,
-    tvp_jacobian,
-    unit_tensor,
     weak_irreducibility_check,
 )
 from .tensorfile import TensorFileError, load_tensor, save_tensor

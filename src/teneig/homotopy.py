@@ -173,14 +173,6 @@ class SolveReport:
         }
 
 
-def _check_pair(T, S):
-    if T.order != S.order or T.dim != S.dim:
-        raise ValueError(
-            "tensors must share order and dimension, got (%d,%d) and (%d,%d)"
-            % (T.order, T.dim, S.order, S.dim)
-        )
-
-
 def _system(T, S, tau, lam, x):
     """Residual, (lam, x)-Jacobian and tau-derivative of H_tau at (lam, x).
 
@@ -209,28 +201,7 @@ def _system(T, S, tau, lam, x):
     return r, J, dH
 
 
-def homotopy_residual(T, S, tau, lam, x):
-    """Residual of the blended system at (lam, x), a vector of length n+1."""
-    _check_pair(T, S)
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
-    return _system(T, S, tau, lam, np.asarray(x, dtype=float))[0]
-
-
-def homotopy_jacobian(T, S, tau, lam, x):
-    """Jacobian of the blended system in (lam, x), an (n+1)x(n+1) matrix."""
-    _check_pair(T, S)
-    return _system(T, S, tau, lam, np.asarray(x, dtype=float))[1]
-
-
-def tau_derivative(T, S, x):
-    """Derivative of the homotopy residual in tau at fixed (lam, x):
-    ((T - S) x^{m-1}; 0)."""
-    _check_pair(T, S)
-    return _system(T, S, 0.0, 0.0, np.asarray(x, dtype=float))[2]
-
-
-def predict(T, S, state, dtau=None):
+def predict(T, S, state, dtau):
     """Euler predictor: move along the path tangent at the current state.
 
     Returns u + dtau * g with u = (lam, x) and g the tangent, JH * g =
@@ -238,8 +209,6 @@ def predict(T, S, state, dtau=None):
     solved for here, which raises SingularMatrixError when the Jacobian
     degenerates.
     """
-    if dtau is None:
-        dtau = state.dtau
     g = state.tangent
     if g is None:
         _, J, dH = _system(T, S, state.tau, state.lam, state.x)
@@ -314,15 +283,13 @@ def _step(T, S, state, dtau, tau_next, tol, cap):
     return u, iters, g
 
 
-def endgame(T, S, u_at_beta, config, beta=None, tangent=None):
+def endgame(T, S, u_at_beta, config, beta, tangent=None):
     """Final jump from tau = beta to tau = 1 with Newton polish.
 
     The last prediction-correction step, over 1 - beta and to the tight
     tolerance eps2.  ``tangent`` is the path tangent at u_at_beta when the
     caller has it; None evaluates it.  Returns (EigenPair, newton_iterations).
     """
-    if beta is None:
-        beta = config.beta
     u = np.asarray(u_at_beta, dtype=float)
     state = PathState(tau=beta, lam=u[0], x=u[1:], dtau=1.0 - beta)
     state.tangent = tangent

@@ -1,8 +1,9 @@
-"""Dense linear solves: LAPACK with a conditioning check, and a hand LU.
+"""Dense linear solves: LAPACK with a conditioning check, and a reference LU.
 
 The solver's Newton and tangent systems go through ``solve``.  ``lu_factor``
-and ``lu_apply`` are the hand-written LU with partial pivoting that it
-replaced; they are kept for the tests and tools that still call them.
+and ``lu_apply`` are a hand-written LU with partial pivoting: the reference
+that ``solve`` is tested against, and a name the benchmark tracer
+(perfbench/spans.py) wraps.
 """
 
 from __future__ import annotations
@@ -101,8 +102,3 @@ def lu_apply(fact, rhs):
     for i in range(k - 1, -1, -1):
         y[i] = (y[i] - lu[i, i + 1 :] @ y[i + 1 :]) / lu[i, i]
     return y
-
-
-def lu_solve(M, rhs):
-    """Solve M y = rhs by LU with partial pivoting."""
-    return lu_apply(lu_factor(M), rhs)

@@ -10,8 +10,6 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
-from itertools import permutations
-from math import factorial
 
 import numpy as np
 
@@ -42,6 +40,8 @@ class Tensor:
         n = data.shape[0]
         if any(s != n for s in data.shape):
             raise ValueError("all modes must share one dimension, got %s" % (data.shape,))
+        if n == 0:
+            raise ValueError("tensor dimension must be at least 1")
         if not np.isfinite(data).all():
             raise ValueError("tensor entries must be finite")
         data.flags.writeable = False
@@ -77,28 +77,6 @@ class Tensor:
         Every trailing mode counts, so T need not be semi-symmetric.
         """
         return _by_blocks(self, _kernel_rows, x)
-
-    @classmethod
-    def zeros(cls, order, dim):
-        return cls(np.zeros((dim,) * order))
-
-    @classmethod
-    def from_entries(cls, entries, order, dim):
-        """Build from a flat lexicographic entry list of length dim**order."""
-        flat = np.asarray(entries, dtype=float).reshape(-1)
-        if flat.size != dim**order:
-            raise ValueError(
-                "expected %d entries for order %d, dim %d, got %d"
-                % (dim**order, order, dim, flat.size)
-            )
-        return cls(flat.reshape((dim,) * order))
-
-
-def unit_tensor(order, dim):
-    """Diagonal tensor with ones exactly where all indices coincide."""
-    data = np.zeros((dim,) * order)
-    data[_diag_index(order, dim)] = 1.0
-    return Tensor(data)
 
 
 def _diag_index(order, dim):
@@ -216,11 +194,6 @@ def essential_nonnegativity_violation(T):
     return None
 
 
-def is_essentially_nonnegative(T):
-    """True iff every entry with non-identical indices is >= 0."""
-    return essential_nonnegativity_violation(T) is None
-
-
 def require_essentially_nonnegative(T):
     idx = essential_nonnegativity_violation(T)
     if idx is not None:
@@ -243,34 +216,9 @@ def tvp(T, x):
     return T.tvp(x)
 
 
-def power_vector(x, p):
-    """Componentwise power (x_i ** p); fractional p needs nonnegative x."""
-    x = np.asarray(x, dtype=float)
-    if p != int(p) and (x < 0).any():
-        raise ValueError("fractional power of a negative component")
-    return x**p
-
-
 def tvp_jacobian(T, x):
-    """Jacobian of x -> tvp(T, x), an n-by-n matrix.
-
-    Equals (m-1) * (semi_symmetrize(T) contracted with x^{m-2}) without
-    materializing the semi-symmetric tensor; see Tensor.tvp_and_jacobian.
-    """
+    """Jacobian of x -> tvp(T, x), an n-by-n matrix; see Tensor.tvp_and_jacobian."""
     return T.tvp_and_jacobian(x)[1]
-
-
-def semi_symmetrize(T):
-    """Average the entries over all permutations of the trailing m-1 modes.
-
-    The result is the unique trailing-symmetric tensor with the same
-    x -> tvp(., x) map as T.
-    """
-    m = T.order
-    acc = np.zeros_like(T.data)
-    for perm in permutations(range(1, m)):
-        acc += np.transpose(T.data, (0, *perm))
-    return Tensor(acc / factorial(m - 1))
 
 
 def shift_alpha(A, check=True):

@@ -130,9 +130,13 @@ def _parse_coo(lines, order, dim):
 
 
 def load_tensor(path):
-    """Read a tensor file from disk."""
+    """Read a tensor file from disk; a file that is not UTF-8 text is malformed."""
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_tensor(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise TensorFileError("not UTF-8 text (%s)" % exc) from None
+        return loads_tensor(text)
 
 
 def dumps_tensor(T, fmt="dense"):

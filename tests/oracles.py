@@ -48,6 +48,14 @@ def semi_symmetrize_naive(data):
     return out
 
 
+def unit_tensor_naive(order, dim):
+    """Order-m, dimension-n array with ones where all indices coincide."""
+    data = np.zeros((dim,) * order)
+    for i in range(dim):
+        data[(i,) * order] = 1.0
+    return data
+
+
 def full_symmetrize(data):
     """Average over permutations of all indices; preserves nonnegativity."""
     m = data.ndim

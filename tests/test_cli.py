@@ -71,6 +71,17 @@ def test_solve_malformed_file_exit_2(tmp_path, capsys):
     assert "line 4" in err
 
 
+def test_solve_non_utf8_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "utf16.ten"
+    path.write_bytes(b"\xff\xfe" + "order 2\ndim 1\nformat dense\n1\n".encode("utf-16-le"))
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "not UTF-8 text" in lines[0]
+
+
 def test_solve_nonfinite_entry_exit_2(tmp_path, capsys):
     path = tmp_path / "nan.ten"
     path.write_text("order 2\ndim 2\nformat dense\n1 2\nnan 4\n")

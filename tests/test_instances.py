@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from teneig import is_essentially_nonnegative, weak_irreducibility_check
+from teneig import weak_irreducibility_check
 from teneig.instances import dense_demo, random_instance, sparse_ring_demo
-from teneig.tensor import diagonal
+from teneig.tensor import diagonal, essential_nonnegativity_violation
 
 
 def test_random_instance_is_deterministic():
@@ -21,7 +21,7 @@ def test_random_instance_entry_ranges():
     off = np.array(A.data)
     off[(np.arange(5),) * 3] = 0.5
     assert ((off >= 0.0) & (off <= 1.0)).all()
-    assert is_essentially_nonnegative(A)
+    assert essential_nonnegativity_violation(A) is None
 
 
 def test_random_instance_scaling_bound():
@@ -43,11 +43,11 @@ def test_random_instance_rejects_bad_sizes():
 def test_demo_instances_shape_and_structure():
     D = dense_demo()
     assert D.order == 3 and D.dim == 3
-    assert is_essentially_nonnegative(D)
+    assert essential_nonnegativity_violation(D) is None
     assert weak_irreducibility_check(D)
     assert np.array_equal(diagonal(D), [-1.51, -5.32, -0.15])
 
     R = sparse_ring_demo()
     assert np.count_nonzero(R.data) == 6
-    assert is_essentially_nonnegative(R)
+    assert essential_nonnegativity_violation(R) is None
     assert weak_irreducibility_check(R)

@@ -134,6 +134,14 @@ def test_load_missing_file_raises_oserror(tmp_path):
         load_tensor(tmp_path / "nope.ten")
 
 
+def test_load_non_utf8_file_is_malformed(tmp_path):
+    path = tmp_path / "latin1.ten"
+    path.write_bytes("order 2\ndim 1\nformat dense\n# d\xe9j\xe0 vu\n1\n".encode("latin-1"))
+    with pytest.raises(TensorFileError, match="not UTF-8 text") as err:
+        load_tensor(path)
+    assert err.value.line is None
+
+
 def test_dumps_rejects_unknown_format():
     with pytest.raises(ValueError):
         dumps_tensor(sparse_ring_demo(), fmt="json")
