@@ -27,7 +27,6 @@ from .tensor import (
     RankOne,
     ShiftedTensor,
     Tensor,
-    alpha_shift,
     diagonal,
     eigen_residual,
     shift_alpha,

@@ -336,9 +336,10 @@ def _solve_shifted(A, alpha, config, a, b, use_perturbation, record_path):
                 )
             except _STEP_FAILURES as exc:
                 state.newton_total += getattr(exc, "iterations", 0)
-                if state.dtau <= config.dtau_min:
+                # Halve the step just tried, which clipping can make < state.dtau.
+                if dtau <= config.dtau_min:
                     return False
-                state.dtau = max(0.5 * state.dtau, config.dtau_min)
+                state.dtau = max(0.5 * dtau, config.dtau_min)
                 continue
             state.tau = tau_next
             state.lam = float(u_new[0])

@@ -234,24 +234,6 @@ def shift_alpha(A, check=True):
     return float(np.abs(diagonal(A)).max()) + 1.0
 
 
-def alpha_shift(A, eps=0.0):
-    """The tensor both solvers iterate on, built in one array.
-
-    Returns (alpha, T) with alpha = shift_alpha(A) and
-    T = (A + eps) + alpha * I, equal bit for bit to
-    ``add_identity(perturb(A, eps), alpha)`` for eps > 0.  T is nonnegative
-    for essentially nonnegative A, and positive when eps > 0.  The homotopy
-    solver uses ShiftedTensor instead, which stores no copy of A.
-    """
-    alpha = shift_alpha(A)
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    # A + 0.0 would turn -0.0 entries into +0.0, so copy when eps == 0.
-    data = A.data + eps if eps else np.array(A.data)
-    data[_diag_index(A.order, A.dim)] += alpha
-    return alpha, Tensor(data)
-
-
 @dataclass(frozen=True, eq=False)
 class ShiftedTensor:
     """T = (A + eps) + alpha*I as the input A plus closed-form terms.
@@ -277,9 +259,7 @@ class ShiftedTensor:
         x = _check_vector(self, x)
         m = self.order
         y = self.A.tvp(x)
-        y += self.alpha * x ** (m - 1)
-        if self.eps:
-            y += self.eps * x.sum() ** (m - 1)
+        _add_shift_terms(y, x, x ** (m - 1), m, self.alpha, self.eps)
         return y
 
     def tvp_and_jacobian(self, x):
@@ -287,13 +267,21 @@ class ShiftedTensor:
         x = _check_vector(self, x)
         m = self.order
         y, J = self.A.tvp_and_jacobian(x)
-        y += self.alpha * x ** (m - 1)
+        _add_shift_terms(y, x, x ** (m - 1), m, self.alpha, self.eps)
         J[np.diag_indices(self.dim)] += self.alpha * (m - 1) * x ** (m - 2)
         if self.eps:
-            s = x.sum()
-            y += self.eps * s ** (m - 1)
-            J += self.eps * (m - 1) * s ** (m - 2)
+            J += self.eps * (m - 1) * x.sum() ** (m - 2)
         return y, J
+
+
+def _add_shift_terms(y, x, xp, m, alpha, eps):
+    """Turn y = A x^{m-1} into T x^{m-1}, T = (A + eps) + alpha*I, in place:
+    add alpha*xp, with xp = x^{[m-1]}, and eps*(1.x)^{m-1}.  The one
+    definition of both terms, for ShiftedTensor and pta_solve's sweep.
+    np.add.reduce(x) is x.sum() without its Python wrapper."""
+    y += alpha * xp
+    if eps:
+        y += eps * float(np.add.reduce(x)) ** (m - 1)
 
 
 def perturb(A, eps):

@@ -56,6 +56,43 @@ def unit_tensor_naive(order, dim):
     return data
 
 
+def alpha_shift_dense(data, eps=0.0):
+    """(alpha, (A + eps) + alpha*I) with the shifted tensor stored densely,
+    alpha = max_i |a_{i...i}| + 1.  Copies data, also when eps == 0."""
+    m, n = data.ndim, data.shape[0]
+    diag = (np.arange(n),) * m
+    alpha = float(np.abs(data[diag]).max()) + 1.0
+    # data + 0.0 would turn -0.0 entries into +0.0, so copy when eps == 0.
+    T = data + eps if eps else np.array(data)
+    T[diag] += alpha
+    return alpha, T
+
+
+def pta_dense(data, eps, eps2, max_steps):
+    """The power-type iteration on a dense copy of T = (A + eps) + alpha*I,
+    from the uniform unit vector, with the ratio-bracket midpoint and the
+    stacked-residual stop.  Returns (status, sweeps, lambda_shifted, alpha, x)."""
+    alpha, T = alpha_shift_dense(data, eps)
+    m, n = data.ndim, data.shape[0]
+    x = np.ones(n) / np.sqrt(n)
+    sweeps = 0
+    while True:
+        y = T
+        for _ in range(m - 1):
+            y = y @ x
+        xp = x ** (m - 1)
+        ratios = y / xp
+        lam = 0.5 * (ratios.max() + ratios.min())
+        r = y - lam * xp
+        if np.sqrt(r @ r + (x @ x - 1.0) ** 2) <= eps2:
+            return "converged", sweeps, float(lam), alpha, x
+        if sweeps >= max_steps:
+            return "step_limit", sweeps, float(lam), alpha, x
+        x = y ** (1.0 / (m - 1))
+        x /= np.linalg.norm(x)
+        sweeps += 1
+
+
 def full_symmetrize(data):
     """Average over permutations of all indices; preserves nonnegativity."""
     m = data.ndim

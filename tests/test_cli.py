@@ -245,17 +245,18 @@ def test_compare_records_solver_error(monkeypatch):
 
 
 def test_report_residual_reproducible_from_file(tmp_path, capsys):
-    # substituting the reported eigenpair back into the shifted tensor, rebuilt
+    # substituting the reported eigenpair back into the shifted operator, rebuilt
     # from the file, reproduces the reported residual norm
-    from teneig import alpha_shift, eigen_residual
+    from teneig import ShiftedTensor, eigen_residual, shift_alpha
 
     path = tmp_path / "demo.ten"
     save_tensor(path, dense_demo())
     _, out, _ = run_cli(capsys, "solve", str(path), "--method", "both", "--json")
     for report in json.loads(out):
         eps = HomotopyConfig().eps_perturb if report["perturbed"] else 0.0  # --epsilon default
-        alpha, T = alpha_shift(load_tensor(path), eps)
-        assert alpha == report["alpha"]
+        A = load_tensor(path)
+        assert shift_alpha(A) == report["alpha"]
+        T = ShiftedTensor(A, report["alpha"], eps)
         x = np.array(report["x"])
         r = np.linalg.norm(eigen_residual(T, report["lambda_shifted"], x))
         assert abs(r - report["residual_norm"]) <= 1e-12

@@ -10,7 +10,6 @@ from teneig import (
     PathState,
     ShiftedTensor,
     Tensor,
-    alpha_shift,
     eigen_residual,
     endgame,
     newton_correct,
@@ -26,7 +25,7 @@ from teneig.instances import dense_demo, random_instance, sparse_ring_demo
 from teneig.linalg import SingularMatrixError, lu_apply, lu_factor
 from teneig.tensor import add_identity, rank_one_start
 
-from oracles import block2_dominant_bisect, fd_jacobian, tvp_naive
+from oracles import alpha_shift_dense, block2_dominant_bisect, fd_jacobian, tvp_naive
 
 
 # The residual, Jacobian and tau-derivative of the homotopy are the three
@@ -164,8 +163,7 @@ def test_system_from_closed_form_operators_matches_dense_tensors():
     a = rng.uniform(0.5, 2.0, size=4)
     b = rng.uniform(0.5, 2.0, size=4)
     for eps in (0.0, 1e-3):
-        _, T = alpha_shift(A, eps)
-        dense = (T, rank_one_start(a, b, 3))
+        dense = (Tensor(alpha_shift_dense(A.data, eps)[1]), rank_one_start(a, b, 3))
         ops = (ShiftedTensor(A, shift_alpha(A), eps), start_system(a, b, 3))
         x = rng.uniform(0.2, 1.0, size=4)
         for f, args in (
@@ -198,7 +196,7 @@ def test_tau_derivative_matches_finite_difference_in_tau():
 
 
 def test_tau_derivative_sparse_demo_frozen():
-    _, T = alpha_shift(sparse_ring_demo())
+    T = Tensor(alpha_shift_dense(sparse_ring_demo().data)[1])
     S = rank_one_start(np.ones(3), np.ones(3), 3)
     x0 = np.ones(3) / np.sqrt(3.0)
     d = tau_derivative(T, S, x0)
@@ -507,6 +505,30 @@ def test_rejected_step_reuses_the_tangent(monkeypatch):
     assert len(calls) == 1 + (rep.iter - 1) + rep.nwtiter
 
 
+def test_rejected_clipped_step_retries_half_its_length(monkeypatch):
+    # dense_demo's path reaches tau = 0.8 with step length 0.4, so its step to
+    # beta is clipped to 0.1999; half of 0.4 would still clip to beta, so a
+    # rejection there must halve the clipped length instead
+    from teneig import homotopy
+
+    real = homotopy.newton_correct
+    targets = []
+
+    def stalls_at_beta_once(T, S, tau, u0, tol, cap):
+        targets.append(tau)
+        if tau == cfg.beta and targets.count(tau) == 1:
+            raise NewtonStalled(0)
+        return real(T, S, tau, u0, tol, cap)
+
+    cfg = HomotopyConfig()
+    monkeypatch.setattr(homotopy, "newton_correct", stalls_at_beta_once)
+    rep = solve_dominant(dense_demo(), config=cfg)
+    assert rep.status == "converged"
+    failed = targets.index(cfg.beta)
+    assert targets[failed - 1] == pytest.approx(0.8, abs=1e-12)
+    assert targets[failed + 1] == pytest.approx(0.8 + 0.5 * (cfg.beta - 0.8), abs=1e-12)
+
+
 def test_solve_matrix_hand_case():
     A = Tensor(np.array([[-1.0, 2.0], [3.0, -2.0]]))
     rep = solve_dominant(A)
@@ -521,7 +543,7 @@ def test_solve_reports_shifted_eigenvalue_and_residual():
     A = dense_demo()
     rep = solve_dominant(A)
     assert rep.lambda_shifted == pytest.approx(rep.eigen.lam + rep.alpha, abs=1e-10)
-    _, T = alpha_shift(A)
+    T = Tensor(alpha_shift_dense(A.data)[1])
     r = np.linalg.norm(eigen_residual(T, rep.lambda_shifted, rep.eigen.x))
     assert r == pytest.approx(rep.residual_norm, rel=1e-6, abs=1e-14)
     assert rep.residual_norm <= 1e-10

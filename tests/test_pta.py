@@ -1,10 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from teneig import (
     HomotopyConfig,
     Tensor,
-    alpha_shift,
     convergence_rate_estimate,
     pta_solve,
     solve_dominant,
@@ -14,7 +15,7 @@ from teneig import (
 from teneig.instances import dense_demo, random_instance
 from teneig.tensor import EssentialNonnegativityError, rank_one_start
 
-from oracles import unit_tensor_naive
+from oracles import alpha_shift_dense, pta_dense, unit_tensor_naive
 
 
 def test_config_validation():
@@ -78,7 +79,7 @@ def test_pta_bracket_contains_perron_value():
     assert rep.status == "converged"
     rho = rep.lambda_shifted
     # replay the sweep on the same shifted tensor and check the bracket
-    _, T = alpha_shift(A, HomotopyConfig().eps_perturb)
+    T = Tensor(alpha_shift_dense(A.data, HomotopyConfig().eps_perturb)[1])
     x = np.ones(4) / 2.0
     for _ in range(25):
         y = tvp(T, x)
@@ -132,3 +133,36 @@ def test_rate_value_in_unit_interval():
         T = Tensor(rng.uniform(0.0, 2.0, size=(3, 3, 3)))
         r = convergence_rate_estimate(T)
         assert 0.0 <= r <= 1.0
+
+
+# ------------------------------------------- against the dense-copy iteration
+
+
+@pytest.mark.parametrize(
+    "m, n, d, seed",
+    [(3, 10, d, seed) for d in range(5) for seed in range(5)] + [(2, 12, 0, 3), (4, 6, 1, 4)],
+)
+def test_pta_matches_iteration_on_dense_copy(m, n, d, seed):
+    # pta_solve evaluates T's shift and perturbation in closed form; the sweeps
+    # must be those of the paper's iteration on T stored densely
+    A = random_instance(m, n, d=d, seed=seed)
+    cfg = HomotopyConfig()
+    status, sweeps, lam, alpha, x = pta_dense(A.data, cfg.eps_perturb, cfg.eps2, cfg.max_steps)
+    rep = pta_solve(A, cfg)
+    assert (rep.status, rep.iter) == (status, sweeps)
+    assert rep.alpha == alpha
+    assert abs(rep.lambda_shifted - lam) <= 1e-12 * abs(lam)
+    assert abs(rep.eigen.lam - (lam - alpha)) <= 1e-12 * abs(lam - alpha)
+    assert np.abs(rep.eigen.x - x / np.linalg.norm(x)).max() <= 1e-12
+
+
+def test_pta_holds_no_copy_of_the_input():
+    A = random_instance(3, 60, seed=2)
+    pta_solve(A)  # warm-up: imports and lazily made state
+    tracemalloc.start()
+    try:
+        pta_solve(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * A.data.nbytes

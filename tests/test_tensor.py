@@ -13,7 +13,6 @@ from teneig import (
     EssentialNonnegativityError,
     ShiftedTensor,
     Tensor,
-    alpha_shift,
     diagonal,
     eigen_residual,
     shift_alpha,
@@ -33,6 +32,7 @@ from teneig.tensor import (
 )
 
 from oracles import (
+    alpha_shift_dense,
     essential_nonnegativity_violation_naive,
     fd_jacobian,
     matrix_contraction_naive,
@@ -344,7 +344,8 @@ def test_closed_form_shift_matches_dense_alpha_shift(m, n):
     A = _essentially_nonnegative(rng, m, n)
     x = rng.uniform(0.1, 1.5, size=n)
     for eps in (0.0, 1e-9, 0.3):
-        alpha, T = alpha_shift(A, eps)
+        alpha, data = alpha_shift_dense(A.data, eps)
+        T = Tensor(data)
         op = ShiftedTensor(A, shift_alpha(A), eps)
         assert op.alpha == alpha and (op.order, op.dim) == (m, n)
         y, J = op.tvp_and_jacobian(x)
@@ -373,7 +374,7 @@ def test_closed_form_start_matches_dense_rank_one_start(m, n):
 
 def test_shift_alpha_is_alpha_shifts_alpha():
     for A in (dense_demo(), sparse_ring_demo(), Tensor(np.zeros((2, 2, 2)))):
-        assert shift_alpha(A) == alpha_shift(A)[0]
+        assert shift_alpha(A) == alpha_shift_dense(A.data)[0]
     bad = np.zeros((2, 2, 2))
     bad[1, 0, 0] = -1.0
     with pytest.raises(EssentialNonnegativityError):
@@ -421,30 +422,28 @@ def test_semi_symmetrize_preserves_tvp_any(tx):
 
 
 def test_alpha_shift_demo_values():
-    alpha, T = alpha_shift(dense_demo())
-    assert alpha == pytest.approx(6.32, abs=1e-12)
-    assert (T.data >= 0).all()
-    alpha2, _ = alpha_shift(sparse_ring_demo())
-    assert alpha2 == 2.0
-    # with eps > 0: the solvers' T, equal to the two-copy build bit for bit
-    alpha3, T3 = alpha_shift(dense_demo(), 1e-9)
+    alpha, T = alpha_shift_dense(dense_demo().data)
+    assert alpha == shift_alpha(dense_demo()) == pytest.approx(6.32, abs=1e-12)
+    assert (T >= 0).all()
+    alpha2, _ = alpha_shift_dense(sparse_ring_demo().data)
+    assert alpha2 == shift_alpha(sparse_ring_demo()) == 2.0
+    # with eps > 0: the dense T, equal to the two-copy build bit for bit
+    alpha3, T3 = alpha_shift_dense(dense_demo().data, 1e-9)
     assert alpha3 == alpha
-    assert np.array_equal(T3.data, add_identity(perturb(dense_demo(), 1e-9), alpha).data)
-    with pytest.raises(ValueError):
-        alpha_shift(dense_demo(), -1e-9)
+    assert np.array_equal(T3, add_identity(perturb(dense_demo(), 1e-9), alpha).data)
 
 
 def test_alpha_shift_zero_tensor():
-    alpha, T = alpha_shift(Tensor(np.zeros((2, 2, 2))))
-    assert alpha == 1.0
-    assert np.array_equal(T.data, unit_tensor_naive(3, 2))
+    alpha, T = alpha_shift_dense(np.zeros((2, 2, 2)))
+    assert alpha == shift_alpha(Tensor(np.zeros((2, 2, 2)))) == 1.0
+    assert np.array_equal(T, unit_tensor_naive(3, 2))
 
 
 def test_alpha_shift_rejects_negative_off_diagonal():
     bad = np.zeros((2, 2, 2))
     bad[1, 0, 0] = -1.0
     with pytest.raises(EssentialNonnegativityError) as err:
-        alpha_shift(Tensor(bad))
+        shift_alpha(Tensor(bad))
     assert err.value.index == (2, 1, 1)  # 1-based
 
 
@@ -454,8 +453,11 @@ def test_alpha_shift_nonnegative_output(T):
     data = np.array(T.data)
     n = T.dim
     data[(np.arange(n),) * T.order] = -np.abs(data[(np.arange(n),) * T.order])
-    _, shifted = alpha_shift(Tensor(data))
-    assert (shifted.data >= 0).all()
+    _, shifted = alpha_shift_dense(data)
+    assert (shifted >= 0).all()
+    # the closed-form operator is nonnegative too: it maps positive x to y >= 0
+    A = Tensor(data)
+    assert (ShiftedTensor(A, shift_alpha(A)).tvp(np.linspace(0.5, 1.5, n)) >= 0).all()
 
 
 def test_perturb():
