@@ -14,10 +14,24 @@ whitespace-separated numbers in lexicographic order, first index slowest,
 with any line layout.  Coordinate payloads give one entry per line;
 unspecified entries are zero and duplicate indices are rejected.  Values are
 written with 17 significant digits so a round trip is exact.
+
+Files move in bulk.  The writer formats a dense payload in blocks of
+six-value lines with one ``%`` call each, and a coo payload with one ``%``
+call (``"%.17g"`` is the routine behind ``format(v, ".17g")``, so the text is
+the same as a per-value writer's).  The reader takes the three header lines
+from a prefix of the text and parses the rest with one ``np.fromstring``
+call, which creates no Python object per value.  It keeps
+that result only if numpy raised nothing, warned nothing and returned exactly
+dim**order finite values; a payload with a comment, a header region with a
+line break other than ``\n`` or ``\r\n``, a coo file and every other outcome go
+through the line-by-line loop, which calls ``float()`` on each token.  So
+every token ``float()`` accepts is still accepted, every value is the one
+``float()`` gives, and every error keeps its message and line number.
 """
 
 from __future__ import annotations
 
+import warnings
 from math import isfinite
 
 import numpy as np
@@ -54,8 +68,51 @@ def _header_int(lines, key):
         raise TensorFileError("expected an integer for '%s', got %r" % (key, parts[1]), lineno) from None
 
 
+def _bulk_dense(text):
+    """The dense tensor in text by one numpy parse, or None where the
+    line-by-line loop must decide (a coo file, a comment in the payload, any
+    error or doubt)."""
+    heads = []
+    pos = 0
+    while len(heads) < 3:
+        end = text.find("\n", pos) + 1
+        if not end:
+            return None
+        body = text[pos:end].split("#", 1)[0].split()
+        if body:
+            heads.append(body)
+        pos = end
+    # Lines are numbered by str.splitlines, which also breaks at "\r",
+    # "\x0b", "\x1c", "\u2028" ...; a header region with such a break has
+    # its lines elsewhere than "\n" says.
+    if len(text[:pos].splitlines()) != text.count("\n", 0, pos):
+        return None
+    if [h[0] for h in heads] != ["order", "dim", "format"] or any(len(h) != 2 for h in heads):
+        return None
+    try:
+        order, dim = int(heads[0][1]), int(heads[1][1])
+    except ValueError:
+        return None
+    if heads[2][1] != "dense" or order < 2 or dim < 1 or text.find("#", pos) >= 0:
+        return None
+    # numpy 1.x warns and returns the values read so far on unmatched text,
+    # where numpy 2 raises.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = np.fromstring(text[pos:], dtype=float, sep=" ")
+        except (ValueError, Warning):
+            return None
+    if values.size != dim**order or not np.isfinite(values).all():
+        return None
+    return Tensor(values.reshape((dim,) * order))
+
+
 def loads_tensor(text):
     """Parse a tensor from the text format."""
+    bulk = _bulk_dense(text)
+    if bulk is not None:
+        return bulk
     lines = _meaningful_lines(text)
     order = _header_int(lines, "order")
     dim = _header_int(lines, "dim")
@@ -139,22 +196,37 @@ def load_tensor(path):
         return loads_tensor(text)
 
 
+# One line of the dense payload, and the lines one % call formats at most.
+_DENSE_ROW = "%.17g %.17g %.17g %.17g %.17g %.17g\n"
+_DENSE_BLOCK_ROWS = 512
+
+
+def _dense_payload(flat):
+    """The dense payload, six values a line, in blocks of whole lines."""
+    step = 6 * _DENSE_BLOCK_ROWS
+    for pos in range(0, flat.size, step):
+        values = flat[pos : pos + step].tolist()
+        rows, rest = divmod(len(values), 6)
+        tail = " ".join(["%.17g"] * rest) + "\n" if rest else ""
+        yield (_DENSE_ROW * rows + tail) % tuple(values)
+
+
+def _coo_payload(data):
+    """One "i1 ... im value" line per nonzero, 1-based, first index slowest."""
+    idx = np.nonzero(data)
+    fields = [(i + 1).tolist() for i in idx] + [data[idx].tolist()]
+    row = "%d " * data.ndim + "%.17g\n"
+    return (row * len(fields[-1])) % tuple(v for entry in zip(*fields) for v in entry)
+
+
 def dumps_tensor(T, fmt="dense"):
     """Serialize a tensor to the text format."""
     if fmt not in ("dense", "coo"):
         raise ValueError("fmt must be 'dense' or 'coo'")
-    out = ["order %d" % T.order, "dim %d" % T.dim, "format %s" % fmt]
+    head = "order %d\ndim %d\nformat %s\n" % (T.order, T.dim, fmt)
     if fmt == "dense":
-        flat = T.entries
-        for pos in range(0, flat.size, 6):
-            out.append(" ".join(format(v, ".17g") for v in flat[pos : pos + 6]))
-    else:
-        for idx in np.argwhere(T.data != 0):
-            value = T.data[tuple(idx)]
-            out.append(
-                " ".join(str(int(i) + 1) for i in idx) + " " + format(value, ".17g")
-            )
-    return "\n".join(out) + "\n"
+        return "".join([head, *_dense_payload(T.entries)])
+    return head + _coo_payload(T.data)
 
 
 def save_tensor(path, T, fmt="dense"):

@@ -183,3 +183,74 @@ def weak_irreducibility_naive(data):
     for _ in range(n):
         reach = reach | (reach.astype(int) @ reach.astype(int) > 0)
     return bool(reach.all())
+
+
+def dumps_tensor_loop(T, fmt="dense"):
+    """The text format written one value at a time with format(v, ".17g")."""
+    out = ["order %d" % T.order, "dim %d" % T.dim, "format %s" % fmt]
+    if fmt == "dense":
+        flat = T.entries
+        for pos in range(0, flat.size, 6):
+            out.append(" ".join(format(v, ".17g") for v in flat[pos : pos + 6]))
+    else:
+        for idx in np.argwhere(T.data != 0):
+            value = T.data[tuple(idx)]
+            out.append(" ".join(str(int(i) + 1) for i in idx) + " " + format(value, ".17g"))
+    return "\n".join(out) + "\n"
+
+
+def loads_dense_loop(text):
+    """The data array of a dense tensor file, parsed line by line with
+    float() on every token; raises TensorFileError as the library's reader
+    does, with the same message and line."""
+    from teneig.tensorfile import TensorFileError
+
+    def meaningful_lines():
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            body = raw.split("#", 1)[0].strip()
+            if body:
+                yield lineno, body
+
+    lines = meaningful_lines()
+
+    def header(key, choices=None):
+        try:
+            lineno, body = next(lines)
+        except StopIteration:
+            raise TensorFileError("missing '%s' header" % key) from None
+        parts = body.split()
+        if choices is not None:
+            if len(parts) != 2 or parts[0] != key or parts[1] not in choices:
+                raise TensorFileError("expected 'format dense' or 'format coo', got %r" % body, lineno)
+            return parts[1]
+        if len(parts) != 2 or parts[0] != key:
+            raise TensorFileError("expected '%s <integer>', got %r" % (key, body), lineno)
+        try:
+            return int(parts[1])
+        except ValueError:
+            raise TensorFileError("expected an integer for '%s', got %r" % (key, parts[1]), lineno) from None
+
+    order = header("order")
+    dim = header("dim")
+    if order < 2 or dim < 1:
+        raise TensorFileError("need order >= 2 and dim >= 1, got order %d, dim %d" % (order, dim))
+    if header("format", ("dense", "coo")) != "dense":
+        raise NotImplementedError("coo payload")
+    expected = dim**order
+    values = []
+    for lineno, body in lines:
+        for tok in body.split():
+            try:
+                value = float(tok)
+            except ValueError:
+                raise TensorFileError("not a number: %r" % tok, lineno) from None
+            if not np.isfinite(value):
+                raise TensorFileError("entries must be finite, got %r" % tok, lineno)
+            values.append(value)
+        if len(values) > expected:
+            raise TensorFileError(
+                "too many entries: expected %d for order %d, dim %d" % (expected, order, dim), lineno
+            )
+    if len(values) != expected:
+        raise TensorFileError("dense payload has %d entries, expected %d" % (len(values), expected))
+    return np.asarray(values).reshape((dim,) * order)

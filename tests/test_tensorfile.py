@@ -1,11 +1,17 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from teneig import Tensor, load_tensor, save_tensor
+from teneig import Tensor, load_tensor, save_tensor, tensorfile
 from teneig.instances import dense_demo, random_instance, sparse_ring_demo
 from teneig.tensorfile import TensorFileError, dumps_tensor, loads_tensor
+
+from oracles import dumps_tensor_loop, loads_dense_loop
 
 
 def test_round_trip_dense(tmp_path):
@@ -145,3 +151,154 @@ def test_load_non_utf8_file_is_malformed(tmp_path):
 def test_dumps_rejects_unknown_format():
     with pytest.raises(ValueError):
         dumps_tensor(sparse_ring_demo(), fmt="json")
+
+
+SPECIAL_VALUES = (0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+@given(
+    st.integers(2, 4).flatmap(
+        lambda m: hnp.arrays(
+            float,
+            st.integers(1, 6).map(lambda n: (n,) * m),
+            elements=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL_VALUES),
+        )
+    ),
+    st.sampled_from(["dense", "coo"]),
+)
+def test_dumps_matches_the_per_value_writer(data, fmt):
+    T = Tensor(data)
+    assert dumps_tensor(T, fmt=fmt) == dumps_tensor_loop(T, fmt=fmt)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _same_outcome(text):
+    """loads_tensor and the line-by-line oracle give bit-identical data, or
+    the same TensorFileError message and line."""
+    try:
+        want = loads_dense_loop(text)
+    except TensorFileError as exc:
+        with pytest.raises(TensorFileError) as err:
+            loads_tensor(text)
+        assert (str(err.value), err.value.line) == (str(exc), exc.line)
+        assert tensorfile._bulk_dense(text) is None
+        return False
+    got = loads_tensor(text).data
+    assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want))
+    bulk = tensorfile._bulk_dense(text)
+    if bulk is None:
+        return False
+    assert np.array_equal(_bits(bulk.data), _bits(want))
+    return True
+
+
+GOOD_TOKENS = ("1", "-0", "+.5", "5.", "1E5", "2.5e-3", "-.0", "4.9406564584124654e-324",
+               "1.7976931348623157e308", "0.10000000000000001", "007", "+1e+05")
+ODD_TOKENS = ("1_0", "\u0661\u0662", "1e400", "nan", "-inf", "x", "1-2", "1..2", "0x1p3",
+              "1e5e5", "1,", "1d5", "\x00", "\uff11")
+# Separators the bulk parse reads as whitespace come first; the rest go to the line loop.
+PAYLOAD_SEPS = (" ", "\t", "\n", "\r\n", "  \n\n", "\r", "\x0b", "\x0c",
+                "\x1c", "\x85", "\u2028", "\xa0", " # note\n")
+LINE_ENDS = ("\n", "\r\n", "\r", "\x0c", "\u2028", "\x1e")
+
+
+@st.composite
+def dense_texts(draw):
+    plain = draw(st.booleans())
+    seps = st.sampled_from(PAYLOAD_SEPS[: 8 if plain else None])
+    ends = st.sampled_from(LINE_ENDS[: 2 if plain else None])
+    order, dim = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    heads = ["order %d" % order, "dim %d" % dim, "format dense"]
+    if draw(st.integers(0, 9)) == 0:
+        heads[draw(st.integers(0, 2))] = draw(st.sampled_from(["order x", "dim 2 2", "format coo2", "order 1"]))
+    text = ""
+    for head in heads:
+        text += draw(st.sampled_from(["", "", "\n", "# c\n", "  \t\r\n"]))
+        text += head + draw(st.sampled_from(["", "", " # trailing", "\t"]))
+        text += draw(ends)
+    count = dim**order + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+    tokens = st.sampled_from(GOOD_TOKENS) | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    if draw(st.integers(0, 3)) == 0:
+        tokens = tokens | st.sampled_from(ODD_TOKENS)
+    for _ in range(max(count, 0)):
+        text += draw(tokens) + draw(seps)
+    return text
+
+
+@given(dense_texts())
+@settings(max_examples=200)
+def test_loads_matches_the_per_token_parser(text):
+    _same_outcome(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "order 2\ndim 2\nformat dense\n1 2\n3 4\n",
+        "order 2\r\ndim 2\r\nformat dense\r\n1\t+.5\r\n5. 1E5",
+        "# c\n\norder 2 # o\ndim 2\nformat dense\n\n-0 2\x0b3\x0c4\r",
+        dumps_tensor(random_instance(3, 4, seed=1)),
+    ],
+)
+def test_plain_dense_files_take_the_bulk_parse(text):
+    assert _same_outcome(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "order 2\ndim 2\nformat dense\n1 2 # c\n3 4\n",  # comment in the payload
+        "# c\rorder 2\norder 2\ndim 2\nformat dense\n1 2 3 4\n",  # "\r" breaks a line
+        "order 2\ndim 2\nformat dense\n1_0 2 3 4\n",  # only float() reads 1_0
+        "order 2\ndim 2\nformat dense\n\u0661 2 3 4\n",
+    ],
+)
+def test_other_files_take_the_line_loop(text):
+    assert not _same_outcome(text)
+
+
+JUNK_AFTER_THE_VALUES = "order 2\ndim 2\nformat dense\n1 2 3 4 junk\n"
+
+
+def test_junk_after_the_values_is_not_a_number():
+    with pytest.raises(TensorFileError, match="not a number: 'junk'") as err:
+        loads_tensor(JUNK_AFTER_THE_VALUES)
+    assert err.value.line == 4
+
+
+def test_a_numpy_warning_sends_the_text_to_the_line_loop(monkeypatch):
+    # numpy 1.x warns on unmatched text and returns the values read so far.
+    def fromstring_1x(text, dtype=float, sep=" "):
+        warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return np.array([1.0, 2.0, 3.0, 4.0])
+
+    monkeypatch.setattr(tensorfile.np, "fromstring", fromstring_1x)
+    with pytest.raises(TensorFileError, match="not a number: 'junk'") as err:
+        loads_tensor(JUNK_AFTER_THE_VALUES)
+    assert err.value.line == 4
+
+
+def _peak_ratio(call, T):
+    call()  # warm-up: imports and lazily made state
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / T.data.nbytes
+
+
+def test_load_peak_memory(tmp_path):
+    T = random_instance(3, 24, seed=1)
+    path = tmp_path / "t.ten"
+    save_tensor(path, T)
+    assert _peak_ratio(lambda: load_tensor(path), T) < 8.0
+
+
+def test_save_peak_memory(tmp_path):
+    T = random_instance(3, 24, seed=1)
+    assert _peak_ratio(lambda: save_tensor(tmp_path / "t.ten", T), T) < 8.0
