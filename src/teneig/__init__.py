@@ -9,14 +9,9 @@ from .bench import run_comparison, summarize
 from .homotopy import (
     HomotopyConfig,
     NewtonStalled,
-    PathState,
     PositivityLost,
     SolveReport,
-    endgame,
-    newton_correct,
-    predict,
     solve_dominant,
-    update_step_size,
 )
 from .instances import dense_demo, random_instance, sparse_ring_demo
 from .linalg import SingularMatrixError

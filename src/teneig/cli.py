@@ -33,10 +33,6 @@ _SOLVER_FLAGS = (
     ("--beta", "beta", "endgame threshold"),
     ("--epsilon", "eps_perturb", "perturbation for reducible input"),
     ("--max-steps", "max_steps", "step / iteration cap"),
-    ("--newton-cap-path", "newton_cap_path", None),
-    ("--newton-cap-endgame", "newton_cap_endgame", None),
-    ("--dtau-min", "dtau_min", None),
-    ("--dtau-max", "dtau_max", None),
 )
 
 

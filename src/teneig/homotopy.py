@@ -9,7 +9,9 @@ Perron pair) into the target system Q (shifted tensor T) as tau goes 0 -> 1:
 For every tau in [0,1) the positive blend has a unique positive Perron pair
 and a nonsingular Jacobian there, so the solution curve can be followed by
 an Euler predictor and a Newton corrector with adaptive step control, with a
-final jump ("endgame") from tau = beta to tau = 1.
+final jump ("endgame") from tau = beta to tau = 1.  HomotopyConfig holds the
+method's parameters; the step control's Newton caps and step bounds are the
+module constants NEWTON_CAP_* and DTAU_*.
 
 Cost model.  Each Newton iterate makes one (y, J) evaluation of T and one of
 S, each a pass over the input, and one LAPACK solve.  The predictor makes
@@ -34,8 +36,7 @@ count.  Nothing about this is configurable.
 from __future__ import annotations
 
 import time
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,7 +58,12 @@ from .tensor import (
 from .linalg import lu_apply, lu_factor  # noqa: F401
 from .tensor import add_identity, perturb, rank_one_start, tvp, tvp_jacobian  # noqa: F401
 
-POSITIVITY_WARN_FLOOR = 1e-12
+# Step control: Newton iteration caps on the path and in the endgame, and
+# the floor and cap of the continuation step.
+NEWTON_CAP_PATH = 10
+NEWTON_CAP_ENDGAME = 100
+DTAU_MIN = 1e-6
+DTAU_MAX = 0.4
 
 
 class NewtonStalled(RuntimeError):
@@ -95,24 +101,18 @@ class HomotopyConfig:
     beta: float = 0.9999  # endgame threshold
     eps_perturb: float = 1e-9  # constant added for reducible inputs
     max_steps: int = 50000  # prediction-correction cap
-    newton_cap_path: int = 10
-    newton_cap_endgame: int = 100
-    dtau_min: float = 1e-6
-    dtau_max: float = 0.4
 
     def __post_init__(self):
-        if not 0.0 < self.dtau0 <= self.dtau_max:
-            raise ValueError("dtau0 must lie in (0, dtau_max]")
-        if not 0.0 < self.eps2 <= self.eps1:
-            raise ValueError("need 0 < eps2 <= eps1")
+        if not 0.0 < self.dtau0 <= DTAU_MAX:
+            raise ValueError("dtau0 must lie in (0, %g]" % DTAU_MAX)
+        if not 0.0 < self.eps2 <= self.eps1 < np.inf:
+            raise ValueError("need 0 < eps2 <= eps1, both finite")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        if self.eps_perturb <= 0:
-            raise ValueError("eps_perturb must be positive")
-        if not 0.0 < self.dtau_min <= self.dtau_max:
-            raise ValueError("dtau_min must lie in (0, dtau_max]")
-        if self.max_steps < 1 or self.newton_cap_path < 1 or self.newton_cap_endgame < 1:
-            raise ValueError("iteration caps must be at least 1")
+        if not 0.0 < self.eps_perturb < np.inf:
+            raise ValueError("eps_perturb must be positive and finite")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be at least 1")
 
 
 @dataclass
@@ -154,7 +154,6 @@ class SolveReport:
     alpha: float = np.nan
     lambda_shifted: float = np.nan
     path_min_x: float = np.nan
-    path: list | None = None
 
     def to_dict(self):
         """The JSON report of ``teneig solve`` and of ``teneig compare`` records."""
@@ -170,6 +169,7 @@ class SolveReport:
             "alpha": self.alpha,
             "lambda_shifted": self.lambda_shifted,
             "perturbed": self.perturbed,
+            "path_min_x": self.path_min_x,
         }
 
 
@@ -253,19 +253,19 @@ def _tangent(J, dH):
         return None
 
 
-def update_step_size(state, newton_iters_used, config):
+def update_step_size(state, newton_iters_used):
     """Next step length after an accepted correction.
 
-    More than three Newton iterations halve the step (floor dtau_min); two
-    consecutive steps without such a cut double it (cap dtau_max); otherwise
+    More than three Newton iterations halve the step (floor DTAU_MIN); two
+    consecutive steps without such a cut double it (cap DTAU_MAX); otherwise
     it is kept.  Records the step's cut/uncut flag in state.last_two_uncut.
     """
     cut = newton_iters_used > 3
     state.last_two_uncut = (state.last_two_uncut[1], not cut)
     if cut:
-        return max(0.5 * state.dtau, config.dtau_min)
+        return max(0.5 * state.dtau, DTAU_MIN)
     if all(state.last_two_uncut):
-        return min(2.0 * state.dtau, config.dtau_max)
+        return min(2.0 * state.dtau, DTAU_MAX)
     return state.dtau
 
 
@@ -293,15 +293,11 @@ def endgame(T, S, u_at_beta, config, beta, tangent=None):
     u = np.asarray(u_at_beta, dtype=float)
     state = PathState(tau=beta, lam=u[0], x=u[1:], dtau=1.0 - beta)
     state.tangent = tangent
-    v, iters, _ = _step(T, S, state, 1.0 - beta, 1.0, config.eps2, config.newton_cap_endgame)
+    v, iters, _ = _step(T, S, state, 1.0 - beta, 1.0, config.eps2, NEWTON_CAP_ENDGAME)
     return EigenPair(v[0], v[1:]), iters
 
 
-def _snapshot(state):
-    return replace(state, x=state.x.copy())
-
-
-def _solve_shifted(A, alpha, config, a, b, use_perturbation, record_path):
+def _solve_shifted(A, alpha, config, a, b, use_perturbation):
     """Run the full pipeline on T = (A_eps or A) + alpha*I; wall time unset.
 
     T and the start system S are closed-form operators over A and the start
@@ -315,11 +311,10 @@ def _solve_shifted(A, alpha, config, a, b, use_perturbation, record_path):
     # Every retry of a rejected first step predicts from this tangent; where
     # it is singular predict solves again and raises.
     state.tangent = _tangent(*_system(T, S, 0.0, state.lam, state.x)[1:])
-    trace = [_snapshot(state)] if record_path else None
     min_x = float(state.x.min())
 
     def follow(target):
-        """Step until tau = target is accepted; False at max_steps or the dtau_min floor."""
+        """Step until tau = target is accepted; False at max_steps or the DTAU_MIN floor."""
         nonlocal min_x
         while state.tau < target:
             if state.step_count >= config.max_steps:
@@ -332,34 +327,26 @@ def _solve_shifted(A, alpha, config, a, b, use_perturbation, record_path):
             state.step_count += 1
             try:
                 u_new, iters, g = _step(
-                    T, S, state, dtau, tau_next, config.eps1, config.newton_cap_path
+                    T, S, state, dtau, tau_next, config.eps1, NEWTON_CAP_PATH
                 )
             except _STEP_FAILURES as exc:
                 state.newton_total += getattr(exc, "iterations", 0)
                 # Halve the step just tried, which clipping can make < state.dtau.
-                if dtau <= config.dtau_min:
+                if dtau <= DTAU_MIN:
                     return False
-                state.dtau = max(0.5 * dtau, config.dtau_min)
+                state.dtau = max(0.5 * dtau, DTAU_MIN)
                 continue
             state.tau = tau_next
             state.lam = float(u_new[0])
             state.x = u_new[1:]
             state.tangent = g
             state.newton_total += iters
-            lo = float(state.x.min())
-            min_x = min(min_x, lo)
-            if lo < POSITIVITY_WARN_FLOOR:
-                warnings.warn(
-                    "path point has component %.3e below the positivity floor" % lo,
-                    RuntimeWarning,
-                )
-            state.dtau = update_step_size(state, iters, config)
-            if trace is not None:
-                trace.append(_snapshot(state))
+            min_x = min(min_x, float(state.x.min()))
+            state.dtau = update_step_size(state, iters)
         return True
 
     # A failed jump is retried once from closer to 1.  Jumps count in iter,
-    # not in the path's step_count (its max_steps budget and snapshots).
+    # not in the path's step_count (its max_steps budget).
     pair, jumps = None, 0
     for beta in (config.beta, 0.5 * (1.0 + config.beta)):
         if not follow(beta):
@@ -395,11 +382,10 @@ def _solve_shifted(A, alpha, config, a, b, use_perturbation, record_path):
         alpha=T.alpha,
         lambda_shifted=lam_shift,
         path_min_x=min_x,
-        path=trace,
     )
 
 
-def solve_dominant(A, config=None, a=None, b=None, assume="auto", record_path=False):
+def solve_dominant(A, config=None, a=None, b=None, assume="auto"):
     """Dominant eigenpair of an essentially nonnegative tensor A.
 
     The returned pair has the largest real eigenvalue of A and, for
@@ -430,9 +416,9 @@ def solve_dominant(A, config=None, a=None, b=None, assume="auto", record_path=Fa
         perturbed = not weak_irreducibility_check(A)
     else:
         perturbed = assume == "reducible"
-    report = _solve_shifted(A, alpha, config, a, b, perturbed, record_path)
+    report = _solve_shifted(A, alpha, config, a, b, perturbed)
     if report.status == "endgame_failure" and not perturbed:
-        retry = _solve_shifted(A, alpha, config, a, b, True, record_path)
+        retry = _solve_shifted(A, alpha, config, a, b, True)
         retry.iter += report.iter
         retry.nwtiter += report.nwtiter
         report = retry

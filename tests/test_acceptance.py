@@ -149,7 +149,7 @@ def test_criterion_5_matrix_oracle():
     _verdict(5, "matrix oracle, 50 random 5x5", failures)
 
 
-def test_criterion_6_invariant_suite():
+def test_criterion_6_invariant_suite(accepted_points):
     failures = []
     rng = np.random.default_rng(77)
 
@@ -208,8 +208,9 @@ def test_criterion_6_invariant_suite():
 
     # path positivity at every accepted step
     for seed in (0, 1):
-        rep = solve_dominant(random_instance(3, 5, seed=seed), record_path=True)
-        if rep.path_min_x <= 0.0 or any(s.x.min() <= 0.0 for s in rep.path):
+        accepted_points.clear()
+        rep = solve_dominant(random_instance(3, 5, seed=seed))
+        if rep.path_min_x <= 0.0 or any(u[1:].min() <= 0.0 for _, u in accepted_points):
             failures.append("path left the positive cone (seed %d)" % seed)
 
     # strict monotonicity in the entries on 20 random pairs

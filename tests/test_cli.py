@@ -25,6 +25,7 @@ def test_solve_demo_file_json(tmp_path, capsys):
     assert report["alpha"] == pytest.approx(6.32)
     assert report["iter"] <= 30
     assert len(report["x"]) == 3
+    assert report["path_min_x"] > 0.0
 
 
 def test_solve_human_readable(tmp_path, capsys):
@@ -94,7 +95,11 @@ def test_solve_nonfinite_entry_exit_2(tmp_path, capsys):
     "argv",
     [
         ["solve", "FILE", "--beta", "2"],
-        ["solve", "FILE", "--dtau-min", "0"],
+        ["solve", "FILE", "--dtau0", "0"],
+        ["solve", "FILE", "--epsilon", "inf", "--method", "pta"],
+        ["solve", "FILE", "--epsilon", "nan", "--assume", "reducible"],
+        ["solve", "FILE", "--eps1", "inf"],
+        ["solve", "FILE", "--eps1", "nan"],
         ["compare", "3", "3", "--eps2", "-1"],
     ],
 )

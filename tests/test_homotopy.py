@@ -7,20 +7,24 @@ from teneig import (
     EssentialNonnegativityError,
     HomotopyConfig,
     NewtonStalled,
-    PathState,
     ShiftedTensor,
     Tensor,
     eigen_residual,
-    endgame,
-    newton_correct,
-    predict,
     shift_alpha,
     solve_dominant,
     start_pair,
     start_system,
+)
+from teneig.homotopy import (
+    DTAU_MAX,
+    DTAU_MIN,
+    PathState,
+    _system,
+    endgame,
+    newton_correct,
+    predict,
     update_step_size,
 )
-from teneig.homotopy import _system
 from teneig.instances import dense_demo, random_instance, sparse_ring_demo
 from teneig.linalg import SingularMatrixError, lu_apply, lu_factor
 from teneig.tensor import add_identity, rank_one_start
@@ -64,20 +68,13 @@ def polished_path_point(T, S, tau_target, tol=1e-13):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        HomotopyConfig(dtau0=0.5)  # above dtau_max
+        HomotopyConfig(dtau0=0.5)  # above DTAU_MAX
     with pytest.raises(ValueError):
         HomotopyConfig(eps1=1e-12, eps2=1e-5)
     with pytest.raises(ValueError):
         HomotopyConfig(beta=1.0)
     with pytest.raises(ValueError):
         HomotopyConfig(eps_perturb=0.0)
-    with pytest.raises(ValueError):
-        HomotopyConfig(dtau_min=0.5, dtau_max=0.4)
-    for floor in (0.0, -1e-6):  # a floor <= 0 would never stop the halving
-        with pytest.raises(ValueError):
-            HomotopyConfig(dtau_min=floor)
-    with pytest.raises(ValueError):
-        HomotopyConfig(newton_cap_path=0)
     with pytest.raises(ValueError):
         HomotopyConfig(max_steps=0)
     with pytest.raises(ValueError):
@@ -345,31 +342,27 @@ def test_newton_validates_arguments():
 
 
 def test_step_halves_after_slow_newton():
-    cfg = HomotopyConfig()
     state = PathState(tau=0.3, lam=1.0, x=np.ones(3), dtau=0.1)
-    assert update_step_size(state, 5, cfg) == 0.05
+    assert update_step_size(state, 5) == 0.05
     assert state.last_two_uncut[-1] is False
 
 
 def test_step_doubles_after_two_uncut_steps_with_cap():
-    cfg = HomotopyConfig()
     state = PathState(
         tau=0.3, lam=1.0, x=np.ones(3), dtau=0.3, last_two_uncut=(False, True)
     )
-    assert update_step_size(state, 2, cfg) == 0.4  # doubled then capped
+    assert update_step_size(state, 2) == DTAU_MAX == 0.4  # doubled then capped
 
 
 def test_step_floor_holds():
-    cfg = HomotopyConfig()
     state = PathState(tau=0.3, lam=1.0, x=np.ones(3), dtau=1e-6)
-    assert update_step_size(state, 5, cfg) == 1e-6
+    assert update_step_size(state, 5) == DTAU_MIN == 1e-6
 
 
 def test_step_unchanged_on_first_uncut_step():
-    cfg = HomotopyConfig()
     state = PathState(tau=0.0, lam=1.0, x=np.ones(3), dtau=0.1)
-    assert update_step_size(state, 2, cfg) == 0.1  # only one uncut step so far
-    assert update_step_size(state, 3, cfg) == 0.2  # second uncut step doubles
+    assert update_step_size(state, 2) == 0.1  # only one uncut step so far
+    assert update_step_size(state, 3) == 0.2  # second uncut step doubles
 
 
 @given(
@@ -378,10 +371,9 @@ def test_step_unchanged_on_first_uncut_step():
     st.tuples(st.booleans(), st.booleans()),
 )
 def test_step_update_stays_clamped(dtau, iters, window):
-    cfg = HomotopyConfig()
     state = PathState(tau=0.5, lam=1.0, x=np.ones(2), dtau=dtau, last_two_uncut=window)
-    out = update_step_size(state, iters, cfg)
-    assert cfg.dtau_min <= out <= cfg.dtau_max
+    out = update_step_size(state, iters)
+    assert DTAU_MIN <= out <= DTAU_MAX
 
 
 # -------------------------------------------------------------------- endgame
@@ -423,14 +415,14 @@ def test_failed_jump_retries_once_closer_to_one(monkeypatch):
 
 def test_step_size_floor_ends_in_step_limit(monkeypatch):
     # every correction stalls after one Newton iteration, so the first step
-    # halves from 0.1 down to dtau_min = 1e-6 (17 tries) and fails there once more
+    # halves from 0.1 down to DTAU_MIN = 1e-6 (17 tries) and fails there once more
     from teneig import homotopy
 
     def stalls(T, S, tau, u0, tol, cap):
-        raise NewtonStalled(cap)
+        raise NewtonStalled(1)
 
     monkeypatch.setattr(homotopy, "newton_correct", stalls)
-    cfg = HomotopyConfig(newton_cap_path=1, eps1=1e-300, eps2=1e-300)
+    cfg = HomotopyConfig(eps1=1e-300, eps2=1e-300)
     rep = solve_dominant(dense_demo(), config=cfg)
     assert rep.status == "step_limit"
     assert rep.iter == rep.nwtiter == 18
@@ -578,14 +570,14 @@ def test_solve_monotone_in_entries():
         assert lb > la + 1e-10
 
 
-def test_solve_block_diagonal_reducible():
+def test_solve_block_diagonal_reducible(accepted_points):
     rng = np.random.default_rng(33)
     data = np.zeros((4, 4, 4))
     b1 = rng.uniform(0.1, 1.0, size=(2, 2, 2))
     b2 = rng.uniform(0.1, 1.0, size=(2, 2, 2))
     data[np.ix_([0, 1], [0, 1], [0, 1])] = b1
     data[np.ix_([2, 3], [2, 3], [2, 3])] = b2
-    rep = solve_dominant(Tensor(data), record_path=True)
+    rep = solve_dominant(Tensor(data))
     assert rep.perturbed
     assert rep.status == "converged"
     expected = max(block2_dominant_bisect(b1), block2_dominant_bisect(b2))
@@ -594,7 +586,7 @@ def test_solve_block_diagonal_reducible():
     # eigenvector stay strictly positive
     assert rep.eigen.x.min() > 0.0
     assert rep.path_min_x > 0.0
-    assert all(s.x.min() > 0.0 for s in rep.path)
+    assert all(u[1:].min() > 0.0 for _, u in accepted_points)
 
 
 def test_solve_respects_assume_flag():
@@ -606,17 +598,20 @@ def test_solve_respects_assume_flag():
         solve_dominant(A, assume="maybe")
 
 
-def test_solve_path_positivity_and_normalization():
+def test_solve_path_positivity_and_normalization(accepted_points):
     cfg = HomotopyConfig()
     for A in (dense_demo(), random_instance(3, 5, seed=34)):
-        rep = solve_dominant(A, record_path=True)
+        accepted_points.clear()
+        rep = solve_dominant(A)
         assert rep.status == "converged"
-        assert rep.path is not None and len(rep.path) >= 2
+        assert len(accepted_points) >= 2
         assert rep.path_min_x > 0.0
-        for snap in rep.path:
-            assert snap.x.min() > 0.0
-            assert abs(snap.x @ snap.x - 1.0) <= cfg.eps1
-        assert rep.path[-1].tau >= cfg.beta
+        for _, u in accepted_points:
+            assert u[1:].min() > 0.0
+            assert abs(u[1:] @ u[1:] - 1.0) <= cfg.eps1
+        # the path reaches beta, then the endgame jumps to 1
+        assert accepted_points[-2][0] >= cfg.beta
+        assert accepted_points[-1][0] == 1.0
         assert abs(rep.eigen.x @ rep.eigen.x - 1.0) <= cfg.eps2
 
 
@@ -631,10 +626,10 @@ def test_solve_endgame_failure_after_escalation(monkeypatch):
     from teneig import homotopy
 
     def stalls(T, S, u, config, beta=None, tangent=None):
-        raise NewtonStalled(config.newton_cap_endgame)
+        raise NewtonStalled(1)
 
     monkeypatch.setattr(homotopy, "endgame", stalls)
-    cfg = HomotopyConfig(eps2=1e-16, newton_cap_endgame=1)
+    cfg = HomotopyConfig(eps2=1e-16)
     rep = solve_dominant(dense_demo(), config=cfg)
     assert rep.status == "endgame_failure"
     assert rep.perturbed  # the final retry switched the perturbation on
