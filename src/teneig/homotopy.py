@@ -13,8 +13,15 @@ final jump ("endgame") from tau = beta to tau = 1.  HomotopyConfig holds the
 method's parameters; the step control's Newton caps and step bounds are the
 module constants NEWTON_CAP_* and DTAU_*.
 
-Cost model.  Each Newton iterate makes one (y, J) evaluation of T and one of
-S, each a pass over the input, and one LAPACK solve.  The predictor makes
+Cost model.  Each Newton iterate makes one (y, J) evaluation of T, one of S
+and one LAPACK solve.  S is closed form, O(n^2), and so are T's alpha*I and
+eps terms; T's evaluation reads each slice block of the input A twice, once
+for the contraction chain, each step of which is one gemv over the block's
+flat view, and once for the k = m-1 Jacobian term (Tensor.tvp_and_jacobian).
+The kernel's temporaries, the chain's n^{m-1} + ... + n entries and one n-by-n
+array per Jacobian term, are freed when it returns; the evaluation keeps T's
+and S's n-by-n Jacobians and the (n+1)-by-(n+1) system matrix, in which the
+blend tau*J_T + (1-tau)*J_S is formed in place.  The predictor makes
 none after the start: the corrector's converged iterate has just evaluated
 the system at the accepted point, so it also solves for the tangent there
 and hands on that n+1 vector, which every prediction from the point (its
@@ -35,6 +42,7 @@ count.  Nothing about this is configurable.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -189,15 +197,23 @@ def _system(T, S, tau, lam, x):
     r = np.empty(n + 1)
     r[:n] = tau * yT + (1.0 - tau) * yS - lam * xp
     r[n] = x @ x - 1.0
+    # Both kernels return fresh n-by-n arrays, so the blend is built in J's
+    # block and in JS itself: no n-by-n temporary, and JT is released first.
     J = np.empty((n + 1, n + 1))
     J[:n, 0] = -xp
     J[n, 0] = 0.0
-    J[:n, 1:] = tau * JT + (1.0 - tau) * JS
+    blend = J[:n, 1:]
+    np.multiply(JT, tau, out=blend)
+    del JT
+    JS *= 1.0 - tau
+    blend += JS
     # Entries (i, i+1) sit at flat offsets 1 + i*(n+2): a strided view, where
     # fancy indexing would hold two index arrays at the solve's memory peak.
     J.reshape(-1)[1 :: n + 2] -= lam * (m - 1) * x ** (m - 2)
     J[n, 1:] = 2.0 * x
-    dH = np.append(yT - yS, 0.0)
+    dH = np.empty(n + 1)
+    np.subtract(yT, yS, out=dH[:n])
+    dH[n] = 0.0
     return r, J, dH
 
 
@@ -233,7 +249,7 @@ def newton_correct(T, S, tau, u0, tol, cap):
     u = np.array(u0, dtype=float)
     for i in range(cap + 1):
         r, J, dH = _system(T, S, tau, u[0], u[1:])
-        if np.linalg.norm(r) <= tol:
+        if math.sqrt(r @ r) <= tol:  # np.linalg.norm(r) for a 1-D float array
             return u, i, None if tau == 1.0 else _tangent(J, dH)
         if i == cap:
             raise NewtonStalled(cap)

@@ -65,7 +65,7 @@ class Tensor:
 
     def tvp(self, x):
         """T x^{m-1}: the chain P_0 = T, P_j = P_{j-1} @ x ends in P_{m-1}."""
-        return _by_blocks(self, _tvp_rows, x)[0]
+        return _by_blocks(self, _tvp_rows, _check_vector(self, x))[0]
 
     def tvp_and_jacobian(self, x):
         """(T x^{m-1}, its n-by-n Jacobian in x) from views of the data.
@@ -76,7 +76,7 @@ class Tensor:
         k = 1 is P_{m-2} itself and k = m-1 is a second pass over the data.
         Every trailing mode counts, so T need not be semi-symmetric.
         """
-        return _by_blocks(self, _kernel_rows, x)
+        return _by_blocks(self, _kernel_rows, _check_vector(self, x))
 
 
 def _diag_index(order, dim):
@@ -112,24 +112,32 @@ def _slice_blocks(T, budget):
 
 
 def _tvp_rows(block, x):
-    """(block @ x ... @ x,): the rows of T x^{m-1} that block = T[i0:i1] owns."""
+    """(block @ x ... @ x,): the rows of T x^{m-1} that block = T[i0:i1] owns.
+
+    Each step contracts the last axis of the flat 2-D view P.reshape(-1, n):
+    one gemv over the whole block, where matmul on the stacked n-by-n
+    matrices would make one per matrix.
+    """
+    P, n = block, x.shape[0]
     for _ in range(block.ndim - 1):
-        block = block @ x  # matmul contracts the last axis
-    return (block,)
+        P = P.reshape(-1, n) @ x
+    return (P,)
 
 
 def _kernel_rows(block, x):
     """The rows of (T x^{m-1}, Jacobian) that block = T[i0:i1] owns; see
-    Tensor.tvp_and_jacobian."""
-    m, n = block.ndim, x.shape[0]
+    Tensor.tvp_and_jacobian.  P_j is held flat, as _tvp_rows's chain makes
+    it, and y = P_{m-1} is that chain's result bit for bit."""
+    m, rows, n = block.ndim, block.shape[0], x.shape[0]
     P = [block]
     for _ in range(m - 1):
-        P.append(P[-1] @ x)
-    J = np.array(P[m - 2])
-    xk = np.ones(1)
+        P.append(P[-1].reshape(-1, n) @ x)
+    J = P[m - 2].reshape(rows, n).copy()
+    xk = x  # the (k-1)-fold outer power of x, flattened
     for k in range(2, m):
-        xk = np.multiply.outer(xk, x).reshape(-1)
-        J += xk @ P[m - 1 - k].reshape(block.shape[0], n ** (k - 1), n)
+        J += xk @ P[m - 1 - k].reshape(rows, n ** (k - 1), n)
+        if k + 1 < m:
+            xk = np.multiply.outer(xk, x).reshape(-1)
     return P[m - 1], J
 
 
@@ -138,9 +146,9 @@ def _by_blocks(T, rows, x):
 
     Row i of every output depends on slice T[i] alone, so blocks are
     independent and their rows are stacked: the result does not depend on
-    how many threads ran them.  A tensor of one block runs inline.
+    how many threads ran them.  A tensor of one block runs inline.  x is
+    the caller's checked vector (_check_vector).
     """
-    x = _check_vector(T, x)
     if T.data.size <= KERNEL_BLOCK_ENTRIES:  # then _slice_blocks gives one block
         return rows(T.data, x)
     pool = _pool()
@@ -258,7 +266,7 @@ class ShiftedTensor:
         """T x^{m-1}: A's contraction plus the closed-form terms."""
         x = _check_vector(self, x)
         m = self.order
-        y = self.A.tvp(x)
+        y = _by_blocks(self.A, _tvp_rows, x)[0]
         _add_shift_terms(y, x, x ** (m - 1), m, self.alpha, self.eps)
         return y
 
@@ -266,9 +274,11 @@ class ShiftedTensor:
         """(T x^{m-1}, its Jacobian in x): A's kernel plus the closed-form terms."""
         x = _check_vector(self, x)
         m = self.order
-        y, J = self.A.tvp_and_jacobian(x)
+        y, J = _by_blocks(self.A, _kernel_rows, x)
         _add_shift_terms(y, x, x ** (m - 1), m, self.alpha, self.eps)
-        J[np.diag_indices(self.dim)] += self.alpha * (m - 1) * x ** (m - 2)
+        # J is a fresh C-ordered n-by-n array: its diagonal is every
+        # (n+1)-th entry of the flat view.
+        J.reshape(-1)[:: self.dim + 1] += self.alpha * (m - 1) * x ** (m - 2)
         if self.eps:
             J += self.eps * (m - 1) * x.sum() ** (m - 2)
         return y, J
@@ -314,7 +324,9 @@ class RankOne:
         x = _check_vector(self, x)
         m = self.order
         s = self.b @ x
-        return s ** (m - 1) * self.c, (m - 1) * s ** (m - 2) * np.outer(self.c, self.b)
+        J = np.multiply.outer(self.c, self.b)
+        J *= (m - 1) * s ** (m - 2)
+        return s ** (m - 1) * self.c, J
 
 
 def start_system(a, b, order):

@@ -172,6 +172,25 @@ def test_system_from_closed_form_operators_matches_dense_tensors():
             assert np.allclose(f(*ops, *args), want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
+def test_system_assembly_holds_few_n_by_n_temporaries():
+    # the blend is built in place in J: the kernel's own temporaries, JT, JS
+    # and J are the n-by-n arrays alive at the peak, not the sums between
+    import tracemalloc
+
+    A = random_instance(3, 120, seed=42)
+    n = A.dim
+    T, S = ShiftedTensor(A, shift_alpha(A)), start_system(np.ones(n), np.ones(n), 3)
+    x = np.full(n, n**-0.5)
+    _system(T, S, 0.4, 7.5, x)  # warm-up: the kernel's thread pool and caches
+    tracemalloc.start()
+    try:
+        _system(T, S, 0.4, 7.5, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 8 * n * n
+
+
 # -------------------------------------------------------------- tau derivative
 
 

@@ -144,6 +144,16 @@ def test_solve_rejects_singular_systems():
         assert "numerically singular" in str(err.value)
 
 
+def test_solve_rejects_a_non_finite_solution():
+    # 1-by-1 systems whose y is inf: the first through rhs, the second by
+    # overflow.  Only the isfinite(y) check catches them, since the
+    # conditioning test compares inf <= inf.  (A 2-by-2 system with an inf
+    # in rhs does not pin this: LAPACK's 0 * inf makes a NaN.)
+    for M, rhs in ((np.eye(1), [np.inf]), ([[1e-300]], [1e300])):
+        with pytest.raises(SingularMatrixError):
+            solve(np.array(M), np.array(rhs))
+
+
 def test_singular_error_names_a_pivot_only_when_given():
     assert SingularMatrixError().pivot_index is None
     assert "column" not in str(SingularMatrixError())

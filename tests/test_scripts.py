@@ -39,3 +39,26 @@ def test_script_prints_its_table(script, args, rows):
     assert len(lines) == len(rows)
     for line, start in zip(lines, rows):
         assert line.strip().startswith(start)
+
+
+def test_compare_reports_finds_no_difference_between_a_tree_and_itself():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_reports.py"), str(ROOT), str(ROOT),
+         "--groups", "scaled_small", "--seeds", "1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "reports compared: 76"
+    counts = [line.split() for line in lines[1:] if line.endswith(" differ")]
+    assert [c[0] for c in counts] == [
+        "method", "status", "lambda", "x", "residual_norm", "iter", "nwtiter",
+        "alpha", "lambda_shifted", "perturbed", "path_min_x",
+    ]
+    assert all(c[1] == "0" for c in counts)
+    assert lines[-2:] == [
+        "largest relative lambda difference: 0",
+        "largest relative lambda_shifted difference: 0",
+    ]

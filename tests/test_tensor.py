@@ -203,9 +203,13 @@ def _block_budgets(m, n):
     return (tensor.KERNEL_BLOCK_ENTRIES, 1, 2 * n ** (m - 1))
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 7])
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize(
+    "m, n",
+    [(m, n) for m in (2, 3, 4, 5, 6) for n in (1, 2, 5, 7)] + [(3, 6), (3, 10), (4, 6), (4, 10)],
+)
 def test_kernel_matches_naive_contraction_and_finite_differences(monkeypatch, m, n):
+    # n = 6 and 10 are sizes where one gemv over a flat block sums in
+    # another order than one gemv per n-by-n matrix would
     # a non-symmetric tensor: each trailing mode adds its own Jacobian term
     rng = np.random.default_rng(10 * m + n)
     data = rng.standard_normal((n,) * m)
