@@ -28,9 +28,12 @@ and hands on that n+1 vector, which every prediction from the point (its
 retries after a rejection and the endgame jump included) reuses.  The start
 point at tau = 0 evaluates its tangent once, before the first step; only a
 point whose Jacobian was singular evaluates it again, in predict.  The final
-residual is one y-only pass.  The input checks run once per solve and scan
-A a block of slices A[i] at a time, so their temporaries hold at most
-max(n^{m-1}, tensor.SCAN_BLOCK_ENTRIES) entries, not n^m.
+residual is one y-only pass.  The input checks run once per solve.  The
+nonnegativity scan keeps n-1 row minima of a strided view of A's
+off-diagonal entries and masks one row only when it finds a negative entry;
+the irreducibility scan masks A a block of slices A[i] at a time, so its
+temporaries hold at most max(n^{m-1}, tensor.SCAN_BLOCK_ENTRIES) entries,
+not n^m, and a block with no zero entry skips its per-mode reductions.
 
 The kernel reads A in slice blocks too.  An input of up to
 tensor.KERNEL_BLOCK_ENTRIES entries is one block, evaluated inline on the
@@ -193,7 +196,8 @@ def _system(T, S, tau, lam, x):
     m, n = T.order, T.dim
     yT, JT = T.tvp_and_jacobian(x)
     yS, JS = S.tvp_and_jacobian(x)
-    xp = x ** (m - 1)
+    xq = x ** (m - 2)
+    xp = xq * x
     r = np.empty(n + 1)
     r[:n] = tau * yT + (1.0 - tau) * yS - lam * xp
     r[n] = x @ x - 1.0
@@ -209,7 +213,8 @@ def _system(T, S, tau, lam, x):
     blend += JS
     # Entries (i, i+1) sit at flat offsets 1 + i*(n+2): a strided view, where
     # fancy indexing would hold two index arrays at the solve's memory peak.
-    J.reshape(-1)[1 :: n + 2] -= lam * (m - 1) * x ** (m - 2)
+    xq *= lam * (m - 1)
+    J.reshape(-1)[1 :: n + 2] -= xq
     J[n, 1:] = 2.0 * x
     dH = np.empty(n + 1)
     np.subtract(yT, yS, out=dH[:n])

@@ -95,8 +95,8 @@ def add_identity(T, c):
     return Tensor(data)
 
 
-# The input scans and the kernel read T[i0:i1], a block of slices by first
-# index, at a time; these are their block budgets in entries.
+# weak_irreducibility_check and the kernel read T[i0:i1], a block of slices
+# by first index, at a time; these are their block budgets in entries.
 SCAN_BLOCK_ENTRIES = 1 << 16
 KERNEL_BLOCK_ENTRIES = 1 << 20
 
@@ -184,22 +184,24 @@ def _pool():
 def essential_nonnegativity_violation(T):
     """First off-diagonal multi-index (1-based) with a negative entry, or None.
 
-    Scans a block of slices at a time, so its mask holds at most
-    max(n^{m-1}, SCAN_BLOCK_ENTRIES) entries.  The one diagonal entry of
-    slice T[i], (i, ..., i), sits at flat offset i * (1 + n + ... + n^{m-2})
-    in it.
+    The diagonal entries sit at flat offsets i*D, D = 1 + n + ... + n^{m-1},
+    and n^m - 1 = (n-1)*D, so the flat data less its last entry, as n-1 rows
+    of D, holds one diagonal entry at the head of each row: dropping column 0
+    leaves a strided view of exactly the off-diagonal entries, in C order.
+    The scan takes its row minima, n-1 floats and no mask; only a row with a
+    negative minimum is masked, to find its first negative entry.
     """
     m, n = T.order, T.dim
-    size = n ** (m - 1)
-    step = sum(n**k for k in range(m - 1))
-    for i0, i1 in _slice_blocks(T, SCAN_BLOCK_ENTRIES):
-        neg = T.data[i0:i1].reshape(i1 - i0, size) < 0
-        r = np.arange(i1 - i0)
-        neg[r, (i0 + r) * step] = False
-        if neg.any():
-            first = i0 * size + int(neg.argmax())  # argmax: first True in C order
-            return tuple(int(k) + 1 for k in np.unravel_index(first, T.data.shape))
-    return None
+    if n == 1:
+        return None
+    D = sum(n**k for k in range(m))
+    off = T.entries[:-1].reshape(n - 1, D)[:, 1:]
+    mins = np.minimum.reduce(off, axis=1)
+    if np.minimum.reduce(mins) >= 0:
+        return None
+    row = int((mins < 0).argmax())  # argmax: first True
+    first = row * D + 1 + int((off[row] < 0).argmax())
+    return tuple(int(k) + 1 for k in np.unravel_index(first, T.data.shape))
 
 
 def require_essentially_nonnegative(T):
@@ -275,10 +277,12 @@ class ShiftedTensor:
         x = _check_vector(self, x)
         m = self.order
         y, J = _by_blocks(self.A, _kernel_rows, x)
-        _add_shift_terms(y, x, x ** (m - 1), m, self.alpha, self.eps)
+        xq = x ** (m - 2)
+        _add_shift_terms(y, x, xq * x, m, self.alpha, self.eps)
         # J is a fresh C-ordered n-by-n array: its diagonal is every
         # (n+1)-th entry of the flat view.
-        J.reshape(-1)[:: self.dim + 1] += self.alpha * (m - 1) * x ** (m - 2)
+        xq *= self.alpha * (m - 1)
+        J.reshape(-1)[:: self.dim + 1] += xq
         if self.eps:
             J += self.eps * (m - 1) * x.sum() ** (m - 2)
         return y, J
@@ -391,6 +395,11 @@ def weak_irreducibility_check(A):
     adj = np.zeros((n, n), dtype=bool)
     for i0, i1 in _slice_blocks(A, SCAN_BLOCK_ENTRIES):
         nz = A.data[i0:i1] != 0
+        # A zero-free block links its rows to every node: skip its m-1
+        # reductions.  count_nonzero on a bool mask is a popcount.
+        if np.count_nonzero(nz) == nz.size:
+            adj[i0:i1] = True
+            continue
         for k in range(1, m):
             axes = tuple(ax for ax in range(1, m) if ax != k)
             adj[i0:i1] |= nz.any(axis=axes) if axes else nz

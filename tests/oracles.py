@@ -160,6 +160,22 @@ def fd_jacobian(f, x, h=None):
     return np.column_stack(cols)
 
 
+def solve_conditioned_reference(M, rhs, rtol):
+    """np.linalg.solve's y, or None where the conditioning check as first
+    written in ``linalg.solve`` rejects the system: LAPACK's singular error,
+    a non-finite y, or ||M||_inf ||y||_inf > ||rhs||_inf / rtol, each norm
+    through the array methods."""
+    try:
+        y = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(y).all():
+        return None
+    if np.abs(M).sum(axis=1).max() * np.abs(y).max() > np.abs(rhs).max() / rtol:
+        return None
+    return y
+
+
 def essential_nonnegativity_violation_naive(data):
     """First off-diagonal multi-index (1-based) of a negative entry, found by
     filtering np.argwhere over a full n^m mask."""

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teneig.linalg import (
@@ -11,7 +11,7 @@ from teneig.linalg import (
     solve,
 )
 
-from oracles import fd_jacobian
+from oracles import fd_jacobian, solve_conditioned_reference
 
 
 def well_conditioned(rng, k, cond=1e3):
@@ -152,6 +152,42 @@ def test_solve_rejects_a_non_finite_solution():
     for M, rhs in ((np.eye(1), [np.inf]), ([[1e-300]], [1e300])):
         with pytest.raises(SingularMatrixError):
             solve(np.array(M), np.array(rhs))
+
+
+@st.composite
+def linear_systems(draw):
+    """(M, rhs): a random system, its rows scaled by up to 1e+-150, or a
+    rank-deficient matrix plus a perturbation of size delta."""
+    k = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "row_scaled", "near_singular"]))
+    M = rng.standard_normal((k, k))
+    if kind == "row_scaled":
+        M *= 10.0 ** rng.uniform(-150.0, 150.0, (k, 1))
+    elif kind == "near_singular":
+        rank = draw(st.integers(0, k - 1))
+        M = rng.standard_normal((k, rank)) @ rng.standard_normal((rank, k))
+        M += draw(st.sampled_from([0.0, 1e-17, 1e-15, 1e-13, 1e-10])) * rng.standard_normal((k, k))
+    return M, rng.standard_normal(k)
+
+
+@given(linear_systems())
+@example((np.eye(2), np.array([np.nan, 1.0])))
+@example((np.array([[1e-300]]), np.array([1e300])))
+@example((np.diag([1e-160, 1e160]), np.ones(2)))
+@settings(max_examples=200)
+def test_solve_rejects_exactly_what_the_reference_check_rejects(system):
+    # Each decision, and each returned y, must be the reference's bit for
+    # bit.  A row-scaled system can overflow ||M|| ||y|| to inf (the diag
+    # example: 1e160 * 1e160), which both checks then compare as inf.
+    M, rhs = system
+    with np.errstate(over="ignore"):
+        expected = solve_conditioned_reference(M, rhs, PIVOT_RTOL)
+        if expected is None:
+            with pytest.raises(SingularMatrixError):
+                solve(M, rhs)
+        else:
+            assert solve(M, rhs).tobytes() == expected.tobytes()
 
 
 def test_singular_error_names_a_pivot_only_when_given():

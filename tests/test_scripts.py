@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts: each exits 0 and prints its table."""
 
+import json
 import os
 import subprocess
 import sys
@@ -62,3 +63,18 @@ def test_compare_reports_finds_no_difference_between_a_tree_and_itself():
         "largest relative lambda difference: 0",
         "largest relative lambda_shifted difference: 0",
     ]
+
+
+def test_paired_bench_runs_a_tree_against_itself():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "paired_bench.py"), str(ROOT), str(ROOT),
+         "--workload", "scaled_small", "--pairs", "1", "--seconds", "0.2", "--seed0", "1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    assert [line.split()[0] for line in lines if line.startswith("pair ")] == ["pair", "pair"]
+    assert [line.split()[0] for line in lines[-len(names):]] == names

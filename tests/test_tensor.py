@@ -594,8 +594,9 @@ def test_irreducibility_one_way_chain_false():
 @st.composite
 def planted_tensors(draw):
     """m = 2..5, n = 1..6: a sparse nonnegative pattern, a diagonal of either
-    sign, and negative entries planted at drawn multi-indices (on the
-    diagonal when all of a drawn index's entries coincide)."""
+    sign, and negative entries, -0.0 among them, planted at drawn
+    multi-indices (on the diagonal when all of a drawn index's entries
+    coincide)."""
     m, n = draw(st.integers(2, 5)), draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]))
@@ -604,7 +605,7 @@ def planted_tensors(draw):
     index = st.tuples(*[st.integers(0, n - 1)] * m)
     on_diagonal = st.integers(0, n - 1).map(lambda i: (i,) * m)
     for idx in draw(st.lists(st.one_of(index, on_diagonal), max_size=4)):
-        data[idx] = -draw(st.floats(1e-300, 1e3))
+        data[idx] = -draw(st.one_of(st.just(0.0), st.floats(1e-300, 1e3)))
     return Tensor(data)
 
 
@@ -636,6 +637,64 @@ def test_input_scans_allocate_no_full_mask(scan):
     finally:
         tracemalloc.stop()
     assert peak < 0.02 * A.data.nbytes
+
+
+def _ones_with(m, n, entries):
+    data = np.ones((n,) * m)
+    for flat, value in entries.items():
+        data.reshape(-1)[flat] = value
+    return Tensor(data)
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (2, 5), (3, 1), (3, 4), (5, 3)])
+def test_nonnegativity_scan_edge_offsets(m, n):
+    # The off-diagonal entries run from flat offset 1 to n^m - 2, between
+    # the first and last diagonal entries; a diagonal entry of either sign
+    # and a -0.0 are never violations.
+    last = n**m - 1
+    cases = [({0: -1.0, last: -1.0}, None)]
+    if n > 1:
+        cases += [
+            ({1: -2.0}, (1,) * (m - 1) + (2,)),
+            ({last - 1: -2.0}, (n,) * (m - 1) + (n - 1,)),
+            ({last - 1: -2.0, 1: -0.0}, (n,) * (m - 1) + (n - 1,)),
+            ({1: -0.0, last - 1: -0.0, 0: -1.0}, None),
+        ]
+    for entries, expected in cases:
+        T = _ones_with(m, n, entries)
+        assert essential_nonnegativity_violation(T) == expected
+        assert essential_nonnegativity_violation_naive(T.data) == expected
+
+
+@pytest.mark.parametrize("block", [1, 7, 100])
+@pytest.mark.parametrize("tail, irreducible", [(None, False), ((5, 5, 0), True)])
+def test_irreducibility_scan_mixes_zero_free_and_sparse_blocks(monkeypatch, block, tail, irreducible):
+    # Slices 0, 1 and 3 are zero-free, 2 and 4 hold one entry each, and 5 is
+    # empty (nothing leaves node 5) or links 5 -> 0.  At block 100 a scan
+    # block holds two slices, so zero-free and sparse slices share one.
+    rng = np.random.default_rng(4)
+    data = rng.uniform(0.1, 1.0, (6, 6, 6))
+    data[[2, 4, 5]] = 0.0
+    data[2, 0, 1] = data[4, 3, 3] = 1.0
+    if tail is not None:
+        data[tail] = 1.0
+    monkeypatch.setattr(tensor, "SCAN_BLOCK_ENTRIES", block)
+    assert weak_irreducibility_check(Tensor(data)) is irreducible
+    assert weak_irreducibility_naive(data) is irreducible
+
+
+def test_nonnegativity_scan_holds_no_mask_on_valid_input():
+    # Row minima only: n-1 floats.  A 2^16-entry bool mask would be ~0.008x.
+    import tracemalloc
+
+    A = random_instance(3, 100, seed=60)
+    tracemalloc.start()
+    try:
+        assert essential_nonnegativity_violation(A) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.001 * A.data.nbytes
 
 
 # ------------------------------------------------------------------ EigenPair
