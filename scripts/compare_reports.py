@@ -31,25 +31,38 @@ METHODS = {"solve": ("homotopy",), "pta": ("pta",), "roundtrip": ("homotopy", "p
 SKIPPED = ("wall_time_s",)
 
 
-def dump(tree, groups, seeds):
-    """Print one JSON line per report, made with the teneig of ``tree``."""
+def import_teneig(tree):
+    """teneig imported from ``tree``/src, with this repository's perfbench importable."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(ROOT, "perfbench")]
     import teneig
-    import workloads
 
     src = os.path.realpath(os.path.join(tree, "src"))
     if not os.path.realpath(teneig.__file__).startswith(src + os.sep):
         raise SystemExit("teneig imported from %s, not from %s" % (teneig.__file__, src))
+    return teneig
+
+
+def benchmark_cases(teneig, groups, seeds):
+    """(group, seed, index, case) for every case the groups' builders make at each seed."""
+    import workloads
+
     builders = dict(workloads.BUILDERS, known_defects=workloads.known_defects)
-    solvers = {"homotopy": teneig.solve_dominant, "pta": teneig.pta_solve}
     for seed in seeds:
         for group in groups:
             for i, case in enumerate(builders[group](teneig, seed)):
-                for kind in case.kinds:
-                    for method in METHODS[kind]:
-                        rep = solvers[method](case.tensor).to_dict()
-                        key = [group, seed, i, case.label, method]
-                        print(json.dumps({"key": key, "report": rep}))
+                yield group, seed, i, case
+
+
+def dump(tree, groups, seeds):
+    """Print one JSON line per report, made with the teneig of ``tree``."""
+    teneig = import_teneig(tree)
+    solvers = {"homotopy": teneig.solve_dominant, "pta": teneig.pta_solve}
+    for group, seed, i, case in benchmark_cases(teneig, groups, seeds):
+        for kind in case.kinds:
+            for method in METHODS[kind]:
+                rep = solvers[method](case.tensor).to_dict()
+                key = [group, seed, i, case.label, method]
+                print(json.dumps({"key": key, "report": rep}))
 
 
 def reports(tree, groups, seeds):

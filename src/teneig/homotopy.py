@@ -26,10 +26,10 @@ none after the start: the corrector's converged iterate has just evaluated
 the system at the accepted point, so it also solves for the tangent there
 and hands on that n+1 vector, which every prediction from the point (its
 retries after a rejection and the endgame jump included) reuses.  The start
-point at tau = 0 evaluates its tangent once, before the first step; only a
-point whose Jacobian was singular evaluates it again, in predict.  The final
-residual is one y-only pass.  The input checks run once per solve.  The
-nonnegativity scan keeps n-1 row minima of a strided view of A's
+point at tau = 0 evaluates its tangent once, before the first step; a point
+whose Jacobian is singular carries none, and predicting from it raises at
+once.  The final residual is one y-only pass.  The input checks run once per
+solve.  The nonnegativity scan keeps n-1 row minima of a strided view of A's
 off-diagonal entries and masks one row only when it finds a negative entry;
 the irreducibility scan masks A a block of slices A[i] at a time, so its
 temporaries hold at most max(n^{m-1}, tensor.SCAN_BLOCK_ENTRIES) entries,
@@ -128,19 +128,16 @@ class HomotopyConfig:
 
 @dataclass
 class PathState:
-    """Current point on the solution curve plus step-control history."""
+    """Point u = (lam, x...) on the solution curve at tau, its path tangent
+    (JH g = -dH/dtau; None where JH is singular) and step-control history."""
 
     tau: float
-    lam: float
-    x: np.ndarray = field(repr=False)
+    u: np.ndarray = field(repr=False)
+    tangent: np.ndarray | None = field(repr=False)
     dtau: float
     last_two_uncut: tuple = (False, False)
     step_count: int = 0
     newton_total: int = 0
-    # The path tangent at this very point, left by the corrector that
-    # accepted it; None makes predict evaluate it.  Not an __init__ argument,
-    # so a state built by a caller or by dataclasses.replace has none.
-    tangent: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -222,19 +219,12 @@ def _system(T, S, tau, lam, x):
     return r, J, dH
 
 
-def predict(T, S, state, dtau):
-    """Euler predictor: move along the path tangent at the current state.
-
-    Returns u + dtau * g with u = (lam, x) and g the tangent, JH * g =
-    -dH/dtau.  g is state.tangent when the solver left one there, else it is
-    solved for here, which raises SingularMatrixError when the Jacobian
-    degenerates.
-    """
-    g = state.tangent
-    if g is None:
-        _, J, dH = _system(T, S, state.tau, state.lam, state.x)
-        g = solve(J, -dH)
-    return np.concatenate([[state.lam], state.x]) + dtau * g
+def predict(state, dtau):
+    """Euler predictor u + dtau * g from the state's point u and tangent g;
+    SingularMatrixError when it has none, its Jacobian being singular."""
+    if state.tangent is None:
+        raise SingularMatrixError()
+    return state.u + dtau * state.tangent
 
 
 def newton_correct(T, S, tau, u0, tol, cap):
@@ -297,25 +287,19 @@ def _step(T, S, state, dtau, tau_next, tol, cap):
     of _STEP_FAILURES.  A nonpositive component means Newton left the
     strictly positive curve for a sign-mixed eigenpair of the blend.
     """
-    ubar = predict(T, S, state, dtau)
+    ubar = predict(state, dtau)
     u, iters, g = newton_correct(T, S, tau_next, ubar, tol, cap)
     if u[1:].min() <= 0.0:
         raise PositivityLost(iters)
     return u, iters, g
 
 
-def endgame(T, S, u_at_beta, config, beta, tangent=None):
-    """Final jump from tau = beta to tau = 1 with Newton polish.
-
-    The last prediction-correction step, over 1 - beta and to the tight
-    tolerance eps2.  ``tangent`` is the path tangent at u_at_beta when the
-    caller has it; None evaluates it.  Returns (EigenPair, newton_iterations).
-    """
-    u = np.asarray(u_at_beta, dtype=float)
-    state = PathState(tau=beta, lam=u[0], x=u[1:], dtau=1.0 - beta)
-    state.tangent = tangent
-    v, iters, _ = _step(T, S, state, 1.0 - beta, 1.0, config.eps2, NEWTON_CAP_ENDGAME)
-    return EigenPair(v[0], v[1:]), iters
+def endgame(T, S, state, config):
+    """Final jump from the path's state at tau = beta to tau = 1: one more
+    prediction-correction step, to the tight tolerance eps2 with a larger
+    Newton cap.  Returns (EigenPair, newton_iterations)."""
+    u, iters, _ = _step(T, S, state, 1.0 - state.tau, 1.0, config.eps2, NEWTON_CAP_ENDGAME)
+    return EigenPair(u[0], u[1:]), iters
 
 
 def _solve_shifted(A, alpha, config, a, b, use_perturbation):
@@ -328,11 +312,9 @@ def _solve_shifted(A, alpha, config, a, b, use_perturbation):
     T = ShiftedTensor(A, alpha, config.eps_perturb if use_perturbation else 0.0)
     S = start_system(a, b, m)
     start = start_pair(a, b, m)
-    state = PathState(tau=0.0, lam=start.lam, x=np.array(start.x), dtau=config.dtau0)
-    # Every retry of a rejected first step predicts from this tangent; where
-    # it is singular predict solves again and raises.
-    state.tangent = _tangent(*_system(T, S, 0.0, state.lam, state.x)[1:])
-    min_x = float(state.x.min())
+    u = np.concatenate([[start.lam], start.x])
+    state = PathState(0.0, u, _tangent(*_system(T, S, 0.0, u[0], u[1:])[1:]), config.dtau0)
+    min_x = float(u[1:].min())
 
     def follow(target):
         """Step until tau = target is accepted; False at max_steps or the DTAU_MIN floor."""
@@ -357,12 +339,9 @@ def _solve_shifted(A, alpha, config, a, b, use_perturbation):
                     return False
                 state.dtau = max(0.5 * dtau, DTAU_MIN)
                 continue
-            state.tau = tau_next
-            state.lam = float(u_new[0])
-            state.x = u_new[1:]
-            state.tangent = g
+            state.tau, state.u, state.tangent = tau_next, u_new, g
             state.newton_total += iters
-            min_x = min(min_x, float(state.x.min()))
+            min_x = min(min_x, float(u_new[1:].min()))
             state.dtau = update_step_size(state, iters)
         return True
 
@@ -375,8 +354,7 @@ def _solve_shifted(A, alpha, config, a, b, use_perturbation):
             break
         jumps += 1
         try:
-            u = np.concatenate([[state.lam], state.x])
-            pair, iters = endgame(T, S, u, config, beta=beta, tangent=state.tangent)
+            pair, iters = endgame(T, S, state, config)
         except _STEP_FAILURES as exc:
             state.newton_total += getattr(exc, "iterations", 0)
             status = "endgame_failure"
@@ -385,23 +363,21 @@ def _solve_shifted(A, alpha, config, a, b, use_perturbation):
         status = "converged"
         break
 
-    if pair is not None:
-        lam_shift, x = pair.lam, np.array(pair.x)
-        min_x = min(min_x, float(x.min()))
+    if pair is None:
+        pair = EigenPair(float(state.u[0]), state.u[1:])
     else:
-        x = state.x / np.linalg.norm(state.x)
-        lam_shift = state.lam
-    residual = float(np.linalg.norm(eigen_residual(T, lam_shift, x)))
+        min_x = min(min_x, float(pair.x.min()))
+    residual = float(np.linalg.norm(eigen_residual(T, pair.lam, pair.x)))
     return SolveReport(
         method="homotopy",
         status=status,
-        eigen=EigenPair(lam_shift - T.alpha, x),
+        eigen=EigenPair(pair.lam - T.alpha, pair.x),
         residual_norm=residual,
         iter=state.step_count + jumps,
         nwtiter=state.newton_total,
         perturbed=use_perturbation,
         alpha=T.alpha,
-        lambda_shifted=lam_shift,
+        lambda_shifted=pair.lam,
         path_min_x=min_x,
     )
 

@@ -47,11 +47,13 @@ def solve(M, rhs):
         raise SingularMatrixError() from None
     # The reductions behind .sum(axis=1).max(), without the method wrappers.
     # np.maximum propagates NaN, so ny is finite exactly when every y_i is.
-    ny = np.maximum.reduce(np.abs(y))
+    # The norms are Python floats, whose products overflow to inf silently
+    # where numpy scalars would warn; the IEEE operations are the same.
+    ny = float(np.maximum.reduce(np.abs(y)))
     if not math.isfinite(ny):
         raise SingularMatrixError()
-    nM = np.maximum.reduce(np.add.reduce(np.abs(M), axis=1))
-    if nM * ny > np.maximum.reduce(np.abs(rhs)) / PIVOT_RTOL:
+    nM = float(np.maximum.reduce(np.add.reduce(np.abs(M), axis=1)))
+    if nM * ny > float(np.maximum.reduce(np.abs(rhs))) / PIVOT_RTOL:
         raise SingularMatrixError()
     return y
 

@@ -63,7 +63,8 @@ def pta_solve(A, config=None):
         x = y**ex
         x /= math.sqrt(x @ x)
         lo = float(np.minimum.reduce(x))
-        assert lo > 0.0, "iterate left the positive cone"
+        if not lo > 0.0:  # NaN too; an explicit raise also runs under python -O
+            raise AssertionError("iterate left the positive cone")
         min_x = min(min_x, lo)
         iters += 1
     return SolveReport(

@@ -20,6 +20,7 @@ from teneig.homotopy import (
     DTAU_MIN,
     PathState,
     _system,
+    _tangent,
     endgame,
     newton_correct,
     predict,
@@ -51,6 +52,12 @@ def positive_instance(m=3, n=3, seed=0):
     T = Tensor(rng.uniform(0.1, 1.0, size=(n,) * m))
     S = rank_one_start(np.ones(n), np.ones(n), m)
     return T, S
+
+
+def path_state(T, S, tau, u, dtau):
+    """A PathState at u = (lam, x...) carrying its path tangent, as the solver's do."""
+    u = np.asarray(u, dtype=float)
+    return PathState(tau, u, _tangent(*_system(T, S, tau, u[0], u[1:])[1:]), dtau)
 
 
 def polished_path_point(T, S, tau_target, tol=1e-13):
@@ -228,16 +235,16 @@ def test_tau_derivative_sparse_demo_frozen():
 def test_predict_zero_step_returns_current_point():
     T, S = positive_instance(seed=14)
     pair = start_pair(np.ones(3), np.ones(3), 3)
-    state = PathState(tau=0.0, lam=pair.lam, x=np.array(pair.x), dtau=0.1)
-    u = predict(T, S, state, dtau=0.0)
+    state = path_state(T, S, 0.0, np.concatenate([[pair.lam], pair.x]), 0.1)
+    u = predict(state, dtau=0.0)
     assert np.array_equal(u, np.concatenate([[pair.lam], pair.x]))
 
 
 def test_predict_stationary_when_systems_coincide():
     _, S = positive_instance(seed=15)
     pair = start_pair(np.ones(3), np.ones(3), 3)
-    state = PathState(tau=0.2, lam=pair.lam, x=np.array(pair.x), dtau=0.3)
-    u = predict(S, S, state, state.dtau)
+    state = path_state(S, S, 0.2, np.concatenate([[pair.lam], pair.x]), 0.3)
+    u = predict(state, state.dtau)
     assert np.allclose(u, np.concatenate([[pair.lam], pair.x]), atol=1e-14)
 
 
@@ -245,10 +252,10 @@ def test_predict_is_second_order_in_step():
     T, S = positive_instance(seed=16)
     tau = 0.3
     u = polished_path_point(T, S, tau)
-    state = PathState(tau=tau, lam=float(u[0]), x=u[1:], dtau=0.08)
+    state = path_state(T, S, tau, u, 0.08)
     residuals = []
     for dtau in (0.08, 0.04):
-        ubar = predict(T, S, state, dtau=dtau)
+        ubar = predict(state, dtau=dtau)
         residuals.append(
             np.linalg.norm(homotopy_residual(T, S, tau + dtau, ubar[0], ubar[1:]))
         )
@@ -257,18 +264,16 @@ def test_predict_is_second_order_in_step():
 
 
 def test_corrector_hands_on_the_predictors_tangent():
-    # the tangent newton_correct returns is the one predict would solve for
-    # at the converged point, bit for bit; a state built here carries none
-    from dataclasses import replace
-
+    # the tangent newton_correct returns is the one solved for afresh at the
+    # converged point, bit for bit, and predict steps along it; a state
+    # without a tangent predicts nothing
     T, S = positive_instance(seed=16)
     u = polished_path_point(T, S, 0.3)
     v, _, g = newton_correct(T, S, 0.3, u, 1e-5, 10)
-    state = PathState(tau=0.3, lam=float(v[0]), x=v[1:], dtau=0.1)
-    assert state.tangent is None
-    assert np.array_equal(predict(T, S, state, dtau=1.0), v + g)
-    state.tangent = g
-    assert replace(state).tangent is None
+    assert np.array_equal(g, _tangent(*_system(T, S, 0.3, v[0], v[1:])[1:]))
+    assert np.array_equal(predict(PathState(0.3, v, g, 0.1), dtau=1.0), v + g)
+    with pytest.raises(SingularMatrixError):
+        predict(PathState(0.3, v, None, 0.1), dtau=1.0)
     # at tau = 1 the path ends, so no tangent is solved for
     pair = start_pair(np.ones(3), np.ones(3), 3)
     u0 = np.concatenate([[pair.lam], pair.x])
@@ -361,25 +366,25 @@ def test_newton_validates_arguments():
 
 
 def test_step_halves_after_slow_newton():
-    state = PathState(tau=0.3, lam=1.0, x=np.ones(3), dtau=0.1)
+    state = PathState(tau=0.3, u=np.ones(4), tangent=None, dtau=0.1)
     assert update_step_size(state, 5) == 0.05
     assert state.last_two_uncut[-1] is False
 
 
 def test_step_doubles_after_two_uncut_steps_with_cap():
     state = PathState(
-        tau=0.3, lam=1.0, x=np.ones(3), dtau=0.3, last_two_uncut=(False, True)
+        tau=0.3, u=np.ones(4), tangent=None, dtau=0.3, last_two_uncut=(False, True)
     )
     assert update_step_size(state, 2) == DTAU_MAX == 0.4  # doubled then capped
 
 
 def test_step_floor_holds():
-    state = PathState(tau=0.3, lam=1.0, x=np.ones(3), dtau=1e-6)
+    state = PathState(tau=0.3, u=np.ones(4), tangent=None, dtau=1e-6)
     assert update_step_size(state, 5) == DTAU_MIN == 1e-6
 
 
 def test_step_unchanged_on_first_uncut_step():
-    state = PathState(tau=0.0, lam=1.0, x=np.ones(3), dtau=0.1)
+    state = PathState(tau=0.0, u=np.ones(4), tangent=None, dtau=0.1)
     assert update_step_size(state, 2) == 0.1  # only one uncut step so far
     assert update_step_size(state, 3) == 0.2  # second uncut step doubles
 
@@ -390,7 +395,7 @@ def test_step_unchanged_on_first_uncut_step():
     st.tuples(st.booleans(), st.booleans()),
 )
 def test_step_update_stays_clamped(dtau, iters, window):
-    state = PathState(tau=0.5, lam=1.0, x=np.ones(2), dtau=dtau, last_two_uncut=window)
+    state = PathState(tau=0.5, u=np.ones(3), tangent=None, dtau=dtau, last_two_uncut=window)
     out = update_step_size(state, iters)
     assert DTAU_MIN <= out <= DTAU_MAX
 
@@ -402,7 +407,8 @@ def test_endgame_trivial_when_systems_coincide():
     _, S = positive_instance(seed=25)
     pair = start_pair(np.ones(3), np.ones(3), 3)
     cfg = HomotopyConfig()
-    got, iters = endgame(S, S, np.concatenate([[pair.lam], pair.x]), cfg, cfg.beta)
+    state = path_state(S, S, cfg.beta, np.concatenate([[pair.lam], pair.x]), 1.0 - cfg.beta)
+    got, iters = endgame(S, S, state, cfg)
     assert iters == 0
     assert got.lam == pytest.approx(pair.lam, abs=1e-12)
     assert np.allclose(got.x, pair.x, atol=1e-12)
@@ -414,11 +420,11 @@ def test_failed_jump_retries_once_closer_to_one(monkeypatch):
     real = homotopy.endgame
     betas = []
 
-    def stalls_once(T, S, u, config, beta=None, tangent=None):
-        betas.append(beta)
+    def stalls_once(T, S, state, config):
+        betas.append(state.tau)
         if len(betas) == 1:
             raise NewtonStalled(3)
-        return real(T, S, u, config, beta=beta, tangent=tangent)
+        return real(T, S, state, config)
 
     monkeypatch.setattr(homotopy, "endgame", stalls_once)
     rep = solve_dominant(dense_demo())
@@ -457,6 +463,28 @@ def _count_kernel_calls(monkeypatch, name="tvp_and_jacobian"):
 
     monkeypatch.setattr(ShiftedTensor, name, counted)
     return calls
+
+
+def test_a_point_with_a_singular_jacobian_carries_no_tangent(monkeypatch):
+    # the start point's Jacobian is zeroed, so it carries no tangent and every
+    # try of the first step is rejected at once, down to the DTAU_MIN floor
+    # (17 halvings and one more try there): the start is the only evaluation
+    from teneig import homotopy
+
+    real = homotopy._system
+
+    def singular_at_start(T, S, tau, lam, x):
+        r, J, dH = real(T, S, tau, lam, x)
+        if tau == 0.0:
+            J[:] = 0.0
+        return r, J, dH
+
+    monkeypatch.setattr(homotopy, "_system", singular_at_start)
+    calls = _count_kernel_calls(monkeypatch)
+    rep = solve_dominant(dense_demo())
+    assert rep.status == "step_limit"
+    assert (rep.iter, rep.nwtiter) == (18, 0)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("A", [dense_demo(), random_instance(3, 20, seed=40)])

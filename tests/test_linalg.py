@@ -154,6 +154,16 @@ def test_solve_rejects_a_non_finite_solution():
             solve(np.array(M), np.array(rhs))
 
 
+def test_solve_checks_conditioning_without_overflow_warnings():
+    # ||M|| ||y|| overflows to inf in the first system and ||rhs|| / PIVOT_RTOL
+    # in the second, which is well conditioned; the suite turns warnings into
+    # errors, so neither may warn
+    with pytest.raises(SingularMatrixError):
+        solve(np.diag([1e-160, 1e160]), np.ones(2))
+    rhs = np.array([1e300, 1.0])
+    assert np.array_equal(solve(np.eye(2), rhs), rhs)
+
+
 @st.composite
 def linear_systems(draw):
     """(M, rhs): a random system, its rows scaled by up to 1e+-150, or a

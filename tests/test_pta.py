@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +99,26 @@ def test_pta_validates_input():
     bad[0, 1, 1] = -1.0
     with pytest.raises(EssentialNonnegativityError):
         pta_solve(Tensor(bad))
+
+
+def test_positivity_check_runs_under_python_O():
+    # at scale 1e307 the first sweep overflows to a NaN iterate; the check
+    # must stop it there also where python -O strips assert statements
+    code = (
+        "from teneig import Tensor, pta_solve; from teneig.instances import random_instance; "
+        "pta_solve(Tensor(random_instance(3, 10, seed=1).data * 1e307))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-W", "ignore", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=30,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == "AssertionError: iterate left the positive cone"
 
 
 # --------------------------------------------------------- rate estimate

@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts: each exits 0 and prints its table."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -78,3 +79,26 @@ def test_paired_bench_runs_a_tree_against_itself():
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
     assert [line.split()[0] for line in lines if line.startswith("pair ")] == ["pair", "pair"]
     assert [line.split()[0] for line in lines[-len(names):]] == names
+
+
+def test_traffic_coverage_lists_the_lines_no_benchmark_case_runs():
+    from teneig import homotopy
+
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "traffic_coverage.py"),
+         "--groups", "scaled_small", "--seeds", "1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1].startswith("unexecuted: ")
+    rows = {line.split(":")[0].strip(): line for line in lines if line.startswith("  ")}
+    # no benchmark point has a singular Jacobian, so predict never raises;
+    # the reference LU is called by tests alone
+    src, first = inspect.getsourcelines(homotopy.predict)
+    (raise_line,) = [first + i for i, text in enumerate(src) if "raise " in text]
+    assert rows["predict"] == "  predict: %d" % raise_line
+    assert "lu_factor" in rows
+    assert "_system" not in rows
