@@ -268,7 +268,7 @@ class ShiftedTensor:
         """T x^{m-1}: A's contraction plus the closed-form terms."""
         x = _check_vector(self, x)
         m = self.order
-        y = _by_blocks(self.A, _tvp_rows, x)[0]
+        y = self.A.tvp(x)
         _add_shift_terms(y, x, x ** (m - 1), m, self.alpha, self.eps)
         return y
 
@@ -276,7 +276,7 @@ class ShiftedTensor:
         """(T x^{m-1}, its Jacobian in x): A's kernel plus the closed-form terms."""
         x = _check_vector(self, x)
         m = self.order
-        y, J = _by_blocks(self.A, _kernel_rows, x)
+        y, J = self.A.tvp_and_jacobian(x)
         xq = x ** (m - 2)
         _add_shift_terms(y, x, xq * x, m, self.alpha, self.eps)
         # J is a fresh C-ordered n-by-n array: its diagonal is every
@@ -319,10 +319,6 @@ class RankOne:
     @property
     def dim(self):
         return self.b.shape[0]
-
-    def tvp(self, x):
-        x = _check_vector(self, x)
-        return (self.b @ x) ** (self.order - 1) * self.c
 
     def tvp_and_jacobian(self, x):
         x = _check_vector(self, x)
@@ -372,8 +368,8 @@ def _positive_pair(a, b):
 def eigen_residual(T, lam, x):
     """Stacked residual (T x^{m-1} - lam * x^{[m-1]}; x.x - 1) of length n+1.
 
-    T is any operator with ``order`` and ``tvp``: a Tensor, a ShiftedTensor
-    or a RankOne.  One pass over a Tensor's data, with no Jacobian.
+    T is any operator with ``order`` and ``tvp``: a Tensor or a
+    ShiftedTensor.  One pass over a Tensor's data, with no Jacobian.
     """
     x = _check_vector(T, x)
     r = T.tvp(x) - lam * x ** (T.order - 1)

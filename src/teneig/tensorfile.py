@@ -18,19 +18,20 @@ written with 17 significant digits so a round trip is exact.
 Files move in bulk.  The writer formats a dense payload in blocks of
 six-value lines with one ``%`` call each, and a coo payload with one ``%``
 call (``"%.17g"`` is the routine behind ``format(v, ".17g")``, so the text is
-the same as a per-value writer's).  The reader takes the three header lines
-from a prefix of the text and parses the rest with one ``np.fromstring``
-call, which creates no Python object per value.  It keeps
-that result only if numpy raised nothing, warned nothing and returned exactly
-dim**order finite values; a payload with a comment, a header region with a
-line break other than ``\n`` or ``\r\n``, a coo file and every other outcome go
-through the line-by-line loop, which calls ``float()`` on each token.  So
-every token ``float()`` accepts is still accepted, every value is the one
+the same as a per-value writer's).  The reader finds the three header lines
+one at a time, at any line break ``str.splitlines`` breaks at, and parses a
+dense payload with one ``np.fromstring`` call, which creates no Python
+object per value.  It keeps that result only if numpy raised nothing, warned
+nothing and returned exactly dim**order finite values; a payload with a
+comment and every other outcome go through the line-by-line loop, which
+calls ``float()`` on each token; a coo payload always does.  So every
+token ``float()`` accepts is still accepted, every value is the one
 ``float()`` gives, and every error keeps its message and line number.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 from math import isfinite
 
@@ -47,8 +48,26 @@ class TensorFileError(ValueError):
         super().__init__("line %d: %s" % (line, message) if line else message)
 
 
-def _meaningful_lines(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+# The line breaks of str.splitlines.
+_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _meaningful_lines(text, head_end):
+    """(lineno, body) for each line of text with anything before a '#',
+    numbered as str.splitlines numbers them.  The first three, the header,
+    are found one at a time by a search for the next line break, and
+    head_end[0] is set to the offset after the third; the lines after it
+    come from one splitlines() of the rest."""
+    pos = lineno = found = 0
+    while found < 3 and pos < len(text):
+        brk = _BREAK.search(text, pos)
+        body = text[pos : brk.start() if brk else None].split("#", 1)[0].strip()
+        pos = head_end[0] = brk.end() if brk else len(text)
+        lineno += 1
+        if body:
+            found += 1
+            yield lineno, body
+    for lineno, raw in enumerate(text[pos:].splitlines(), start=lineno + 1):
         body = raw.split("#", 1)[0].strip()
         if body:
             yield lineno, body
@@ -68,52 +87,10 @@ def _header_int(lines, key):
         raise TensorFileError("expected an integer for '%s', got %r" % (key, parts[1]), lineno) from None
 
 
-def _bulk_dense(text):
-    """The dense tensor in text by one numpy parse, or None where the
-    line-by-line loop must decide (a coo file, a comment in the payload, any
-    error or doubt)."""
-    heads = []
-    pos = 0
-    while len(heads) < 3:
-        end = text.find("\n", pos) + 1
-        if not end:
-            return None
-        body = text[pos:end].split("#", 1)[0].split()
-        if body:
-            heads.append(body)
-        pos = end
-    # Lines are numbered by str.splitlines, which also breaks at "\r",
-    # "\x0b", "\x1c", "\u2028" ...; a header region with such a break has
-    # its lines elsewhere than "\n" says.
-    if len(text[:pos].splitlines()) != text.count("\n", 0, pos):
-        return None
-    if [h[0] for h in heads] != ["order", "dim", "format"] or any(len(h) != 2 for h in heads):
-        return None
-    try:
-        order, dim = int(heads[0][1]), int(heads[1][1])
-    except ValueError:
-        return None
-    if heads[2][1] != "dense" or order < 2 or dim < 1 or text.find("#", pos) >= 0:
-        return None
-    # numpy 1.x warns and returns the values read so far on unmatched text,
-    # where numpy 2 raises.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            values = np.fromstring(text[pos:], dtype=float, sep=" ")
-        except (ValueError, Warning):
-            return None
-    if values.size != dim**order or not np.isfinite(values).all():
-        return None
-    return Tensor(values.reshape((dim,) * order))
-
-
 def loads_tensor(text):
     """Parse a tensor from the text format."""
-    bulk = _bulk_dense(text)
-    if bulk is not None:
-        return bulk
-    lines = _meaningful_lines(text)
+    head_end = [0]
+    lines = _meaningful_lines(text, head_end)
     order = _header_int(lines, "order")
     dim = _header_int(lines, "dim")
     if order < 2 or dim < 1:
@@ -125,9 +102,20 @@ def loads_tensor(text):
     parts = body.split()
     if len(parts) != 2 or parts[0] != "format" or parts[1] not in ("dense", "coo"):
         raise TensorFileError("expected 'format dense' or 'format coo', got %r" % body, lineno)
-    if parts[1] == "dense":
-        return _parse_dense(lines, order, dim)
-    return _parse_coo(lines, order, dim)
+    if parts[1] == "coo":
+        return _parse_coo(lines, order, dim)
+    if text.find("#", head_end[0]) < 0:
+        # numpy 1.x warns and returns the values read so far on unmatched
+        # text, where numpy 2 raises.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                values = np.fromstring(text[head_end[0] :], dtype=float, sep=" ")
+            except (ValueError, Warning):
+                values = None
+        if values is not None and values.size == dim**order and np.isfinite(values).all():
+            return Tensor(values.reshape((dim,) * order))
+    return _parse_dense(lines, order, dim)
 
 
 def _parse_dense(lines, order, dim):

@@ -15,6 +15,7 @@ from teneig import (
     solve_dominant,
     start_pair,
     tvp,
+    weak_irreducibility_check,
 )
 from teneig.instances import dense_demo, random_instance
 from teneig.tensor import EssentialNonnegativityError, rank_one_start
@@ -190,3 +191,40 @@ def test_pta_holds_no_copy_of_the_input():
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * A.data.nbytes
+
+
+def _sparse_roundtrip_tensor():
+    """The benchmark's file_roundtrip coo(3,40) tensor at seed 33: about 1%
+    of the entries uniform in [0, 1), a diagonal in [-1, 0)."""
+    g = np.random.default_rng(np.random.SeedSequence([33, 3]).spawn(10)[8])
+    n = 40
+    data = np.where(g.random((n,) * 3) < 0.01, g.uniform(0.0, 1.0, (n,) * 3), 0.0)
+    data[(np.arange(n),) * 3] = g.uniform(-1.0, 0.0, n)
+    return Tensor(data)
+
+
+def _relative_bracket(A, lam, x):
+    """Width of the Collatz-Wielandt bracket of A at x > 0, widened to
+    include lam, over |lam|."""
+    r = np.einsum("ijk,j,k->i", A.data, x, x) / x**2
+    return (max(r.max(), lam) - min(r.min(), lam)) / abs(lam)
+
+
+def test_homotopy_certifies_the_sparse_roundtrip_tensor():
+    A = _sparse_roundtrip_tensor()
+    assert weak_irreducibility_check(A)
+    rep = solve_dominant(A)
+    assert rep.status == "converged" and not rep.perturbed
+    assert _relative_bracket(A, rep.eigen.lam, rep.eigen.x) <= 1e-6
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="PTA always iterates on A + eps, also on irreducible input; the eps "
+    "term biases lambda by about 1.1e-6 relative here (ROADMAP item 7)",
+)
+def test_pta_certifies_the_sparse_roundtrip_tensor():
+    A = _sparse_roundtrip_tensor()
+    rep = pta_solve(A)
+    assert rep.status == "converged"
+    assert _relative_bracket(A, rep.eigen.lam, rep.eigen.x) <= 1e-6

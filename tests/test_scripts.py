@@ -102,3 +102,25 @@ def test_traffic_coverage_lists_the_lines_no_benchmark_case_runs():
     assert rows["predict"] == "  predict: %d" % raise_line
     assert "lu_factor" in rows
     assert "_system" not in rows
+
+
+@pytest.mark.parametrize(
+    "group, seed, rc, listed",
+    [("file_roundtrip", 33, 1, [("coo(3,40)", "pta:")]), ("scaled_small", 1, 0, [])],
+)
+def test_failing_cases_lists_the_operations_that_fail_the_check(group, seed, rc, listed):
+    # file_roundtrip's coo(3,40) at seed 33 is a PTA answer with the eps bias
+    # (ROADMAP item 7); scaled_small at seed 1 passes throughout
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "failing_cases.py"), str(ROOT),
+         "--groups", group, "--first", str(seed), "--last", str(seed)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == rc, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "failing operations: %d (groups %s, seeds %d..%d)" % (len(listed), group, seed, seed)
+    rows = [line.split() for line in lines[:-1]]
+    assert [(r[3], r[5]) for r in rows] == listed
+    assert all(r[:3] == [group, "seed", str(seed)] for r in rows)

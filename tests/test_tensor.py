@@ -358,6 +358,28 @@ def test_closed_form_shift_matches_dense_alpha_shift(m, n):
         assert np.allclose(J, J_ref, rtol=1e-13, atol=0)
 
 
+def test_shifted_operator_reaches_the_input_through_its_kernel_methods(monkeypatch):
+    # a solve evaluates A only by Tensor.tvp and Tensor.tvp_and_jacobian, once
+    # per call of the shifted operator's method of the same name
+    from teneig import solve_dominant
+
+    calls = {}
+    for cls in (Tensor, ShiftedTensor):
+        for name in ("tvp", "tvp_and_jacobian"):
+            real = getattr(cls, name)
+
+            def counted(self, x, _key=(cls.__name__, name), _real=real):
+                calls[_key] = calls.get(_key, 0) + 1
+                return _real(self, x)
+
+            monkeypatch.setattr(cls, name, counted)
+    assert solve_dominant(random_instance(3, 10, seed=1)).status == "converged"
+    assert calls[("ShiftedTensor", "tvp_and_jacobian")] > 0
+    assert calls[("ShiftedTensor", "tvp")] > 0
+    for name in ("tvp", "tvp_and_jacobian"):
+        assert calls.get(("Tensor", name), 0) == calls[("ShiftedTensor", name)]
+
+
 @pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (4, 3), (5, 2)])
 def test_closed_form_start_matches_dense_rank_one_start(m, n):
     rng = np.random.default_rng(30 * m + n)

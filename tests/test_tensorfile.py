@@ -177,22 +177,27 @@ def _bits(a):
 
 def _same_outcome(text):
     """loads_tensor and the line-by-line oracle give bit-identical data, or
-    the same TensorFileError message and line."""
+    the same TensorFileError message and line.  True when the bulk parse gave
+    the data, so that loads_tensor never called the per-token loop."""
     try:
         want = loads_dense_loop(text)
     except TensorFileError as exc:
         with pytest.raises(TensorFileError) as err:
             loads_tensor(text)
         assert (str(err.value), err.value.line) == (str(exc), exc.line)
-        assert tensorfile._bulk_dense(text) is None
         return False
-    got = loads_tensor(text).data
+    loops = []
+    real = tensorfile._parse_dense
+
+    def spy(*args):
+        loops.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensorfile, "_parse_dense", spy)
+        got = loads_tensor(text).data
     assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want))
-    bulk = tensorfile._bulk_dense(text)
-    if bulk is None:
-        return False
-    assert np.array_equal(_bits(bulk.data), _bits(want))
-    return True
+    return not loops
 
 
 GOOD_TOKENS = ("1", "-0", "+.5", "5.", "1E5", "2.5e-3", "-.0", "4.9406564584124654e-324",
@@ -240,6 +245,8 @@ def test_loads_matches_the_per_token_parser(text):
         "order 2\ndim 2\nformat dense\n1 2\n3 4\n",
         "order 2\r\ndim 2\r\nformat dense\r\n1\t+.5\r\n5. 1E5",
         "# c\n\norder 2 # o\ndim 2\nformat dense\n\n-0 2\x0b3\x0c4\r",
+        "order 2\rdim 2\r# c\rformat dense\r1 2\r3 4\r",
+        "order 2\u2028dim 2\u2028format dense\u20281 2\n3 4\n",
         dumps_tensor(random_instance(3, 4, seed=1)),
     ],
 )
