@@ -22,9 +22,8 @@ from .tensor import (
     RankOne,
     ShiftedTensor,
     Tensor,
-    diagonal,
     eigen_residual,
-    shift_alpha,
+    require_essentially_nonnegative,
     start_pair,
     start_system,
     tvp,

@@ -28,12 +28,12 @@ and hands on that n+1 vector, which every prediction from the point (its
 retries after a rejection and the endgame jump included) reuses.  The start
 point at tau = 0 evaluates its tangent once, before the first step; a point
 whose Jacobian is singular carries none, and predicting from it raises at
-once.  The final residual is one y-only pass.  The input checks run once per
-solve.  The nonnegativity scan keeps n-1 row minima of a strided view of A's
-off-diagonal entries and masks one row only when it finds a negative entry;
-the irreducibility scan masks A a block of slices A[i] at a time, so its
-temporaries hold at most max(n^{m-1}, tensor.SCAN_BLOCK_ENTRIES) entries,
-not n^m, and a block with no zero entry skips its per-mode reductions.
+once.  The final residual is one y-only pass.  One input scan per solve,
+require_essentially_nonnegative, reads alpha from A's strided diagonal and
+keeps the n-1 row minima of a strided view of its off-diagonal entries,
+masking a row only to locate a negative entry.  If no off-diagonal entry is
+zero, A is irreducible; otherwise weak_irreducibility_check masks A a block
+of slices at a time, max(n^{m-1}, tensor.SCAN_BLOCK_ENTRIES) entries, not n^m.
 
 The kernel reads A in slice blocks too.  An input of up to
 tensor.KERNEL_BLOCK_ENTRIES entries is one block, evaluated inline on the
@@ -57,7 +57,6 @@ from .tensor import (
     ShiftedTensor,
     eigen_residual,
     require_essentially_nonnegative,
-    shift_alpha,
     start_pair,
     start_system,
     weak_irreducibility_check,
@@ -393,7 +392,8 @@ def solve_dominant(A, config=None, a=None, b=None, assume="auto"):
     following to beta, endgame jump to 1.
 
     ``assume`` gates the perturbation: "auto" perturbs iff the weak
-    irreducibility check fails, "irreducible"/"reducible" force it off/on.
+    irreducibility check fails (skipped when no off-diagonal entry is zero),
+    "irreducible"/"reducible" force it off/on.
     A failed endgame first retries with beta closer to 1, then once more
     with the perturbation switched on.
     """
@@ -406,11 +406,11 @@ def solve_dominant(A, config=None, a=None, b=None, assume="auto"):
         raise ValueError("a and b must have length %d" % n)
     if assume not in ("auto", "irreducible", "reducible"):
         raise ValueError("assume must be one of auto, irreducible, reducible")
-    # One scan of A serves both attempts.
-    require_essentially_nonnegative(A)
-    alpha = shift_alpha(A, check=False)
+    # One scan of A serves both attempts; with every off-diagonal entry
+    # positive it has settled irreducibility too.
+    alpha, complete = require_essentially_nonnegative(A)
     if assume == "auto":
-        perturbed = not weak_irreducibility_check(A)
+        perturbed = not (complete or weak_irreducibility_check(A))
     else:
         perturbed = assume == "reducible"
     report = _solve_shifted(A, alpha, config, a, b, perturbed)

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from .homotopy import HomotopyConfig, SolveReport
-from .tensor import EigenPair, _add_shift_terms, require_essentially_nonnegative, shift_alpha, tvp
+from .tensor import EigenPair, _add_shift_terms, require_essentially_nonnegative, tvp
 
 # Not called here: the benchmark's tracer (perfbench/spans.py) wraps these
 # names in this module, so they must exist.
@@ -38,8 +38,7 @@ def pta_solve(A, config=None):
     """
     t_start = time.perf_counter()
     config = HomotopyConfig() if config is None else config
-    require_essentially_nonnegative(A)
-    alpha, eps = shift_alpha(A, check=False), config.eps_perturb
+    alpha, eps = require_essentially_nonnegative(A)[0], config.eps_perturb
     m, n = A.order, A.dim
     x = np.ones(n) / np.sqrt(n)
     ex = 1.0 / (m - 1)

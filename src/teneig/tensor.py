@@ -83,11 +83,6 @@ def _diag_index(order, dim):
     return (np.arange(dim),) * order
 
 
-def diagonal(T):
-    """The n entries whose indices all coincide."""
-    return T.data[_diag_index(T.order, T.dim)]
-
-
 def add_identity(T, c):
     """T + c * unit tensor: add c to every diagonal entry."""
     data = np.array(T.data)
@@ -181,33 +176,36 @@ def _pool():
         return _POOL[1]
 
 
-def essential_nonnegativity_violation(T):
-    """First off-diagonal multi-index (1-based) with a negative entry, or None.
+def require_essentially_nonnegative(T):
+    """The one input scan of both solvers: (alpha, complete), or a raise.
 
     The diagonal entries sit at flat offsets i*D, D = 1 + n + ... + n^{m-1},
-    and n^m - 1 = (n-1)*D, so the flat data less its last entry, as n-1 rows
-    of D, holds one diagonal entry at the head of each row: dropping column 0
-    leaves a strided view of exactly the off-diagonal entries, in C order.
-    The scan takes its row minima, n-1 floats and no mask; only a row with a
-    negative minimum is masked, to find its first negative entry.
+    so alpha = max_i |a_{i...i}| + 1, the diagonal shift that makes
+    (A + eps) + alpha*I nonnegative for eps >= 0, reads the strided view
+    entries[::D].  And n^m - 1 = (n-1)*D, so the flat data less its last
+    entry, as n-1 rows of D, holds one diagonal entry at the head of each
+    row: dropping column 0 leaves a strided view of exactly the off-diagonal
+    entries, in C order.  The scan takes its row minima, n-1 floats and no
+    mask; only a row with a negative minimum is masked, to raise
+    EssentialNonnegativityError at its first negative entry.
+
+    complete is True when every off-diagonal entry is positive (always for
+    n == 1): then weak_irreducibility_check's digraph has every edge, so T
+    is weakly irreducible without a pattern scan.
     """
     m, n = T.order, T.dim
-    if n == 1:
-        return None
     D = sum(n**k for k in range(m))
+    alpha = float(np.maximum.reduce(np.abs(T.entries[::D]))) + 1.0
+    if n == 1:
+        return alpha, True
     off = T.entries[:-1].reshape(n - 1, D)[:, 1:]
     mins = np.minimum.reduce(off, axis=1)
-    if np.minimum.reduce(mins) >= 0:
-        return None
-    row = int((mins < 0).argmax())  # argmax: first True
-    first = row * D + 1 + int((off[row] < 0).argmax())
-    return tuple(int(k) + 1 for k in np.unravel_index(first, T.data.shape))
-
-
-def require_essentially_nonnegative(T):
-    idx = essential_nonnegativity_violation(T)
-    if idx is not None:
-        raise EssentialNonnegativityError(idx)
+    lowest = np.minimum.reduce(mins)
+    if lowest < 0:
+        row = int((mins < 0).argmax())  # argmax: first True
+        first = row * D + 1 + int((off[row] < 0).argmax())
+        raise EssentialNonnegativityError(np.add(np.unravel_index(first, T.data.shape), 1))
+    return alpha, bool(lowest > 0)
 
 
 def _check_vector(T, x):
@@ -229,19 +227,6 @@ def tvp(T, x):
 def tvp_jacobian(T, x):
     """Jacobian of x -> tvp(T, x), an n-by-n matrix; see Tensor.tvp_and_jacobian."""
     return T.tvp_and_jacobian(x)[1]
-
-
-def shift_alpha(A, check=True):
-    """The diagonal shift alpha = max_i |a_{i...i}| + 1 of both solvers.
-
-    Scans A first and raises EssentialNonnegativityError on a negative
-    off-diagonal entry, so (A + eps) + alpha*I is nonnegative for eps >= 0.
-    check=False skips the scan, for a caller that has run
-    require_essentially_nonnegative(A) itself.
-    """
-    if check:
-        require_essentially_nonnegative(A)
-    return float(np.abs(diagonal(A)).max()) + 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,18 +369,11 @@ def weak_irreducibility_check(A):
     tensor always passes; a failed check certifies reducibility.
     """
     m, n = A.order, A.dim
-    if n == 1:
-        return True
     # Row i of the adjacency comes from slice A[i] alone, so each block of
     # slices gives its rows through a mask of the block alone.
     adj = np.zeros((n, n), dtype=bool)
     for i0, i1 in _slice_blocks(A, SCAN_BLOCK_ENTRIES):
         nz = A.data[i0:i1] != 0
-        # A zero-free block links its rows to every node: skip its m-1
-        # reductions.  count_nonzero on a bool mask is a popcount.
-        if np.count_nonzero(nz) == nz.size:
-            adj[i0:i1] = True
-            continue
         for k in range(1, m):
             axes = tuple(ax for ax in range(1, m) if ax != k)
             adj[i0:i1] |= nz.any(axis=axes) if axes else nz

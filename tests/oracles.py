@@ -185,6 +185,15 @@ def essential_nonnegativity_violation_naive(data):
     return None
 
 
+def off_diagonal_positive_naive(data):
+    """Whether every entry whose indices do not all coincide is positive,
+    from a full n^m mask."""
+    n = data.shape[0]
+    off = np.ones(data.shape, dtype=bool)
+    off[(np.arange(n),) * data.ndim] = False
+    return bool((data[off] > 0).all())
+
+
 def weak_irreducibility_naive(data):
     """Strong connectivity of the pattern digraph (i -> j when a nonzero
     entry with first index i carries j among its trailing indices), from a

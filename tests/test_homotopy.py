@@ -10,7 +10,7 @@ from teneig import (
     ShiftedTensor,
     Tensor,
     eigen_residual,
-    shift_alpha,
+    require_essentially_nonnegative,
     solve_dominant,
     start_pair,
     start_system,
@@ -30,7 +30,13 @@ from teneig.instances import dense_demo, random_instance, sparse_ring_demo
 from teneig.linalg import SingularMatrixError, lu_apply, lu_factor
 from teneig.tensor import add_identity, rank_one_start
 
-from oracles import alpha_shift_dense, block2_dominant_bisect, fd_jacobian, tvp_naive
+from oracles import (
+    alpha_shift_dense,
+    block2_dominant_bisect,
+    fd_jacobian,
+    tvp_naive,
+    weak_irreducibility_naive,
+)
 
 
 # The residual, Jacobian and tau-derivative of the homotopy are the three
@@ -168,7 +174,7 @@ def test_system_from_closed_form_operators_matches_dense_tensors():
     b = rng.uniform(0.5, 2.0, size=4)
     for eps in (0.0, 1e-3):
         dense = (Tensor(alpha_shift_dense(A.data, eps)[1]), rank_one_start(a, b, 3))
-        ops = (ShiftedTensor(A, shift_alpha(A), eps), start_system(a, b, 3))
+        ops = (ShiftedTensor(A, require_essentially_nonnegative(A)[0], eps), start_system(a, b, 3))
         x = rng.uniform(0.2, 1.0, size=4)
         for f, args in (
             (homotopy_residual, (0.4, 7.5, x)),
@@ -186,7 +192,8 @@ def test_system_assembly_holds_few_n_by_n_temporaries():
 
     A = random_instance(3, 120, seed=42)
     n = A.dim
-    T, S = ShiftedTensor(A, shift_alpha(A)), start_system(np.ones(n), np.ones(n), 3)
+    alpha = require_essentially_nonnegative(A)[0]
+    T, S = ShiftedTensor(A, alpha), start_system(np.ones(n), np.ones(n), 3)
     x = np.full(n, n**-0.5)
     _system(T, S, 0.4, 7.5, x)  # warm-up: the kernel's thread pool and caches
     tracemalloc.start()
@@ -685,10 +692,10 @@ def test_solve_endgame_failure_after_escalation(monkeypatch):
 
 def test_perturbed_retry_scans_the_input_once(monkeypatch):
     # alpha comes from one scan that serves both attempts
-    from teneig import homotopy, tensor
+    from teneig import homotopy
 
     scans = []
-    real = tensor.essential_nonnegativity_violation
+    real = homotopy.require_essentially_nonnegative
 
     def counted(T):
         scans.append(T)
@@ -697,11 +704,87 @@ def test_perturbed_retry_scans_the_input_once(monkeypatch):
     def stalls(T, S, u, config, beta=None, tangent=None):
         raise NewtonStalled(1)
 
-    monkeypatch.setattr(tensor, "essential_nonnegativity_violation", counted)
+    monkeypatch.setattr(homotopy, "require_essentially_nonnegative", counted)
     monkeypatch.setattr(homotopy, "endgame", stalls)
     rep = solve_dominant(dense_demo())
     assert rep.status == "endgame_failure" and rep.perturbed
     assert len(scans) == 1
+
+
+@pytest.mark.parametrize("seed, m, n", [(None, 3, 3), (5, 3, 20), (6, 2, 6), (7, 4, 5)])
+def test_zero_free_input_skips_the_pattern_scan(monkeypatch, seed, m, n):
+    # every off-diagonal entry is positive: the input scan has already
+    # found every edge, so the pattern scan would only confirm it
+    from teneig import homotopy
+
+    A = dense_demo() if seed is None else random_instance(m, n, seed=seed)
+    assert require_essentially_nonnegative(A)[1]
+    perturbed = not homotopy.weak_irreducibility_check(A)
+
+    def pattern_scan(T):
+        raise AssertionError("pattern scan on a zero-free input")
+
+    monkeypatch.setattr(homotopy, "weak_irreducibility_check", pattern_scan)
+    rep = solve_dominant(A)
+    assert rep.status == "converged"
+    assert perturbed is False and rep.perturbed is perturbed
+
+
+@pytest.mark.parametrize(
+    "m, n, index, reducible", [(3, 5, (1, 0, 4), False), (4, 3, (2, 2, 2, 0), False), (2, 2, (0, 1), True)]
+)
+def test_one_zero_off_diagonal_entry_runs_the_pattern_scan(monkeypatch, m, n, index, reducible):
+    from teneig import homotopy
+
+    data = np.array(random_instance(m, n, seed=8).data)
+    data[index] = 0.0
+    A = Tensor(data)
+    assert not require_essentially_nonnegative(A)[1]
+    scans = []
+    real = homotopy.weak_irreducibility_check
+
+    def counted(T):
+        scans.append(T)
+        return real(T)
+
+    monkeypatch.setattr(homotopy, "weak_irreducibility_check", counted)
+    rep = solve_dominant(A)
+    assert scans == [A]
+    assert reducible is not weak_irreducibility_naive(data)
+    assert rep.perturbed is reducible
+
+
+@given(
+    st.integers(2, 4),
+    st.integers(1, 5),
+    st.sampled_from([0.0, 0.05, 0.3, 0.8]),
+    st.integers(0, 2**32 - 1),
+)
+def test_scan_and_pattern_scan_settle_perturbation_as_the_oracle(m, n, zeros, seed):
+    # zeros is the share of entries set to 0: 0.0 leaves every off-diagonal
+    # entry positive, 0.8 mostly gives reducible patterns
+    from types import SimpleNamespace
+
+    from teneig import homotopy
+
+    rng = np.random.default_rng(seed)
+    data = np.where(rng.random((n,) * m) < zeros, 0.0, rng.uniform(0.1, 1.0, (n,) * m))
+    data[(np.arange(n),) * m] = rng.uniform(-1.0, 1.0, n)
+    A = Tensor(data)
+    irreducible = weak_irreducibility_naive(data)
+    alpha, complete = require_essentially_nonnegative(A)
+    assert alpha == alpha_shift_dense(data)[0]
+    assert irreducible or not complete
+    decided = []
+
+    def attempt(A, alpha, config, a, b, perturbed):
+        decided.append(perturbed)
+        return SimpleNamespace(status="converged")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homotopy, "_solve_shifted", attempt)
+        solve_dominant(A)
+    assert decided == [not irreducible]
 
 
 def _block_diagonal_3_60():

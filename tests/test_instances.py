@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from teneig import weak_irreducibility_check
+from teneig import require_essentially_nonnegative, weak_irreducibility_check
 from teneig.instances import dense_demo, random_instance, sparse_ring_demo
-from teneig.tensor import diagonal, essential_nonnegativity_violation
 
 
 def test_random_instance_is_deterministic():
@@ -16,12 +15,12 @@ def test_random_instance_is_deterministic():
 
 def test_random_instance_entry_ranges():
     A = random_instance(3, 5, d=0, seed=0)
-    diag = diagonal(A)
+    diag = A.data[(np.arange(5),) * 3]
     assert ((diag >= -1.0) & (diag <= 0.0)).all()
     off = np.array(A.data)
     off[(np.arange(5),) * 3] = 0.5
     assert ((off >= 0.0) & (off <= 1.0)).all()
-    assert essential_nonnegativity_violation(A) is None
+    require_essentially_nonnegative(A)
 
 
 def test_random_instance_scaling_bound():
@@ -43,11 +42,11 @@ def test_random_instance_rejects_bad_sizes():
 def test_demo_instances_shape_and_structure():
     D = dense_demo()
     assert D.order == 3 and D.dim == 3
-    assert essential_nonnegativity_violation(D) is None
+    assert require_essentially_nonnegative(D) == (6.32, True)  # no zero off the diagonal
     assert weak_irreducibility_check(D)
-    assert np.array_equal(diagonal(D), [-1.51, -5.32, -0.15])
+    assert np.array_equal(D.data[(np.arange(3),) * 3], [-1.51, -5.32, -0.15])
 
     R = sparse_ring_demo()
     assert np.count_nonzero(R.data) == 6
-    assert essential_nonnegativity_violation(R) is None
+    assert require_essentially_nonnegative(R) == (2.0, False)  # zeros off the diagonal
     assert weak_irreducibility_check(R)

@@ -13,9 +13,8 @@ from teneig import (
     EssentialNonnegativityError,
     ShiftedTensor,
     Tensor,
-    diagonal,
     eigen_residual,
-    shift_alpha,
+    require_essentially_nonnegative,
     start_pair,
     start_system,
     tvp,
@@ -25,7 +24,6 @@ from teneig import tensor
 from teneig.instances import dense_demo, random_instance, sparse_ring_demo
 from teneig.tensor import (
     add_identity,
-    essential_nonnegativity_violation,
     perturb,
     rank_one_start,
     tvp_jacobian,
@@ -36,6 +34,7 @@ from oracles import (
     essential_nonnegativity_violation_naive,
     fd_jacobian,
     matrix_contraction_naive,
+    off_diagonal_positive_naive,
     semi_symmetrize_naive,
     tvp_naive,
     unit_tensor_naive,
@@ -100,11 +99,12 @@ def test_tensor_is_frozen():
 
 
 def test_essential_nonnegativity_predicate():
-    assert essential_nonnegativity_violation(dense_demo()) is None
-    assert essential_nonnegativity_violation(sparse_ring_demo()) is None
+    require_essentially_nonnegative(dense_demo())
+    require_essentially_nonnegative(sparse_ring_demo())
     bad = np.zeros((2, 2, 2))
     bad[0, 1, 0] = -0.5
-    assert essential_nonnegativity_violation(Tensor(bad)) is not None
+    with pytest.raises(EssentialNonnegativityError):
+        require_essentially_nonnegative(Tensor(bad))
 
 
 # ------------------------------------------------------------------------ tvp
@@ -350,7 +350,7 @@ def test_closed_form_shift_matches_dense_alpha_shift(m, n):
     for eps in (0.0, 1e-9, 0.3):
         alpha, data = alpha_shift_dense(A.data, eps)
         T = Tensor(data)
-        op = ShiftedTensor(A, shift_alpha(A), eps)
+        op = ShiftedTensor(A, require_essentially_nonnegative(A)[0], eps)
         assert op.alpha == alpha and (op.order, op.dim) == (m, n)
         y, J = op.tvp_and_jacobian(x)
         y_ref, J_ref = T.tvp_and_jacobian(x)
@@ -398,13 +398,13 @@ def test_closed_form_start_matches_dense_rank_one_start(m, n):
         start_system(a, -b, m)
 
 
-def test_shift_alpha_is_alpha_shifts_alpha():
+def test_scan_alpha_is_alpha_shifts_alpha():
     for A in (dense_demo(), sparse_ring_demo(), Tensor(np.zeros((2, 2, 2)))):
-        assert shift_alpha(A) == alpha_shift_dense(A.data)[0]
+        assert require_essentially_nonnegative(A)[0] == alpha_shift_dense(A.data)[0]
     bad = np.zeros((2, 2, 2))
     bad[1, 0, 0] = -1.0
     with pytest.raises(EssentialNonnegativityError):
-        shift_alpha(Tensor(bad))
+        require_essentially_nonnegative(Tensor(bad))
 
 
 # ------------------------------------------- semi-symmetrization (the oracle)
@@ -449,10 +449,10 @@ def test_semi_symmetrize_preserves_tvp_any(tx):
 
 def test_alpha_shift_demo_values():
     alpha, T = alpha_shift_dense(dense_demo().data)
-    assert alpha == shift_alpha(dense_demo()) == pytest.approx(6.32, abs=1e-12)
+    assert alpha == require_essentially_nonnegative(dense_demo())[0] == pytest.approx(6.32, abs=1e-12)
     assert (T >= 0).all()
     alpha2, _ = alpha_shift_dense(sparse_ring_demo().data)
-    assert alpha2 == shift_alpha(sparse_ring_demo()) == 2.0
+    assert alpha2 == require_essentially_nonnegative(sparse_ring_demo())[0] == 2.0
     # with eps > 0: the dense T, equal to the two-copy build bit for bit
     alpha3, T3 = alpha_shift_dense(dense_demo().data, 1e-9)
     assert alpha3 == alpha
@@ -461,7 +461,7 @@ def test_alpha_shift_demo_values():
 
 def test_alpha_shift_zero_tensor():
     alpha, T = alpha_shift_dense(np.zeros((2, 2, 2)))
-    assert alpha == shift_alpha(Tensor(np.zeros((2, 2, 2)))) == 1.0
+    assert alpha == require_essentially_nonnegative(Tensor(np.zeros((2, 2, 2))))[0] == 1.0
     assert np.array_equal(T, unit_tensor_naive(3, 2))
 
 
@@ -469,7 +469,7 @@ def test_alpha_shift_rejects_negative_off_diagonal():
     bad = np.zeros((2, 2, 2))
     bad[1, 0, 0] = -1.0
     with pytest.raises(EssentialNonnegativityError) as err:
-        shift_alpha(Tensor(bad))
+        require_essentially_nonnegative(Tensor(bad))
     assert err.value.index == (2, 1, 1)  # 1-based
 
 
@@ -483,7 +483,8 @@ def test_alpha_shift_nonnegative_output(T):
     assert (shifted >= 0).all()
     # the closed-form operator is nonnegative too: it maps positive x to y >= 0
     A = Tensor(data)
-    assert (ShiftedTensor(A, shift_alpha(A)).tvp(np.linspace(0.5, 1.5, n)) >= 0).all()
+    alpha = require_essentially_nonnegative(A)[0]
+    assert (ShiftedTensor(A, alpha).tvp(np.linspace(0.5, 1.5, n)) >= 0).all()
 
 
 def test_perturb():
@@ -497,7 +498,7 @@ def test_perturb():
 
 def test_add_identity_and_diagonal():
     T = add_identity(Tensor(np.zeros((3, 3, 3))), 2.5)
-    assert np.array_equal(diagonal(T), [2.5, 2.5, 2.5])
+    assert np.array_equal(T.data[(np.arange(3),) * 3], [2.5, 2.5, 2.5])
     assert T.data[0, 1, 2] == 0.0
 
 
@@ -636,17 +637,28 @@ def test_scans_match_full_mask_oracles(T, block):
     # small blocks put several blocks, and a short last one, in one scan
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensor, "SCAN_BLOCK_ENTRIES", block)
-        found = essential_nonnegativity_violation(T)
         irreducible = weak_irreducibility_check(T)
-    assert found == essential_nonnegativity_violation_naive(T.data)
     assert irreducible == weak_irreducibility_naive(T.data)
-    if found is not None:
+    scanned = _scan_matches_naive(T, essential_nonnegativity_violation_naive(T.data))
+    if scanned is not None:
+        assert scanned[0] == alpha_shift_dense(T.data)[0]
+
+
+def _scan_matches_naive(T, expected):
+    """require_essentially_nonnegative(T) raises at the 1-based index
+    expected, or, when expected is None, returns (alpha, complete) with
+    complete as the full-mask oracle has it; returns what it returned."""
+    if expected is not None:
         with pytest.raises(EssentialNonnegativityError) as err:
-            shift_alpha(T)
-        assert err.value.index == found
+            require_essentially_nonnegative(T)
+        assert err.value.index == expected
+        return None
+    alpha, complete = require_essentially_nonnegative(T)
+    assert complete is off_diagonal_positive_naive(T.data)
+    return alpha, complete
 
 
-@pytest.mark.parametrize("scan", [essential_nonnegativity_violation, weak_irreducibility_check])
+@pytest.mark.parametrize("scan", [require_essentially_nonnegative, weak_irreducibility_check])
 def test_input_scans_allocate_no_full_mask(scan):
     # an n^m bool mask alone would be 0.125x the input
     import tracemalloc
@@ -684,7 +696,7 @@ def test_nonnegativity_scan_edge_offsets(m, n):
         ]
     for entries, expected in cases:
         T = _ones_with(m, n, entries)
-        assert essential_nonnegativity_violation(T) == expected
+        _scan_matches_naive(T, expected)
         assert essential_nonnegativity_violation_naive(T.data) == expected
 
 
@@ -712,7 +724,7 @@ def test_nonnegativity_scan_holds_no_mask_on_valid_input():
     A = random_instance(3, 100, seed=60)
     tracemalloc.start()
     try:
-        assert essential_nonnegativity_violation(A) is None
+        require_essentially_nonnegative(A)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -68,7 +68,38 @@ def test_solve_reaches_the_wrapped_homotopy_names(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(homotopy, name, called)
-    rep = teneig.solve_dominant(teneig.dense_demo())
+    # the ring has zero off-diagonal entries, so the input scan leaves the
+    # pattern scan to run; a zero-free input such as dense_demo() skips it
+    rep = teneig.solve_dominant(teneig.sparse_ring_demo())
+    assert rep.status == "converged"
+    assert reached == set(names)
+
+
+def test_pta_reaches_the_wrapped_pta_names_and_no_pattern_scan(monkeypatch):
+    # the tracer wraps these names in teneig.pta; PTA always perturbs, so it
+    # has no use for the irreducibility pattern scan, under any module name
+    import teneig
+    from teneig import homotopy, pta, tensor
+
+    names = ("require_essentially_nonnegative", "tvp")
+    wrapped = {attr for mod, attr, _, _ in load_spans().TARGETS if mod == "pta"}
+    assert set(names) <= wrapped
+    reached = set()
+    for name in names:
+        real = getattr(pta, name)
+
+        def called(*args, _name=name, _real=real, **kwargs):
+            reached.add(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(pta, name, called)
+
+    def pattern_scan(A):
+        raise AssertionError("pta_solve made the pattern scan")
+
+    for module in (teneig, tensor, homotopy, pta):
+        monkeypatch.setattr(module, "weak_irreducibility_check", pattern_scan, raising=False)
+    rep = teneig.pta_solve(teneig.sparse_ring_demo())
     assert rep.status == "converged"
     assert reached == set(names)
 
