@@ -15,22 +15,33 @@ with any line layout.  Coordinate payloads give one entry per line;
 unspecified entries are zero and duplicate indices are rejected.  Values are
 written with 17 significant digits so a round trip is exact.
 
-Files move in bulk.  The writer formats a dense payload in blocks of
-six-value lines with one ``%`` call each, and a coo payload with one ``%``
-call (``"%.17g"`` is the routine behind ``format(v, ".17g")``, so the text is
-the same as a per-value writer's).  The reader finds the three header lines
-one at a time, at any line break ``str.splitlines`` breaks at, and parses a
-dense payload with one ``np.fromstring`` call, which creates no Python
-object per value.  It keeps that result only if numpy raised nothing, warned
-nothing and returned exactly dim**order finite values; a payload with a
-comment and every other outcome go through the line-by-line loop, which
-calls ``float()`` on each token; a coo payload always does.  So every
-token ``float()`` accepts is still accepted, every value is the one
-``float()`` gives, and every error keeps its message and line number.
+Files move in pieces.  The writer yields the header, then a dense payload
+in blocks of 64 six-value lines with one ``%`` call each, or a coo payload
+with one ``%`` call (``"%.17g"`` is the routine behind ``format(v, ".17g")``,
+so the text is the same as a per-value writer's); ``dumps_tensor`` joins the
+pieces and ``save_tensor`` writes them one at a time.  The reader finds the
+three header lines one at a time, at any line break ``str.splitlines`` breaks
+at.  A dense payload goes to one bulk parser as byte pieces of whole lines,
+about 16 KiB each, with one ``np.fromstring`` call per piece into a
+preallocated array; it creates no Python object per value.
+``loads_tensor`` cuts its text into such pieces, and ``load_tensor`` reads
+the header from the file's first 16 KiB and then the payload's bytes 16 KiB
+and the rest of a line at a time, so it never holds the file's text or
+bytes whole.  The bulk
+parse keeps its result only if every piece is ASCII, numpy raised nothing
+and warned nothing, and the pieces gave exactly dim**order finite values; a
+blank piece gives none (numpy would read it as -1).  Every other dense
+payload (one with a comment, an odd token or a wrong count) and every coo
+payload go through the line-by-line loop, which calls ``float()`` on each
+token; ``load_tensor`` first reads such a file, or one whose header is not
+complete in its first block, whole as text.  So every token ``float()``
+accepts is still accepted, every value is the one ``float()`` gives, and
+every error keeps its message and line number.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 import warnings
 from math import isfinite
@@ -87,8 +98,8 @@ def _header_int(lines, key):
         raise TensorFileError("expected an integer for '%s', got %r" % (key, parts[1]), lineno) from None
 
 
-def loads_tensor(text):
-    """Parse a tensor from the text format."""
+def _header(text):
+    """(order, dim, format, the payload's lines, the payload's offset in text)."""
     head_end = [0]
     lines = _meaningful_lines(text, head_end)
     order = _header_int(lines, "order")
@@ -102,20 +113,64 @@ def loads_tensor(text):
     parts = body.split()
     if len(parts) != 2 or parts[0] != "format" or parts[1] not in ("dense", "coo"):
         raise TensorFileError("expected 'format dense' or 'format coo', got %r" % body, lineno)
-    if parts[1] == "coo":
+    return order, dim, parts[1], lines, head_end[0]
+
+
+def loads_tensor(text):
+    """Parse a tensor from the text format."""
+    order, dim, fmt, lines, head_end = _header(text)
+    if fmt == "coo":
         return _parse_coo(lines, order, dim)
-    if text.find("#", head_end[0]) < 0:
-        # numpy 1.x warns and returns the values read so far on unmatched
-        # text, where numpy 2 raises.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                values = np.fromstring(text[head_end[0] :], dtype=float, sep=" ")
-            except (ValueError, Warning):
-                values = None
-        if values is not None and values.size == dim**order and np.isfinite(values).all():
-            return Tensor(values.reshape((dim,) * order))
+    values = _bulk_dense(_text_pieces(text, head_end), order, dim)
+    if values is not None:
+        return Tensor(values)
     return _parse_dense(lines, order, dim)
+
+
+# The bytes (or characters) the readers take at a time.
+_READ_SIZE = 1 << 14
+
+
+def _text_pieces(text, pos):
+    """text[pos:] as UTF-8 bytes, in pieces of whole "\n"-ended lines; a
+    lone surrogate encodes too, as the non-ASCII bytes it is."""
+    while pos < len(text):
+        end = text.find("\n", pos + _READ_SIZE) + 1 or len(text)
+        yield text[pos:end].encode("utf-8", "surrogatepass")
+        pos = end
+
+
+def _bulk_dense(pieces, order, dim):
+    """The data array of a dense payload given as byte pieces of whole
+    lines, with one np.fromstring call per piece; None when a piece has a
+    non-ASCII byte, numpy raises or warns (as it does on a '#'), or the
+    values are not dim**order finite numbers.  A blank piece is skipped:
+    numpy reads it as -1."""
+    try:
+        values = np.empty(dim**order)
+    except (ValueError, MemoryError):
+        return None
+    filled = 0
+    # numpy 1.x warns and returns the values read so far on unmatched text,
+    # where numpy 2 raises.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for piece in pieces:
+            if not piece.isascii():
+                return None
+            if piece.isspace():
+                continue
+            try:
+                got = np.fromstring(piece, dtype=float, sep=" ")
+            except (ValueError, Warning):
+                return None
+            if filled + got.size > values.size or not np.isfinite(got).all():
+                return None
+            values[filled : filled + got.size] = got
+            filled += got.size
+    if filled != values.size:
+        return None
+    return values.reshape((dim,) * order)
 
 
 def _parse_dense(lines, order, dim):
@@ -174,19 +229,42 @@ def _parse_coo(lines, order, dim):
     return Tensor(data)
 
 
+def _load_plain_dense(fh):
+    """The data array of a dense file opened in binary mode, its payload read
+    16 KiB and the rest of a line at a time; None when the file needs the
+    text path: a header not complete in the first block, a coo file, or a
+    payload _bulk_dense declines."""
+    block = fh.read(_READ_SIZE)
+    if len(block) == _READ_SIZE:
+        block = block[: block.rfind(b"\n") + 1]
+    try:
+        text = block.decode("utf-8")
+        order, dim, fmt, _, head_end = _header(text)
+    except (UnicodeDecodeError, TensorFileError):
+        return None
+    if fmt != "dense":
+        return None
+    fh.seek(len(text[:head_end].encode("utf-8")))
+    return _bulk_dense(iter(lambda: fh.read(_READ_SIZE) + fh.readline(), b""), order, dim)
+
+
 def load_tensor(path):
     """Read a tensor file from disk; a file that is not UTF-8 text is malformed."""
+    with open(path, "rb") as fh:
+        values = _load_plain_dense(fh)
+    if values is not None:
+        return Tensor(values)
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise TensorFileError("not UTF-8 text (%s)" % exc) from None
-        return loads_tensor(text)
+    return loads_tensor(text)
 
 
 # One line of the dense payload, and the lines one % call formats at most.
 _DENSE_ROW = "%.17g %.17g %.17g %.17g %.17g %.17g\n"
-_DENSE_BLOCK_ROWS = 512
+_DENSE_BLOCK_ROWS = 64
 
 
 def _dense_payload(flat):
@@ -207,17 +285,24 @@ def _coo_payload(data):
     return (row * len(fields[-1])) % tuple(v for entry in zip(*fields) for v in entry)
 
 
-def dumps_tensor(T, fmt="dense"):
-    """Serialize a tensor to the text format."""
+def _tensor_text(T, fmt):
+    """The file's text in pieces: the header, then the payload, a dense one
+    a block at a time."""
     if fmt not in ("dense", "coo"):
         raise ValueError("fmt must be 'dense' or 'coo'")
     head = "order %d\ndim %d\nformat %s\n" % (T.order, T.dim, fmt)
-    if fmt == "dense":
-        return "".join([head, *_dense_payload(T.entries)])
-    return head + _coo_payload(T.data)
+    if fmt == "coo":
+        return [head, _coo_payload(T.data)]
+    return itertools.chain([head], _dense_payload(T.entries))
+
+
+def dumps_tensor(T, fmt="dense"):
+    """Serialize a tensor to the text format."""
+    return "".join(_tensor_text(T, fmt))
 
 
 def save_tensor(path, T, fmt="dense"):
     """Write a tensor file; a later load reproduces the tensor exactly."""
+    pieces = _tensor_text(T, fmt)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_tensor(T, fmt=fmt))
+        fh.writelines(pieces)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import tracemalloc
 import warnings
 
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from teneig import Tensor, load_tensor, save_tensor, tensorfile
+from teneig import Tensor, cli, load_tensor, save_tensor, tensorfile
 from teneig.instances import dense_demo, random_instance, sparse_ring_demo
 from teneig.tensorfile import TensorFileError, dumps_tensor, loads_tensor
 
@@ -86,15 +88,20 @@ def test_missing_headers():
 def test_dense_payload_count_checked():
     with pytest.raises(TensorFileError, match="expected 4"):
         loads_tensor("order 2\ndim 2\nformat dense\n1 2 3\n")
+    # np.fromstring reads a blank string as [-1.0]
+    for blank in ("\n", " \t\n\r\n"):
+        with pytest.raises(TensorFileError, match="dense payload has 0 entries, expected 1"):
+            loads_tensor("order 2\ndim 1\nformat dense\n" + blank)
     with pytest.raises(TensorFileError, match="too many") as err:
         loads_tensor("order 2\ndim 2\nformat dense\n1 2 3 4\n5\n")
     assert err.value.line == 5
 
 
 def test_dense_bad_token_reports_line():
-    with pytest.raises(TensorFileError, match="not a number") as err:
-        loads_tensor("order 2\ndim 2\nformat dense\n1 2\nx 4\n")
-    assert err.value.line == 5
+    for bad in ("x", "\ud800"):  # a lone surrogate has no UTF-8 encoding
+        with pytest.raises(TensorFileError, match="not a number") as err:
+            loads_tensor("order 2\ndim 2\nformat dense\n1 2\n%s 4\n" % bad)
+        assert err.value.line == 5
 
 
 @pytest.mark.parametrize(
@@ -153,6 +160,26 @@ def test_dumps_rejects_unknown_format():
         dumps_tensor(sparse_ring_demo(), fmt="json")
 
 
+def test_save_rejects_unknown_format_before_opening_the_file(tmp_path):
+    path = tmp_path / "keep.ten"
+    save_tensor(path, dense_demo())
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        save_tensor(path, sparse_ring_demo(), fmt="json")
+    assert path.read_bytes() == before
+
+
+def test_blank_dense_file_is_rejected(tmp_path):
+    path = tmp_path / "blank.ten"
+    path.write_bytes(b"order 2\ndim 1\nformat dense\n\n")
+    with pytest.raises(TensorFileError, match="dense payload has 0 entries, expected 1"):
+        load_tensor(path)
+    # a blank read piece adds no value: one value short stays short
+    path.write_bytes(b"order 2\ndim 2\nformat dense\n1 2 3\n" + b"\n" * 40000)
+    with pytest.raises(TensorFileError, match="dense payload has 3 entries, expected 4"):
+        load_tensor(path)
+
+
 SPECIAL_VALUES = (0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308, -1.7976931348623157e308)
 
 
@@ -208,6 +235,7 @@ ODD_TOKENS = ("1_0", "\u0661\u0662", "1e400", "nan", "-inf", "x", "1-2", "1..2",
 PAYLOAD_SEPS = (" ", "\t", "\n", "\r\n", "  \n\n", "\r", "\x0b", "\x0c",
                 "\x1c", "\x85", "\u2028", "\xa0", " # note\n")
 LINE_ENDS = ("\n", "\r\n", "\r", "\x0c", "\u2028", "\x1e")
+BLANK_RUNS = ("", "", "\n", "\n\n\n", " \t\n \n", "\r\n\r\n")
 
 
 @st.composite
@@ -228,9 +256,10 @@ def dense_texts(draw):
     tokens = st.sampled_from(GOOD_TOKENS) | st.floats(allow_nan=False, allow_infinity=False).map(repr)
     if draw(st.integers(0, 3)) == 0:
         tokens = tokens | st.sampled_from(ODD_TOKENS)
+    text += draw(st.sampled_from(BLANK_RUNS))
     for _ in range(max(count, 0)):
         text += draw(tokens) + draw(seps)
-    return text
+    return text + draw(st.sampled_from(BLANK_RUNS))
 
 
 @given(dense_texts())
@@ -288,6 +317,143 @@ def test_a_numpy_warning_sends_the_text_to_the_line_loop(monkeypatch):
     assert err.value.line == 4
 
 
+def _load_as_text(path):
+    """The whole-text read load_tensor falls back to."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TensorFileError("not UTF-8 text (%s)" % exc) from None
+    return loads_tensor(text)
+
+
+def _same_file_outcome(path):
+    """load_tensor and the whole-text read give bit-identical data, or the
+    same TensorFileError message and line."""
+    try:
+        want = _load_as_text(path).data
+    except TensorFileError as exc:
+        with pytest.raises(TensorFileError) as err:
+            load_tensor(path)
+        assert (str(err.value), err.value.line) == (str(exc), exc.line)
+        return
+    got = load_tensor(path).data
+    assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want))
+
+
+@given(dense_texts())
+@settings(max_examples=200)
+def test_load_matches_the_text_read(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "dense_text.ten"
+    path.write_bytes(text.encode("utf-8"))
+    _same_file_outcome(path)
+
+
+BLOCK = tensorfile._READ_SIZE
+ONE_LINE = " ".join(["0.25"] * 40000)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"# c\n" * BLOCK + b"order 2\ndim 2\nformat dense\n1 2 3 4\n",  # header after the first block
+        b"#" * (BLOCK + 10) + b"\norder 2\ndim 2\nformat dense\n1 2 3 4\n",  # no line break in the first block
+        b"order 2\ndim 2\nformat dense\n1 2\n" + b"\n" * (BLOCK + 1) + b"3 4\n" + b"\n \t\r\n" * BLOCK,
+        b"order 2\ndim 2\nformat dense\n1 2\n" + b"\n" * (BLOCK + 1) + b"3\n" + b"\n" * BLOCK,  # one short
+        ("order 2\ndim 200\nformat dense\n" + ONE_LINE + "\n").encode(),
+        ("order 2\ndim 200\nformat dense\n" + ONE_LINE + " 1\n").encode(),  # one too many
+        b"order 2\rdim 2\rformat dense\r1 2\r3 4\r",
+        ("order 2\rdim 200\rformat dense\r" + ONE_LINE.replace(" ", "\r")).encode(),
+        b"order 2\r\ndim 2\r\nformat dense\r\n1 2\r\n3 4\r\n",
+        b"order 2\ndim 2\nformat dense\n1 2\xff 3 4\n",  # an invalid UTF-8 byte
+        ("order 2\ndim 200\nformat dense\n" + ONE_LINE[:20000]).encode() + b"\xe9" + ONE_LINE[20000:].encode(),
+        "order 2\ndim 2\nformat dense\n1 2 \u0663 4\n".encode(),
+        "\ufefforder 2\ndim 2\nformat dense\n1 2 3 4\n".encode(),
+        "\ufeff\norder 2\ndim 2\nformat dense\n1 2 3 4\n".encode(),
+        "# \u00e9t\u00e9\norder 2\ndim 2\nformat dense\n1 2 3 4\n".encode(),
+        b"order 2\ndim 2\nformat coo\n1 2 5.0\n2 1 1e-3\n",
+        b"order 2\ndim 2\nformat dense\n1 2 3 4\x00\n",
+        b"order 9\ndim 9999\nformat dense\n1 2 3 4\n",  # too big to allocate
+    ],
+    ids=["late-header", "long-comment", "blank-runs", "blank-runs-short", "one-line", "one-line-long",
+         "cr", "cr-one-line", "crlf", "bad-utf8", "bad-utf8-late", "arabic-digit", "bom", "bom-line",
+         "utf8-comment", "coo", "nul", "huge"],
+)
+def test_load_edge_files_match_the_text_read(tmp_path, data):
+    path = tmp_path / "e.ten"
+    path.write_bytes(data)
+    _same_file_outcome(path)
+
+
+@pytest.fixture
+def text_reads(monkeypatch):
+    """Names of the text-path functions called: the per-token loop and the
+    whole-text parse that load_tensor falls back to."""
+    calls = []
+    for name in ("_parse_dense", "loads_tensor"):
+        real = getattr(tensorfile, name)
+
+        def wrapped(*args, name=name, real=real):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(tensorfile, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "T",
+    [dense_demo(), random_instance(2, 5, seed=2), random_instance(3, 24, seed=1),
+     random_instance(4, 10, seed=1), Tensor(np.array([[5e-324, -0.0], [1.7976931348623157e308, 0.1]]))],
+    ids=repr,
+)
+def test_saved_dense_files_take_the_streamed_read(tmp_path, text_reads, T):
+    path = tmp_path / "t.ten"
+    save_tensor(path, T)
+    assert np.array_equal(_bits(load_tensor(path).data), _bits(T.data))
+    assert text_reads == []
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        "# \u00e9t\u00e9\norder 2\ndim 2\nformat dense\n1 2 3 4\n".encode(),
+        b"order 2\r\ndim 2\r\nformat dense\r\n\r\n1 2\r\n3 4\r\n",
+        b"order 2\rdim 2\rformat dense\r1 2\r3 4",
+        b"order 2\ndim 2\nformat dense\n1 2\n" + b"\n \t\n" * BLOCK + b"3 4\n",
+        b"# c\n" * (BLOCK // 5) + b"order 2\ndim 2\nformat dense\n1 2 3 4\n",
+    ],
+    ids=["utf8-comment", "crlf", "cr", "blank-runs", "comments"],
+)
+def test_plain_dense_files_take_the_streamed_read(tmp_path, text_reads, data):
+    path = tmp_path / "t.ten"
+    path.write_bytes(data)
+    got = load_tensor(path).data
+    assert text_reads == []
+    assert np.array_equal(_bits(got), _bits(_load_as_text(path).data))
+
+
+def test_a_header_line_cut_by_the_first_block_is_read_whole(tmp_path):
+    # The first block ends just after "format dense"; the line goes on.
+    head = b"order 2\ndim 2\n"
+    pad = BLOCK - len(head) - len(b"format dense") - 1
+    path = tmp_path / "t.ten"
+    path.write_bytes(b"#" * pad + b"\n" + head + b"format dense5\n1 2 3\n")
+    with pytest.raises(TensorFileError, match="expected 'format dense' or 'format coo'"):
+        load_tensor(path)
+
+
+def test_a_non_ascii_byte_is_never_read_by_numpy(tmp_path, monkeypatch):
+    # In a Latin-1 C locale numpy's separator test could take 0xa0 for a space.
+    def latin1_fromstring(piece, dtype=float, sep=" "):
+        return np.array([float(t) for t in piece.decode("latin-1").split()])
+
+    monkeypatch.setattr(tensorfile.np, "fromstring", latin1_fromstring)
+    path = tmp_path / "t.ten"
+    path.write_bytes(b"order 2\ndim 2\nformat dense\n1 2\n" + b"\n" * BLOCK + b"3\xa04\n")
+    with pytest.raises(TensorFileError, match="not UTF-8 text"):
+        load_tensor(path)
+
+
 def _peak_ratio(call, T):
     call()  # warm-up: imports and lazily made state
     tracemalloc.start()
@@ -299,13 +465,30 @@ def _peak_ratio(call, T):
     return peak / T.data.nbytes
 
 
+MEMORY_SHAPES = ((3, 24), (4, 10))
+
+
 def test_load_peak_memory(tmp_path):
-    T = random_instance(3, 24, seed=1)
-    path = tmp_path / "t.ten"
-    save_tensor(path, T)
-    assert _peak_ratio(lambda: load_tensor(path), T) < 8.0
+    for m, n in MEMORY_SHAPES:
+        T = random_instance(m, n, seed=1)
+        path = tmp_path / "t.ten"
+        save_tensor(path, T)
+        assert _peak_ratio(lambda: load_tensor(path), T) < 3.0, (m, n)
 
 
 def test_save_peak_memory(tmp_path):
-    T = random_instance(3, 24, seed=1)
-    assert _peak_ratio(lambda: save_tensor(tmp_path / "t.ten", T), T) < 8.0
+    for m, n in MEMORY_SHAPES:
+        T = random_instance(m, n, seed=1)
+        assert _peak_ratio(lambda: save_tensor(tmp_path / "t.ten", T), T) < 1.0, (m, n)
+
+
+def test_cli_solve_peak_memory(tmp_path):
+    T = random_instance(4, 10, seed=1)
+    path = tmp_path / "t.ten"
+    save_tensor(path, T)
+
+    def solve():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["solve", str(path), "--method", "both", "--json"]) in (0, 1)
+
+    assert _peak_ratio(solve, T) < 3.5
