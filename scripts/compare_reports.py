@@ -10,10 +10,13 @@ seed, every case of the perfbench/workloads.py builders and of
 known_defects (this repository's copy) is solved in each tree, in a
 subprocess of its own that imports teneig from that tree alone, with BLAS on
 one thread: solve_dominant for a "solve" case, pta_solve for a "pta" case,
-and both for a "roundtrip" case.  The script prints, per SolveReport.to_dict()
-field other than wall_time_s, how many reports differ bit for bit (NaN equals
-NaN), and the largest relative differences in lambda and lambda_shifted.  It
-exits 1 when the two trees made different sets of reports.
+and for a "roundtrip" case perfbench/run.py's own roundtrip, which saves the
+tensor to a file in a temporary directory and runs `teneig solve FILE
+--method both --json` through teneig.cli.main, so the file layer is compared
+too.  The script prints, per SolveReport.to_dict() field other than
+wall_time_s, how many reports differ bit for bit (NaN equals NaN), and the
+largest relative differences in lambda and lambda_shifted.  It exits 1 when
+the two trees made different sets of reports.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GROUPS = ("large_dense", "scaled_small", "file_roundtrip", "known_defects")
-METHODS = {"solve": ("homotopy",), "pta": ("pta",), "roundtrip": ("homotopy", "pta")}
 SKIPPED = ("wall_time_s",)
 
 
@@ -56,13 +59,21 @@ def benchmark_cases(teneig, groups, seeds):
 def dump(tree, groups, seeds):
     """Print one JSON line per report, made with the teneig of ``tree``."""
     teneig = import_teneig(tree)
-    solvers = {"homotopy": teneig.solve_dominant, "pta": teneig.pta_solve}
-    for group, seed, i, case in benchmark_cases(teneig, groups, seeds):
-        for kind in case.kinds:
-            for method in METHODS[kind]:
-                rep = solvers[method](case.tensor).to_dict()
-                key = [group, seed, i, case.label, method]
-                print(json.dumps({"key": key, "report": rep}))
+    import run
+
+    ops = run.Ops(teneig)
+    solvers = {"solve": teneig.solve_dominant, "pta": teneig.pta_solve}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "case.ten")
+        for group, seed, i, case in benchmark_cases(teneig, groups, seeds):
+            for kind in case.kinds:
+                if kind in solvers:
+                    reps = [solvers[kind](case.tensor).to_dict()]
+                else:
+                    reps = run.roundtrip(ops, case, path)[1]
+                for rep in reps:
+                    key = [group, seed, i, case.label, rep["method"]]
+                    print(json.dumps({"key": key, "report": rep}))
 
 
 def reports(tree, groups, seeds):

@@ -6,24 +6,23 @@ Usage:
     python scripts/traffic_coverage.py --groups scaled_small --seeds 1 2 3
 
 Every case that the perfbench/workloads.py builders (known_defects included)
-make for the given groups and seeds runs as the benchmark runs it, with the
-teneig of this checkout: solve_dominant for a "solve" case, pta_solve for a
-"pta" case, and for a "roundtrip" case save_tensor into a temporary file,
-then `teneig solve FILE --method both --json` through teneig.cli.main.  The
-standard library's `trace` module counts the lines they execute, on the
-kernel's worker threads too.  The script prints, per module and function of
-src/teneig, the line numbers that never ran, then a total.  Module-level
-lines run at import and are not counted; a lambda's or comprehension's lines
-count as its enclosing function's.
+make for the given groups and seeds runs through perfbench/run.py's execute,
+as the benchmark runs it, with the teneig of this checkout: solve_dominant
+for a "solve" case, pta_solve for a "pta" case, and for a "roundtrip" case
+save_tensor into a temporary file, then `teneig solve FILE --method both
+--json` through teneig.cli.main.  The standard library's `trace` module
+counts the lines they execute, on the kernel's worker threads too.  The
+script prints, per module and function of src/teneig, the line numbers that
+never ran, then a total.  Module-level lines run at import and are not
+counted; a lambda's or comprehension's lines count as its enclosing
+function's.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dis
 import inspect
-import io
 import os
 import sys
 import tempfile
@@ -32,6 +31,9 @@ import trace
 import types
 
 from compare_reports import GROUPS, ROOT, benchmark_cases, import_teneig
+
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import run  # noqa: E402  (first: it sets BLAS to one thread before numpy is imported)
 
 SRC = os.path.join(ROOT, "src", "teneig")
 
@@ -60,19 +62,11 @@ def function_lines(path):
 
 
 def run_cases(teneig, groups, seeds, tmp):
-    from teneig import cli, tensorfile
-
-    solvers = {"solve": teneig.solve_dominant, "pta": teneig.pta_solve}
+    ops = run.Ops(teneig)
+    path = os.path.join(tmp, "case.tns")
     for group, seed, i, case in benchmark_cases(teneig, groups, seeds):
         for kind in case.kinds:
-            if kind in solvers:
-                solvers[kind](case.tensor)
-                continue
-            path = os.path.join(tmp, "case.tns")
-            tensorfile.save_tensor(path, case.tensor, fmt=case.fmt)
-            with contextlib.redirect_stdout(io.StringIO()):
-                rc = cli.main(["solve", path, "--method", "both", "--json"])
-            if rc != 0:
+            if run.execute(ops, case, kind, path)[0] != 0:
                 raise SystemExit("teneig solve failed on %s seed %d case %d" % (group, seed, i))
 
 

@@ -31,7 +31,7 @@ _SOLVER_FLAGS = (
     ("--eps1", "eps1", "path Newton tolerance"),
     ("--eps2", "eps2", "endgame / PTA residual tolerance"),
     ("--beta", "beta", "endgame threshold"),
-    ("--epsilon", "eps_perturb", "perturbation for reducible input"),
+    ("--epsilon", "eps_perturb", "constant added to A: homotopy on reducible input, PTA always"),
     ("--max-steps", "max_steps", "step / iteration cap"),
 )
 

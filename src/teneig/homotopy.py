@@ -109,7 +109,7 @@ class HomotopyConfig:
     eps1: float = 1e-5  # path Newton tolerance
     eps2: float = 1e-10  # endgame tolerance
     beta: float = 0.9999  # endgame threshold
-    eps_perturb: float = 1e-9  # constant added for reducible inputs
+    eps_perturb: float = 1e-9  # constant added to A: on reducible input here, always in PTA
     max_steps: int = 50000  # prediction-correction cap
 
     def __post_init__(self):

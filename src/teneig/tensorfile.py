@@ -19,24 +19,25 @@ Files move in pieces.  The writer yields the header, then a dense payload
 in blocks of 64 six-value lines with one ``%`` call each, or a coo payload
 with one ``%`` call (``"%.17g"`` is the routine behind ``format(v, ".17g")``,
 so the text is the same as a per-value writer's); ``dumps_tensor`` joins the
-pieces and ``save_tensor`` writes them one at a time.  The reader finds the
-three header lines one at a time, at any line break ``str.splitlines`` breaks
-at.  A dense payload goes to one bulk parser as byte pieces of whole lines,
-about 16 KiB each, with one ``np.fromstring`` call per piece into a
-preallocated array; it creates no Python object per value.
-``loads_tensor`` cuts its text into such pieces, and ``load_tensor`` reads
-the header from the file's first 16 KiB and then the payload's bytes 16 KiB
-and the rest of a line at a time, so it never holds the file's text or
-bytes whole.  The bulk
-parse keeps its result only if every piece is ASCII, numpy raised nothing
-and warned nothing, and the pieces gave exactly dim**order finite values; a
-blank piece gives none (numpy would read it as -1).  Every other dense
-payload (one with a comment, an odd token or a wrong count) and every coo
-payload go through the line-by-line loop, which calls ``float()`` on each
-token; ``load_tensor`` first reads such a file, or one whose header is not
-complete in its first block, whole as text.  So every token ``float()``
-accepts is still accepted, every value is the one ``float()`` gives, and
-every error keeps its message and line number.
+pieces and ``save_tensor`` writes them one at a time.
+
+``loads_tensor`` is the reference reader: it finds the three header lines
+one at a time, at any line break ``str.splitlines`` breaks at, then parses
+the payload line by line, calling ``float()`` on each token.  So every token
+``float()`` accepts is accepted, every value is the one ``float()`` gives,
+and every error carries its line number.
+
+``load_tensor`` reads a dense file without holding its text or bytes whole:
+it reads the header from the file's first 16 KiB, cut at its last ``\n`` or
+``\r``, and then passes the payload's bytes, 16 KiB and the rest of a line at
+a time, to one bulk parser, with one ``np.fromstring`` call per piece into a
+preallocated array; it creates no Python object per value.  The bulk parse
+keeps its result only if every piece is ASCII, numpy raised nothing and
+warned nothing, and the pieces gave exactly dim**order finite values; a
+blank piece gives none (numpy would read it as -1).  Any other file (a coo
+file, a header not complete in the first block, or a dense payload with a
+comment, an odd token or a wrong count) is read again from its start, whole,
+and given to ``loads_tensor``, so it keeps that reader's values and errors.
 """
 
 from __future__ import annotations
@@ -117,27 +118,15 @@ def _header(text):
 
 
 def loads_tensor(text):
-    """Parse a tensor from the text format."""
-    order, dim, fmt, lines, head_end = _header(text)
+    """Parse a tensor from the text format, line by line."""
+    order, dim, fmt, lines, _ = _header(text)
     if fmt == "coo":
         return _parse_coo(lines, order, dim)
-    values = _bulk_dense(_text_pieces(text, head_end), order, dim)
-    if values is not None:
-        return Tensor(values)
     return _parse_dense(lines, order, dim)
 
 
-# The bytes (or characters) the readers take at a time.
+# The bytes load_tensor reads at a time.
 _READ_SIZE = 1 << 14
-
-
-def _text_pieces(text, pos):
-    """text[pos:] as UTF-8 bytes, in pieces of whole "\n"-ended lines; a
-    lone surrogate encodes too, as the non-ASCII bytes it is."""
-    while pos < len(text):
-        end = text.find("\n", pos + _READ_SIZE) + 1 or len(text)
-        yield text[pos:end].encode("utf-8", "surrogatepass")
-        pos = end
 
 
 def _bulk_dense(pieces, order, dim):
@@ -236,7 +225,7 @@ def _load_plain_dense(fh):
     payload _bulk_dense declines."""
     block = fh.read(_READ_SIZE)
     if len(block) == _READ_SIZE:
-        block = block[: block.rfind(b"\n") + 1]
+        block = block[: max(block.rfind(b"\n"), block.rfind(b"\r")) + 1]
     try:
         text = block.decode("utf-8")
         order, dim, fmt, _, head_end = _header(text)
@@ -252,13 +241,14 @@ def load_tensor(path):
     """Read a tensor file from disk; a file that is not UTF-8 text is malformed."""
     with open(path, "rb") as fh:
         values = _load_plain_dense(fh)
+        if values is None:
+            fh.seek(0)
+            try:
+                text = fh.read().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise TensorFileError("not UTF-8 text (%s)" % exc) from None
     if values is not None:
         return Tensor(values)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise TensorFileError("not UTF-8 text (%s)" % exc) from None
     return loads_tensor(text)
 
 

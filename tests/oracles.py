@@ -23,6 +23,13 @@ def tvp_naive(data, x):
     return out
 
 
+def relative_bracket(data, lam, x):
+    """Width of the Collatz-Wielandt bracket of data at x > 0, the range of
+    (data x^{m-1})_i / x_i^{m-1}, widened to include lam, over |lam|."""
+    r = tvp_naive(data, x) / x ** (data.ndim - 1)
+    return (max(r.max(), lam) - min(r.min(), lam)) / abs(lam)
+
+
 def matrix_contraction_naive(data, x):
     """Direct summation of the n-by-n matrix t[i, j, i3, ..., im] x[i3]...x[im]."""
     m, n = data.ndim, data.shape[0]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from teneig import HomotopyConfig, Tensor, load_tensor, save_tensor
+from teneig import HomotopyConfig, Tensor, load_tensor, pta_solve, save_tensor, solve_dominant
 from teneig.cli import main
 from teneig.instances import dense_demo, random_instance, sparse_ring_demo
 
@@ -46,6 +46,27 @@ def test_solve_both_methods_agree(tmp_path, capsys):
     assert {r["method"] for r in reports} == {"homotopy", "pta"}
     lam = {r["method"]: r["lambda"] for r in reports}
     assert abs(lam["homotopy"] - lam["pta"]) <= 1e-6
+
+
+def _without_wall_time(reports):
+    return json.dumps([{k: v for k, v in r.items() if k != "wall_time_s"} for r in reports])
+
+
+@pytest.mark.parametrize(
+    "T, fmt, cr_only",
+    [(random_instance(3, 12, seed=3), "dense", False), (sparse_ring_demo(), "coo", False),
+     (random_instance(3, 12, seed=3), "dense", True)],
+    ids=["dense", "coo", "dense-cr-only"],
+)
+def test_solve_from_a_file_reports_as_in_memory(tmp_path, capsys, T, fmt, cr_only):
+    path = tmp_path / "t.ten"
+    save_tensor(path, T, fmt=fmt)
+    if cr_only:
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+    code, out, _ = run_cli(capsys, "solve", str(path), "--method", "both", "--json")
+    assert code in (0, 1)
+    want = [solve_dominant(T).to_dict(), pta_solve(T).to_dict()]
+    assert _without_wall_time(json.loads(out)) == _without_wall_time(want)
 
 
 def test_solve_negative_off_diagonal_exit_2(tmp_path, capsys):

@@ -34,6 +34,7 @@ from oracles import (
     alpha_shift_dense,
     block2_dominant_bisect,
     fd_jacobian,
+    relative_bracket,
     tvp_naive,
     weak_irreducibility_naive,
 )
@@ -688,6 +689,54 @@ def test_solve_endgame_failure_after_escalation(monkeypatch):
     assert rep.status == "endgame_failure"
     assert rep.perturbed  # the final retry switched the perturbation on
     assert rep.residual_norm > 1e-16
+
+
+@pytest.mark.parametrize(
+    "seed, betas, status, perturbed",
+    [
+        (15, [0.9999, 0.99995], "converged", False),  # the beta retry
+        (5, [0.9999, 0.99995, 0.9999], "converged", True),  # the perturbed re-solve
+        (13, [0.9999, 0.99995] * 2, "converged", True),  # the re-solve's own beta retry
+        (2, [0.9999, 0.99995] * 2, "endgame_failure", True),  # every jump fails
+    ],
+    ids=["beta-retry", "perturbed", "perturbed-beta-retry", "every-jump-fails"],
+)
+def test_log_uniform_inputs_reach_every_rescue(monkeypatch, seed, betas, status, perturbed):
+    # entries over twelve decades; no fault is injected, the wrapper only
+    # records the beta each jump starts from
+    from teneig import homotopy
+
+    A = Tensor(10.0 ** np.random.default_rng(seed).uniform(-6, 6, (8, 8, 8)))
+    real = homotopy.endgame
+    jumps = []
+
+    def recorded(T, S, state, config):
+        jumps.append(state.tau)
+        return real(T, S, state, config)
+
+    monkeypatch.setattr(homotopy, "endgame", recorded)
+    rep = solve_dominant(A)
+    assert (jumps, rep.status, rep.perturbed) == (betas, status, perturbed)
+    if status == "converged":
+        assert rep.eigen.x.min() > 0
+        assert relative_bracket(A.data, rep.eigen.lam, rep.eigen.x) <= 1e-6
+
+
+# The dominant eigenvalue of random_instance(3, 10, seed=1).
+SCALED_LAMBDA = 49.30685148335562
+SCALE_DEFECT = pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
+
+
+@pytest.mark.parametrize(
+    "k",
+    [pytest.param(-16, marks=SCALE_DEFECT), pytest.param(-12, marks=SCALE_DEFECT), 0, 4,
+     pytest.param(6, marks=SCALE_DEFECT), pytest.param(8, marks=SCALE_DEFECT)],
+)
+def test_solve_is_right_at_every_scale(k):
+    lam = SCALED_LAMBDA * 10.0**k
+    rep = solve_dominant(Tensor(random_instance(3, 10, seed=1).data * 10.0**k))
+    assert rep.status == "converged"
+    assert abs(rep.eigen.lam - lam) <= 1e-6 * lam
 
 
 def test_perturbed_retry_scans_the_input_once(monkeypatch):

@@ -20,7 +20,7 @@ from teneig import (
 from teneig.instances import dense_demo, random_instance
 from teneig.tensor import EssentialNonnegativityError, rank_one_start
 
-from oracles import alpha_shift_dense, pta_dense, unit_tensor_naive
+from oracles import alpha_shift_dense, pta_dense, relative_bracket, unit_tensor_naive
 
 
 def test_config_validation():
@@ -203,28 +203,21 @@ def _sparse_roundtrip_tensor():
     return Tensor(data)
 
 
-def _relative_bracket(A, lam, x):
-    """Width of the Collatz-Wielandt bracket of A at x > 0, widened to
-    include lam, over |lam|."""
-    r = np.einsum("ijk,j,k->i", A.data, x, x) / x**2
-    return (max(r.max(), lam) - min(r.min(), lam)) / abs(lam)
-
-
 def test_homotopy_certifies_the_sparse_roundtrip_tensor():
     A = _sparse_roundtrip_tensor()
     assert weak_irreducibility_check(A)
     rep = solve_dominant(A)
     assert rep.status == "converged" and not rep.perturbed
-    assert _relative_bracket(A, rep.eigen.lam, rep.eigen.x) <= 1e-6
+    assert relative_bracket(A.data, rep.eigen.lam, rep.eigen.x) <= 1e-6
 
 
 @pytest.mark.xfail(
     strict=True,
     reason="PTA always iterates on A + eps, also on irreducible input; the eps "
-    "term biases lambda by about 1.1e-6 relative here (ROADMAP item 7)",
+    "term biases lambda by about 1.1e-6 relative here (ROADMAP item 17)",
 )
 def test_pta_certifies_the_sparse_roundtrip_tensor():
     A = _sparse_roundtrip_tensor()
     rep = pta_solve(A)
     assert rep.status == "converged"
-    assert _relative_bracket(A, rep.eigen.lam, rep.eigen.x) <= 1e-6
+    assert relative_bracket(A.data, rep.eigen.lam, rep.eigen.x) <= 1e-6

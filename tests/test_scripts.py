@@ -44,16 +44,17 @@ def test_script_prints_its_table(script, args, rows):
 
 
 def test_compare_reports_finds_no_difference_between_a_tree_and_itself():
+    # file_roundtrip's 10 cases give 20 reports through save_tensor and the CLI
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "compare_reports.py"), str(ROOT), str(ROOT),
-         "--groups", "scaled_small", "--seeds", "1"],
+         "--groups", "scaled_small", "file_roundtrip", "--seeds", "1"],
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "reports compared: 76"
+    assert lines[0] == "reports compared: 96"
     counts = [line.split() for line in lines[1:] if line.endswith(" differ")]
     assert [c[0] for c in counts] == [
         "method", "status", "lambda", "x", "residual_norm", "iter", "nwtiter",
@@ -110,7 +111,7 @@ def test_traffic_coverage_lists_the_lines_no_benchmark_case_runs():
 )
 def test_failing_cases_lists_the_operations_that_fail_the_check(group, seed, rc, listed):
     # file_roundtrip's coo(3,40) at seed 33 is a PTA answer with the eps bias
-    # (ROADMAP item 7); scaled_small at seed 1 passes throughout
+    # (ROADMAP item 17); scaled_small at seed 1 passes throughout
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "failing_cases.py"), str(ROOT),
          "--groups", group, "--first", str(seed), "--last", str(seed)],

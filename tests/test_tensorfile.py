@@ -204,27 +204,16 @@ def _bits(a):
 
 def _same_outcome(text):
     """loads_tensor and the line-by-line oracle give bit-identical data, or
-    the same TensorFileError message and line.  True when the bulk parse gave
-    the data, so that loads_tensor never called the per-token loop."""
+    the same TensorFileError message and line."""
     try:
         want = loads_dense_loop(text)
     except TensorFileError as exc:
         with pytest.raises(TensorFileError) as err:
             loads_tensor(text)
         assert (str(err.value), err.value.line) == (str(exc), exc.line)
-        return False
-    loops = []
-    real = tensorfile._parse_dense
-
-    def spy(*args):
-        loops.append(args)
-        return real(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tensorfile, "_parse_dense", spy)
-        got = loads_tensor(text).data
+        return
+    got = loads_tensor(text).data
     assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want))
-    return not loops
 
 
 GOOD_TOKENS = ("1", "-0", "+.5", "5.", "1E5", "2.5e-3", "-.0", "4.9406564584124654e-324",
@@ -268,50 +257,10 @@ def test_loads_matches_the_per_token_parser(text):
     _same_outcome(text)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "order 2\ndim 2\nformat dense\n1 2\n3 4\n",
-        "order 2\r\ndim 2\r\nformat dense\r\n1\t+.5\r\n5. 1E5",
-        "# c\n\norder 2 # o\ndim 2\nformat dense\n\n-0 2\x0b3\x0c4\r",
-        "order 2\rdim 2\r# c\rformat dense\r1 2\r3 4\r",
-        "order 2\u2028dim 2\u2028format dense\u20281 2\n3 4\n",
-        dumps_tensor(random_instance(3, 4, seed=1)),
-    ],
-)
-def test_plain_dense_files_take_the_bulk_parse(text):
-    assert _same_outcome(text)
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "order 2\ndim 2\nformat dense\n1 2 # c\n3 4\n",  # comment in the payload
-        "# c\rorder 2\norder 2\ndim 2\nformat dense\n1 2 3 4\n",  # "\r" breaks a line
-        "order 2\ndim 2\nformat dense\n1_0 2 3 4\n",  # only float() reads 1_0
-        "order 2\ndim 2\nformat dense\n\u0661 2 3 4\n",
-    ],
-)
-def test_other_files_take_the_line_loop(text):
-    assert not _same_outcome(text)
-
-
 JUNK_AFTER_THE_VALUES = "order 2\ndim 2\nformat dense\n1 2 3 4 junk\n"
 
 
 def test_junk_after_the_values_is_not_a_number():
-    with pytest.raises(TensorFileError, match="not a number: 'junk'") as err:
-        loads_tensor(JUNK_AFTER_THE_VALUES)
-    assert err.value.line == 4
-
-
-def test_a_numpy_warning_sends_the_text_to_the_line_loop(monkeypatch):
-    # numpy 1.x warns on unmatched text and returns the values read so far.
-    def fromstring_1x(text, dtype=float, sep=" "):
-        warnings.warn("string or file could not be read to its end", DeprecationWarning)
-        return np.array([1.0, 2.0, 3.0, 4.0])
-
-    monkeypatch.setattr(tensorfile.np, "fromstring", fromstring_1x)
     with pytest.raises(TensorFileError, match="not a number: 'junk'") as err:
         loads_tensor(JUNK_AFTER_THE_VALUES)
     assert err.value.line == 4
@@ -421,8 +370,17 @@ def test_saved_dense_files_take_the_streamed_read(tmp_path, text_reads, T):
         b"order 2\rdim 2\rformat dense\r1 2\r3 4",
         b"order 2\ndim 2\nformat dense\n1 2\n" + b"\n \t\n" * BLOCK + b"3 4\n",
         b"# c\n" * (BLOCK // 5) + b"order 2\ndim 2\nformat dense\n1 2 3 4\n",
+        b"order 2\ndim 2\nformat dense\n1 2\n3 4\n",
+        b"order 2\r\ndim 2\r\nformat dense\r\n1\t+.5\r\n5. 1E5",
+        b"# c\n\norder 2 # o\ndim 2\nformat dense\n\n-0 2\x0b3\x0c4\r",
+        b"order 2\rdim 2\r# c\rformat dense\r1 2\r3 4\r",
+        "order 2\u2028dim 2\u2028format dense\u20281 2\n3 4\n".encode(),
+        dumps_tensor(random_instance(3, 4, seed=1)).encode(),
+        # no "\n" in the file: the first block is cut at its last "\r"
+        dumps_tensor(random_instance(4, 16, seed=1)).replace("\n", "\r").encode(),
     ],
-    ids=["utf8-comment", "crlf", "cr", "blank-runs", "comments"],
+    ids=["utf8-comment", "crlf", "cr", "blank-runs", "comments", "plain", "crlf-tokens", "vt-ff",
+         "cr-comment", "u2028", "saved(3,4)", "cr-only(4,16)"],
 )
 def test_plain_dense_files_take_the_streamed_read(tmp_path, text_reads, data):
     path = tmp_path / "t.ten"
@@ -430,6 +388,56 @@ def test_plain_dense_files_take_the_streamed_read(tmp_path, text_reads, data):
     got = load_tensor(path).data
     assert text_reads == []
     assert np.array_equal(_bits(got), _bits(_load_as_text(path).data))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "order 2\ndim 2\nformat dense\n1 2 # c\n3 4\n",  # comment in the payload
+        "# c\rorder 2\norder 2\ndim 2\nformat dense\n1 2 3 4\n",  # "\r" breaks a line
+        "order 2\ndim 2\nformat dense\n1_0 2 3 4\n",  # only float() reads 1_0
+        "order 2\ndim 2\nformat dense\n\u0661 2 3 4\n",
+    ],
+)
+def test_other_files_take_the_line_loop(tmp_path, text_reads, text):
+    path = tmp_path / "t.ten"
+    path.write_bytes(text.encode())
+    _same_file_outcome(path)
+    assert "loads_tensor" in text_reads
+
+
+def test_a_numpy_warning_sends_the_text_to_the_line_loop(tmp_path, text_reads, monkeypatch):
+    # numpy 1.x warns on unmatched text and returns the values read so far.
+    def fromstring_1x(text, dtype=float, sep=" "):
+        warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return np.array([1.0, 2.0, 3.0, 4.0])
+
+    monkeypatch.setattr(tensorfile.np, "fromstring", fromstring_1x)
+    path = tmp_path / "t.ten"
+    path.write_bytes(JUNK_AFTER_THE_VALUES.encode())
+    with pytest.raises(TensorFileError, match="not a number: 'junk'") as err:
+        load_tensor(path)
+    assert err.value.line == 4
+    assert text_reads == ["loads_tensor", "_parse_dense"]
+
+
+def test_a_declined_file_is_bulk_parsed_once(tmp_path, monkeypatch, text_reads):
+    T = random_instance(3, 24, seed=1)
+    path = tmp_path / "t.ten"
+    save_tensor(path, T)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("# note\n")
+    parses = []
+    real = tensorfile._bulk_dense
+
+    def counted(*args):
+        parses.append(real(*args))
+        return parses[-1]
+
+    monkeypatch.setattr(tensorfile, "_bulk_dense", counted)
+    assert np.array_equal(_bits(load_tensor(path).data), _bits(T.data))
+    assert [values is None for values in parses] == [True]  # the streamed read declined
+    assert text_reads == ["loads_tensor", "_parse_dense"]
 
 
 def test_a_header_line_cut_by_the_first_block_is_read_whole(tmp_path):
