@@ -21,29 +21,30 @@ with one ``%`` call (``"%.17g"`` is the routine behind ``format(v, ".17g")``,
 so the text is the same as a per-value writer's); ``dumps_tensor`` joins the
 pieces and ``save_tensor`` writes them one at a time.
 
-``loads_tensor`` is the reference reader: it finds the three header lines
-one at a time, at any line break ``str.splitlines`` breaks at, then parses
-the payload line by line, calling ``float()`` on each token.  So every token
-``float()`` accepts is accepted, every value is the one ``float()`` gives,
-and every error carries its line number.
+``loads_tensor`` is the reference reader: it walks one ``str.splitlines``
+of the text, so a line ends at any break that method knows, takes the
+three header lines from its start, then parses the payload line by line,
+calling ``float()`` on each token.  So every token ``float()`` accepts is
+accepted, every value is the one ``float()`` gives, and every error carries
+its line number.
 
-``load_tensor`` reads a dense file without holding its text or bytes whole:
-it reads the header from the file's first 16 KiB, cut at its last ``\n`` or
-``\r``, and then passes the payload's bytes, 16 KiB and the rest of a line at
-a time, to one bulk parser, with one ``np.fromstring`` call per piece into a
-preallocated array; it creates no Python object per value.  The bulk parse
-keeps its result only if every piece is ASCII, numpy raised nothing and
-warned nothing, and the pieces gave exactly dim**order finite values; a
-blank piece gives none (numpy would read it as -1).  Any other file (a coo
-file, a header not complete in the first block, or a dense payload with a
-comment, an odd token or a wrong count) is read again from its start, whole,
-and given to ``loads_tensor``, so it keeps that reader's values and errors.
+``load_tensor`` reads a dense file without holding its text or bytes whole.
+It reads the file in pieces of 16 KiB, each cut after its last ``\\n`` or
+``\\r`` (a piece with neither runs on to the next ``\\n``).  It takes the
+header from the first piece, and passes the payload's pieces to one bulk
+parser, with one ``np.fromstring`` call per piece into a preallocated
+array; it creates no Python object per value.  The bulk parse keeps its
+result only if every piece is ASCII, numpy raised nothing and warned
+nothing, and the pieces gave exactly dim**order finite values; a blank
+piece gives none (numpy would read it as -1).  Any other file (a coo file,
+a header not complete in the first piece, or a dense payload with a comment,
+an odd token or a wrong count) is read again from its start, whole, and given
+to ``loads_tensor``, so it keeps that reader's values and errors.
 """
 
 from __future__ import annotations
 
 import itertools
-import re
 import warnings
 from math import isfinite
 
@@ -60,34 +61,21 @@ class TensorFileError(ValueError):
         super().__init__("line %d: %s" % (line, message) if line else message)
 
 
-# The line breaks of str.splitlines.
-_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
-
-
-def _meaningful_lines(text, head_end):
-    """(lineno, body) for each line of text with anything before a '#',
-    numbered as str.splitlines numbers them.  The first three, the header,
-    are found one at a time by a search for the next line break, and
-    head_end[0] is set to the offset after the third; the lines after it
-    come from one splitlines() of the rest."""
-    pos = lineno = found = 0
-    while found < 3 and pos < len(text):
-        brk = _BREAK.search(text, pos)
-        body = text[pos : brk.start() if brk else None].split("#", 1)[0].strip()
-        pos = head_end[0] = brk.end() if brk else len(text)
-        lineno += 1
-        if body:
-            found += 1
-            yield lineno, body
-    for lineno, raw in enumerate(text[pos:].splitlines(), start=lineno + 1):
+def _meaningful_lines(text):
+    """(lineno, body, end) for each line of text with anything before a '#',
+    numbered as str.splitlines numbers them; end is the offset in text just
+    past the line's break."""
+    end = 0
+    for lineno, raw in enumerate(text.splitlines(keepends=True), start=1):
+        end += len(raw)
         body = raw.split("#", 1)[0].strip()
         if body:
-            yield lineno, body
+            yield lineno, body, end
 
 
 def _header_int(lines, key):
     try:
-        lineno, body = next(lines)
+        lineno, body, _ = next(lines)
     except StopIteration:
         raise TensorFileError("missing '%s' header" % key) from None
     parts = body.split()
@@ -99,27 +87,27 @@ def _header_int(lines, key):
         raise TensorFileError("expected an integer for '%s', got %r" % (key, parts[1]), lineno) from None
 
 
-def _header(text):
-    """(order, dim, format, the payload's lines, the payload's offset in text)."""
-    head_end = [0]
-    lines = _meaningful_lines(text, head_end)
+def _header(lines):
+    """(order, dim, format, the offset just past the format line) from the
+    first three of _meaningful_lines; lines is left at the payload."""
     order = _header_int(lines, "order")
     dim = _header_int(lines, "dim")
     if order < 2 or dim < 1:
         raise TensorFileError("need order >= 2 and dim >= 1, got order %d, dim %d" % (order, dim))
     try:
-        lineno, body = next(lines)
+        lineno, body, end = next(lines)
     except StopIteration:
         raise TensorFileError("missing 'format' header") from None
     parts = body.split()
     if len(parts) != 2 or parts[0] != "format" or parts[1] not in ("dense", "coo"):
         raise TensorFileError("expected 'format dense' or 'format coo', got %r" % body, lineno)
-    return order, dim, parts[1], lines, head_end[0]
+    return order, dim, parts[1], end
 
 
 def loads_tensor(text):
     """Parse a tensor from the text format, line by line."""
-    order, dim, fmt, lines, _ = _header(text)
+    lines = _meaningful_lines(text)
+    order, dim, fmt, _ = _header(lines)
     if fmt == "coo":
         return _parse_coo(lines, order, dim)
     return _parse_dense(lines, order, dim)
@@ -127,6 +115,20 @@ def loads_tensor(text):
 
 # The bytes load_tensor reads at a time.
 _READ_SIZE = 1 << 14
+
+
+def _next_piece(fh):
+    """The next 16 KiB of a binary file cut after its last \\n or \\r, with
+    the file moved back to the cut; b"" at the end.  A full block with no
+    break at all runs on to the next \\n."""
+    block = fh.read(_READ_SIZE)
+    if len(block) < _READ_SIZE:
+        return block
+    cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
+    if not cut:
+        return block + fh.readline()
+    fh.seek(cut - len(block), 1)
+    return block[:cut]
 
 
 def _bulk_dense(pieces, order, dim):
@@ -162,18 +164,22 @@ def _bulk_dense(pieces, order, dim):
     return values.reshape((dim,) * order)
 
 
+def _value(tok, lineno):
+    """float(tok), which must be finite."""
+    try:
+        value = float(tok)
+    except ValueError:
+        raise TensorFileError("not a number: %r" % tok, lineno) from None
+    if not isfinite(value):
+        raise TensorFileError("entries must be finite, got %r" % tok, lineno)
+    return value
+
+
 def _parse_dense(lines, order, dim):
     expected = dim**order
     values = []
-    for lineno, body in lines:
-        for tok in body.split():
-            try:
-                value = float(tok)
-            except ValueError:
-                raise TensorFileError("not a number: %r" % tok, lineno) from None
-            if not isfinite(value):
-                raise TensorFileError("entries must be finite, got %r" % tok, lineno)
-            values.append(value)
+    for lineno, body, _ in lines:
+        values.extend([_value(tok, lineno) for tok in body.split()])
         if len(values) > expected:
             raise TensorFileError(
                 "too many entries: expected %d for order %d, dim %d" % (expected, order, dim),
@@ -192,7 +198,7 @@ def _parse_coo(lines, order, dim):
     except (ValueError, MemoryError) as exc:
         raise TensorFileError("cannot allocate order %d, dim %d: %s" % (order, dim, exc)) from None
     seen = set()
-    for lineno, body in lines:
+    for lineno, body, _ in lines:
         toks = body.split()
         if len(toks) != order + 1:
             raise TensorFileError(
@@ -208,33 +214,25 @@ def _parse_coo(lines, order, dim):
         if idx in seen:
             raise TensorFileError("duplicate index %s" % (idx,), lineno)
         seen.add(idx)
-        try:
-            value = float(toks[order])
-        except ValueError:
-            raise TensorFileError("not a number: %r" % toks[order], lineno) from None
-        if not isfinite(value):
-            raise TensorFileError("entries must be finite, got %r" % toks[order], lineno)
-        data[tuple(i - 1 for i in idx)] = value
+        data[tuple(i - 1 for i in idx)] = _value(toks[order], lineno)
     return Tensor(data)
 
 
 def _load_plain_dense(fh):
-    """The data array of a dense file opened in binary mode, its payload read
-    16 KiB and the rest of a line at a time; None when the file needs the
-    text path: a header not complete in the first block, a coo file, or a
-    payload _bulk_dense declines."""
-    block = fh.read(_READ_SIZE)
-    if len(block) == _READ_SIZE:
-        block = block[: max(block.rfind(b"\n"), block.rfind(b"\r")) + 1]
+    """The data array of a dense file opened in binary mode, read a piece
+    of _next_piece at a time; None when the file needs the text path: a
+    header not complete in the first piece, a coo file, or a payload
+    _bulk_dense declines."""
     try:
-        text = block.decode("utf-8")
-        order, dim, fmt, _, head_end = _header(text)
+        text = _next_piece(fh).decode("utf-8")
+        # A temporary iterator, so the piece's line list is freed before _bulk_dense allocates.
+        order, dim, fmt, end = _header(_meaningful_lines(text))
     except (UnicodeDecodeError, TensorFileError):
         return None
     if fmt != "dense":
         return None
-    fh.seek(len(text[:head_end].encode("utf-8")))
-    return _bulk_dense(iter(lambda: fh.read(_READ_SIZE) + fh.readline(), b""), order, dim)
+    fh.seek(len(text[:end].encode("utf-8")))
+    return _bulk_dense(iter(lambda: _next_piece(fh), b""), order, dim)
 
 
 def load_tensor(path):

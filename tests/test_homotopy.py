@@ -680,7 +680,7 @@ def test_solve_endgame_failure_after_escalation(monkeypatch):
     # every jump stalls: both betas fail, then the perturbed retry fails too
     from teneig import homotopy
 
-    def stalls(T, S, u, config, beta=None, tangent=None):
+    def stalls(T, S, state, config):
         raise NewtonStalled(1)
 
     monkeypatch.setattr(homotopy, "endgame", stalls)
@@ -750,7 +750,7 @@ def test_perturbed_retry_scans_the_input_once(monkeypatch):
         scans.append(T)
         return real(T)
 
-    def stalls(T, S, u, config, beta=None, tangent=None):
+    def stalls(T, S, state, config):
         raise NewtonStalled(1)
 
     monkeypatch.setattr(homotopy, "require_essentially_nonnegative", counted)

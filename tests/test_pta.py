@@ -221,3 +221,15 @@ def test_pta_certifies_the_sparse_roundtrip_tensor():
     rep = pta_solve(A)
     assert rep.status == "converged"
     assert relative_bracket(A.data, rep.eigen.lam, rep.eigen.x) <= 1e-6
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 17")
+@pytest.mark.parametrize("solve", [solve_dominant, pta_solve], ids=["homotopy", "pta"])
+@pytest.mark.parametrize("shape", [(3, 3, 3), (4, 4)], ids=repr)
+def test_the_zero_tensor_has_eigenvalue_zero(solve, shape):
+    # The zero tensor is reducible, so both solvers add the absolute
+    # eps_perturb = 1e-9 to every entry, which moves lambda to about
+    # eps * n^(m-1); with eps = 0 they give |lambda| <= 3.2e-15.
+    rep = solve(Tensor(np.zeros(shape)))
+    assert rep.status == "converged"
+    assert abs(rep.eigen.lam) <= 1e-12

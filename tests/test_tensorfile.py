@@ -119,6 +119,30 @@ def test_nonfinite_entry_reports_line(payload, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize(
+    "br", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"], ids=repr
+)
+def test_every_splitlines_break_ends_a_line(tmp_path, br):
+    path = tmp_path / "t.ten"
+
+    def both_reads(*lines):
+        """loads_tensor of the lines joined by br, and load_tensor of a file of them."""
+        text = br.join(lines) + br
+        path.write_bytes(text.encode("utf-8"))
+        return [lambda: loads_tensor(text), lambda: load_tensor(path)]
+
+    for read in both_reads("# c", "order 2", "dim 2", "format dense", "1 2", "3 4"):
+        assert read().data.tolist() == [[1, 2], [3, 4]]
+    for lines, line in [
+        (("# c", "order 2", "", "dim x", "format dense", "1 2 3 4"), 4),
+        (("# c", "order 2", "dim 2", "format dense", "1 2 x 4"), 5),
+    ]:
+        for read in both_reads(*lines):
+            with pytest.raises(TensorFileError) as err:
+                read()
+            assert err.value.line == line
+
+
 def test_coo_errors_report_line():
     head = "order 3\ndim 2\nformat coo\n"
     with pytest.raises(TensorFileError, match="out of range") as err:
@@ -482,6 +506,8 @@ def test_load_peak_memory(tmp_path):
         path = tmp_path / "t.ten"
         save_tensor(path, T)
         assert _peak_ratio(lambda: load_tensor(path), T) < 3.0, (m, n)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+        assert _peak_ratio(lambda: load_tensor(path), T) < 3.0, (m, n, "cr-only")
 
 
 def test_save_peak_memory(tmp_path):
