@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -128,7 +128,8 @@ class HomotopyConfig:
 @dataclass
 class PathState:
     """Point u = (lam, x...) on the solution curve at tau, its path tangent
-    (JH g = -dH/dtau; None where JH is singular) and step-control history."""
+    (JH g = -dH/dtau; None where JH is singular), step-control history, and
+    the path's counters, min_x the smallest x component of an accepted point."""
 
     tau: float
     u: np.ndarray = field(repr=False)
@@ -136,7 +137,9 @@ class PathState:
     dtau: float
     last_two_uncut: tuple = (False, False)
     step_count: int = 0
+    jumps: int = 0
     newton_total: int = 0
+    min_x: float = np.inf
 
 
 @dataclass
@@ -147,7 +150,8 @@ class SolveReport:
     shifted back by alpha); ``lambda_shifted`` is the eigenvalue of the
     nonnegative tensor the solver actually iterated on.  The defaults
     describe a solve that produced nothing, as recorded for a solver that
-    raised.
+    raised.  The fields, in order, are the keys of ``to_dict()``, with
+    ``eigen`` given as ``lambda`` and ``x``.
     """
 
     method: str  # homotopy | pta
@@ -157,27 +161,22 @@ class SolveReport:
     iter: int = 0
     nwtiter: int = 0
     wall_time_s: float = 0.0
-    perturbed: bool = False
     alpha: float = np.nan
     lambda_shifted: float = np.nan
+    perturbed: bool = False
     path_min_x: float = np.nan
 
     def to_dict(self):
         """The JSON report of ``teneig solve`` and of ``teneig compare`` records."""
-        return {
-            "method": self.method,
-            "status": self.status,
-            "lambda": self.eigen.lam if self.eigen else np.nan,
-            "x": [float(v) for v in self.eigen.x] if self.eigen else [],
-            "residual_norm": self.residual_norm,
-            "iter": self.iter,
-            "nwtiter": self.nwtiter,
-            "wall_time_s": self.wall_time_s,
-            "alpha": self.alpha,
-            "lambda_shifted": self.lambda_shifted,
-            "perturbed": self.perturbed,
-            "path_min_x": self.path_min_x,
-        }
+        out = {}
+        for f in fields(self):
+            if f.name != "eigen":
+                out[f.name] = getattr(self, f.name)
+            elif self.eigen:
+                out["lambda"], out["x"] = self.eigen.lam, [float(v) for v in self.eigen.x]
+            else:
+                out["lambda"], out["x"] = np.nan, []
+        return out
 
 
 def _system(T, S, tau, lam, x):
@@ -301,6 +300,33 @@ def endgame(T, S, state, config):
     return EigenPair(u[0], u[1:]), iters
 
 
+def _follow(T, S, state, target, config):
+    """Step until tau = target is accepted; False at max_steps or the DTAU_MIN floor."""
+    while state.tau < target:
+        if state.step_count >= config.max_steps:
+            return False
+        dtau = state.dtau
+        tau_next = state.tau + dtau
+        if tau_next >= target:
+            tau_next = target
+            dtau = target - state.tau
+        state.step_count += 1
+        try:
+            u_new, iters, g = _step(T, S, state, dtau, tau_next, config.eps1, NEWTON_CAP_PATH)
+        except _STEP_FAILURES as exc:
+            state.newton_total += getattr(exc, "iterations", 0)
+            # Halve the step just tried, which clipping can make < state.dtau.
+            if dtau <= DTAU_MIN:
+                return False
+            state.dtau = max(0.5 * dtau, DTAU_MIN)
+            continue
+        state.tau, state.u, state.tangent = tau_next, u_new, g
+        state.newton_total += iters
+        state.min_x = min(state.min_x, float(u_new[1:].min()))
+        state.dtau = update_step_size(state, iters)
+    return True
+
+
 def _solve_shifted(A, alpha, config, a, b, use_perturbation):
     """Run the full pipeline on T = (A_eps or A) + alpha*I; wall time unset.
 
@@ -312,46 +338,17 @@ def _solve_shifted(A, alpha, config, a, b, use_perturbation):
     S = start_system(a, b, m)
     start = start_pair(a, b, m)
     u = np.concatenate([[start.lam], start.x])
-    state = PathState(0.0, u, _tangent(*_system(T, S, 0.0, u[0], u[1:])[1:]), config.dtau0)
-    min_x = float(u[1:].min())
-
-    def follow(target):
-        """Step until tau = target is accepted; False at max_steps or the DTAU_MIN floor."""
-        nonlocal min_x
-        while state.tau < target:
-            if state.step_count >= config.max_steps:
-                return False
-            dtau = state.dtau
-            tau_next = state.tau + dtau
-            if tau_next >= target:
-                tau_next = target
-                dtau = target - state.tau
-            state.step_count += 1
-            try:
-                u_new, iters, g = _step(
-                    T, S, state, dtau, tau_next, config.eps1, NEWTON_CAP_PATH
-                )
-            except _STEP_FAILURES as exc:
-                state.newton_total += getattr(exc, "iterations", 0)
-                # Halve the step just tried, which clipping can make < state.dtau.
-                if dtau <= DTAU_MIN:
-                    return False
-                state.dtau = max(0.5 * dtau, DTAU_MIN)
-                continue
-            state.tau, state.u, state.tangent = tau_next, u_new, g
-            state.newton_total += iters
-            min_x = min(min_x, float(u_new[1:].min()))
-            state.dtau = update_step_size(state, iters)
-        return True
+    g = _tangent(*_system(T, S, 0.0, u[0], u[1:])[1:])
+    state = PathState(0.0, u, g, config.dtau0, min_x=float(u[1:].min()))
 
     # A failed jump is retried once from closer to 1.  Jumps count in iter,
     # not in the path's step_count (its max_steps budget).
-    pair, jumps = None, 0
+    pair = None
     for beta in (config.beta, 0.5 * (1.0 + config.beta)):
-        if not follow(beta):
+        if not _follow(T, S, state, beta, config):
             status = "step_limit"
             break
-        jumps += 1
+        state.jumps += 1
         try:
             pair, iters = endgame(T, S, state, config)
         except _STEP_FAILURES as exc:
@@ -359,25 +356,24 @@ def _solve_shifted(A, alpha, config, a, b, use_perturbation):
             status = "endgame_failure"
             continue
         state.newton_total += iters
+        state.min_x = min(state.min_x, float(pair.x.min()))
         status = "converged"
         break
 
     if pair is None:
         pair = EigenPair(float(state.u[0]), state.u[1:])
-    else:
-        min_x = min(min_x, float(pair.x.min()))
     residual = float(np.linalg.norm(eigen_residual(T, pair.lam, pair.x)))
     return SolveReport(
         method="homotopy",
         status=status,
         eigen=EigenPair(pair.lam - T.alpha, pair.x),
         residual_norm=residual,
-        iter=state.step_count + jumps,
+        iter=state.step_count + state.jumps,
         nwtiter=state.newton_total,
-        perturbed=use_perturbation,
         alpha=T.alpha,
         lambda_shifted=pair.lam,
-        path_min_x=min_x,
+        perturbed=use_perturbation,
+        path_min_x=state.min_x,
     )
 
 

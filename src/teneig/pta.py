@@ -74,9 +74,9 @@ def pta_solve(A, config=None):
         iter=iters,
         nwtiter=0,
         wall_time_s=time.perf_counter() - t_start,
-        perturbed=True,
         alpha=alpha,
         lambda_shifted=float(lam),
+        perturbed=True,
         path_min_x=min_x,
     )
 

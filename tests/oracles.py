@@ -1,8 +1,8 @@
 """Independent reference implementations used to pin expected values.
 
 Everything here is deliberately naive (full index enumeration, bisection,
-long-run matrix power iteration, central differences) and shares no code
-path with the library.
+polynomial roots, long-run matrix power iteration, central differences)
+and shares no code path with the library.
 """
 
 from itertools import permutations, product
@@ -145,6 +145,35 @@ def block2_dominant_bisect(data, iters=200):
     x = np.array([np.cos(t), np.sin(t)])
     y = tvp_naive(data, x)
     return y[0] / x[0] ** 2
+
+
+def dominant_n2(data):
+    """Dominant eigenvalue of an order-m, dim-2 tensor with positive
+    off-diagonal entries, from the roots of one polynomial.
+
+    With x = (1, t), y_i(t) = (data x^{m-1})_i is a polynomial whose k-th
+    coefficient sums the entries data[i, ...] with k trailing indices equal
+    to 2.  An eigenpair with t > 0 solves p(t) = y_2(t) - t^{m-1} y_1(t) = 0
+    at lambda = y_1(t); irreducible input has exactly one positive
+    eigenvector, so p must have exactly one positive real root.
+    """
+    m = data.ndim
+    assert data.shape == (2,) * m and off_diagonal_positive_naive(data)
+    y = np.zeros((2, m))
+    for idx in product(range(2), repeat=m):
+        y[idx[0], sum(idx[1:])] += data[idx]
+    y1, y2 = (np.polynomial.Polynomial(c) for c in y)
+    roots = (y2 - np.polynomial.Polynomial.basis(m - 1) * y1).roots()
+    # the companion matrix is real, so LAPACK returns its real eigenvalues
+    # with an imaginary part of exactly 0
+    real = roots.real[(roots.imag == 0) & (roots.real > 0)]
+    assert len(real) == 1, roots
+    return float(y1(real[0]))
+
+
+def dominant_m2(M):
+    """Largest real part of the eigenvalues of a 2-D matrix, by LAPACK."""
+    return float(max(np.linalg.eigvals(M).real))
 
 
 def fd_jacobian(f, x, h=None):

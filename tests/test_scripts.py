@@ -1,8 +1,10 @@
-"""Smoke runs of the experiment scripts: each exits 0 and prints its table."""
+"""Smoke runs of the experiment scripts, each exiting 0 and printing its
+table, and of the code in README.md."""
 
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -125,3 +127,15 @@ def test_failing_cases_lists_the_operations_that_fail_the_check(group, seed, rc,
     rows = [line.split() for line in lines[:-1]]
     assert [(r[3], r[5]) for r in rows] == listed
     assert all(r[:3] == [group, "seed", str(seed)] for r in rows)
+
+
+def test_readme_python_blocks_run_in_order():
+    # the quickstart, "To check a report" and run_comparison, in one namespace
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["report"].status == "converged"
+    assert len(namespace["records"]) == 10
