@@ -13,9 +13,11 @@ one thread: solve_dominant for a "solve" case, pta_solve for a "pta" case,
 and for a "roundtrip" case perfbench/run.py's own roundtrip, which saves the
 tensor to a file in a temporary directory and runs `teneig solve FILE
 --method both --json` through teneig.cli.main, so the file layer is compared
-too.  The script prints, per SolveReport.to_dict() field other than
-wall_time_s, how many reports differ bit for bit (NaN equals NaN), and the
-largest relative differences in lambda and lambda_shifted.  It exits 1 when
+too.  The script prints how many reports of each tree ran the certified
+finish (finish_sweeps > 0), then, per SolveReport.to_dict() field other
+than wall_time_s, how many reports differ bit for bit (NaN equals NaN) or
+that the field is in one tree's reports only, and the largest relative
+differences in lambda and lambda_shifted.  It exits 1 when
 the two trees made different sets of reports.
 """
 
@@ -106,9 +108,16 @@ def rel_diff(a, b):
 def compare(base, new):
     """Print the per-field difference counts; return 0 if the report sets match."""
     keys = sorted(set(base) & set(new))
-    fields = [f for f in base[keys[0]] if f not in SKIPPED] if keys else []
     print("reports compared: %d" % len(keys))
-    for f in fields:
+    ran = [sum(r.get("finish_sweeps", 0) > 0 for r in reps.values()) for reps in (base, new)]
+    print("reports that ran the finish: %d in the base tree, %d in the new tree" % tuple(ran))
+    a, b = (base[keys[0]], new[keys[0]]) if keys else ({}, {})
+    for f in [*a, *(f for f in b if f not in a)]:
+        if f in SKIPPED:
+            continue
+        if f not in a or f not in b:
+            print("  %-16s only in the %s tree" % (f, "base" if f in a else "new"))
+            continue
         differ = sum(not same(base[k][f], new[k][f]) for k in keys)
         print("  %-16s %d differ" % (f, differ))
     # lambda = lambda_shifted - alpha: one ulp of lambda_shifted is a large

@@ -95,6 +95,7 @@ def _print_report(report, out):
     out.write("lambda:    %.16g\n" % d["lambda"])
     out.write("x:         [%s]\n" % ", ".join("%.16g" % v for v in d["x"]))
     out.write("residual:  %.3e\n" % d["residual_norm"])
+    out.write("bracket:   [%.16g, %.16g]\n" % (d["lam_lower"], d["lam_upper"]))
     out.write("iter:      %d\n" % d["iter"])
     out.write("nwtiter:   %d\n" % d["nwtiter"])
     out.write("time:      %.3f s\n" % d["wall_time_s"])

@@ -1,5 +1,5 @@
 """Euler-Newton path following from a rank-one start system to the shifted
-eigenproblem, and the top-level dominant-eigenpair driver.
+eigenproblem, a certified finish on the input, and the driver.
 
 The homotopy blends the start system P (rank-one tensor S with a closed-form
 Perron pair) into the target system Q (shifted tensor T) as tau goes 0 -> 1:
@@ -11,43 +11,30 @@ and a nonsingular Jacobian there, so the solution curve can be followed by
 an Euler predictor and a Newton corrector with adaptive step control, with a
 final jump ("endgame") from tau = beta to tau = 1.  HomotopyConfig holds the
 method's parameters; the step control's Newton caps and step bounds are the
-module constants NEWTON_CAP_* and DTAU_*.
+module constants NEWTON_CAP_* and DTAU_*.  Every answer carries its
+Collatz-Wielandt bracket [min r, max r], r = A x^{m-1} / x^{[m-1]}, on the
+input A; whatever the path's outcome, an unperturbed answer the bracket does
+not certify gets Newton-Noda sweeps on A (_finish), and nothing is retried.
 
 Cost model.  Each Newton iterate makes one (y, J) evaluation of T, one of S
 and one LAPACK solve.  S is closed form, O(n^2), and so are T's alpha*I and
 eps terms; T's evaluation reads each slice block of the input A twice, once
-for the contraction chain, each step of which is one gemv over the block's
-flat view, and once for the k = m-1 Jacobian term (Tensor.tvp_and_jacobian).
-The kernel's temporaries, the chain's n^{m-1} + ... + n entries and one n-by-n
-array per Jacobian term, are freed when it returns; the evaluation keeps T's
-and S's n-by-n Jacobians and the (n+1)-by-(n+1) system matrix, in which the
-blend tau*J_T + (1-tau)*J_S is formed in place.  The predictor makes
-none after the start: the corrector's converged iterate has just evaluated
-the system at the accepted point, so it also solves for the tangent there
-and hands on that n+1 vector, which every prediction from the point (its
-retries after a rejection and the endgame jump included) reuses.  The start
-point at tau = 0 evaluates its tangent once, before the first step; a point
-whose Jacobian is singular carries none, and predicting from it raises at
-once.  The final residual is one y-only pass.  One input scan per solve,
-require_essentially_nonnegative, reads alpha from A's strided diagonal and
-keeps the n-1 row minima of a strided view of its off-diagonal entries,
-masking a row only to locate a negative entry.  If no off-diagonal entry is
-zero, A is irreducible; otherwise weak_irreducibility_check masks A a block
-of slices at a time, max(n^{m-1}, tensor.SCAN_BLOCK_ENTRIES) entries, not n^m.
-
-The kernel reads A in slice blocks too.  An input of up to
-tensor.KERNEL_BLOCK_ENTRIES entries is one block, evaluated inline on the
-calling thread; a larger one is cut, by (m, n) alone, into near-equal blocks
-that up to len(os.sched_getaffinity(0)) threads evaluate at once.  Each block
-writes only its own rows of y and J, so results do not depend on the thread
-count.  Nothing about this is configurable.
+for the contraction chain and once for the k = m-1 Jacobian term
+(Tensor.tvp_and_jacobian).  The evaluation keeps T's and S's n-by-n
+Jacobians and the (n+1)-by-(n+1) system matrix, in which the blend
+tau*J_T + (1-tau)*J_S is formed in place.  The predictor evaluates nothing:
+each accepted point carries the tangent its corrector solved for from its
+last evaluation (PathState), and the start point's is solved once, before
+the first step.  The final residual is one y-only pass, which also gives
+the bracket; the finish, only while that is open, makes one (y, J) pass
+over A and one LAPACK solve per sweep.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -56,6 +43,7 @@ from .tensor import (
     EigenPair,
     ShiftedTensor,
     eigen_residual,
+    ratio_bracket,
     require_essentially_nonnegative,
     start_pair,
     start_system,
@@ -74,6 +62,11 @@ NEWTON_CAP_PATH = 10
 NEWTON_CAP_ENDGAME = 100
 DTAU_MIN = 1e-6
 DTAU_MAX = 0.4
+
+# The certified finish: the relative width of the bracket that certifies an
+# answer (certified) and the cap on the Newton-Noda sweeps (_finish).
+CERT_RTOL = 1e-6
+SWEEP_CAP = 50
 
 
 class NewtonStalled(RuntimeError):
@@ -137,7 +130,6 @@ class PathState:
     dtau: float
     last_two_uncut: tuple = (False, False)
     step_count: int = 0
-    jumps: int = 0
     newton_total: int = 0
     min_x: float = np.inf
 
@@ -165,6 +157,9 @@ class SolveReport:
     lambda_shifted: float = np.nan
     perturbed: bool = False
     path_min_x: float = np.nan
+    lam_lower: float = np.nan  # Collatz-Wielandt bracket on A at x
+    lam_upper: float = np.nan
+    finish_sweeps: int = 0  # Newton-Noda sweeps of the certified finish
 
     def to_dict(self):
         """The JSON report of ``teneig solve`` and of ``teneig compare`` records."""
@@ -328,10 +323,9 @@ def _follow(T, S, state, target, config):
 
 
 def _solve_shifted(A, alpha, config, a, b, use_perturbation):
-    """Run the full pipeline on T = (A_eps or A) + alpha*I; wall time unset.
-
-    T and the start system S are closed-form operators over A and the start
-    vectors, so the only n^m array is the input.
+    """The path on T = (A_eps or A) + alpha*I to beta, one jump to 1, and the
+    finish; wall time unset.  T and the start system S are closed-form
+    operators over A and the start vectors, so the only n^m array is A.
     """
     m = A.order
     T = ShiftedTensor(A, alpha, config.eps_perturb if use_perturbation else 0.0)
@@ -341,40 +335,74 @@ def _solve_shifted(A, alpha, config, a, b, use_perturbation):
     g = _tangent(*_system(T, S, 0.0, u[0], u[1:])[1:])
     state = PathState(0.0, u, g, config.dtau0, min_x=float(u[1:].min()))
 
-    # A failed jump is retried once from closer to 1.  Jumps count in iter,
-    # not in the path's step_count (its max_steps budget).
-    pair = None
-    for beta in (config.beta, 0.5 * (1.0 + config.beta)):
-        if not _follow(T, S, state, beta, config):
-            status = "step_limit"
-            break
-        state.jumps += 1
+    # The jump counts in iter, not in the path's step_count (its max_steps).
+    pair, status, jumped = None, "step_limit", _follow(T, S, state, config.beta, config)
+    if jumped:
         try:
             pair, iters = endgame(T, S, state, config)
+            status = "converged"
+            state.min_x = min(state.min_x, float(pair.x.min()))
         except _STEP_FAILURES as exc:
-            state.newton_total += getattr(exc, "iterations", 0)
-            status = "endgame_failure"
-            continue
+            iters, status = getattr(exc, "iterations", 0), "endgame_failure"
         state.newton_total += iters
-        state.min_x = min(state.min_x, float(pair.x.min()))
-        status = "converged"
-        break
-
-    if pair is None:
-        pair = EigenPair(float(state.u[0]), state.u[1:])
+    pair = pair or EigenPair(float(state.u[0]), state.u[1:])
+    T = replace(T, yA=np.empty(A.dim))  # the final pass leaves A x^{m-1} in T.yA
     residual = float(np.linalg.norm(eigen_residual(T, pair.lam, pair.x)))
-    return SolveReport(
-        method="homotopy",
-        status=status,
-        eigen=EigenPair(pair.lam - T.alpha, pair.x),
-        residual_norm=residual,
-        iter=state.step_count + state.jumps,
-        nwtiter=state.newton_total,
-        alpha=T.alpha,
-        lambda_shifted=pair.lam,
-        perturbed=use_perturbation,
-        path_min_x=state.min_x,
+    lo, hi = ratio_bracket(T.yA, pair.x ** (m - 1))
+    report = SolveReport(
+        "homotopy", status, EigenPair(pair.lam - T.alpha, pair.x), residual_norm=residual,
+        iter=state.step_count + jumped, nwtiter=state.newton_total, alpha=T.alpha,
+        lambda_shifted=pair.lam, perturbed=use_perturbation, path_min_x=state.min_x,
+        lam_lower=lo, lam_upper=hi,
     )
+    if not use_perturbation and not certified(report.eigen.lam, lo, hi):
+        _finish(A, report)
+    return report
+
+
+def certified(lam, lo, hi):
+    """Whether lam and the bracket [lo, hi] on A lie within CERT_RTOL*|lam|."""
+    return max(hi, lam) - min(lo, lam) <= CERT_RTOL * abs(lam)
+
+
+def _finish(A, report):
+    """Newton-Noda sweeps on A itself (Liu, Guo and Lin, Numer. Math. 2017,
+    less their step-length safeguard) from the report's x, or the uniform
+    vector if x is not positive, while the bracket narrows, at most
+    SWEEP_CAP; a singular M or an x not finite and positive ends them.  The
+    narrowest bracket is adopted if it certifies, "converged" at its middle.
+    """
+    m, n = A.order, A.dim
+    x = report.eigen.x if report.eigen.x.min() > 0.0 else np.full(n, n**-0.5)
+    best, width = (np.nan,) * 5, np.inf
+    with np.errstate(all="ignore"):
+        while report.finish_sweeps < SWEEP_CAP:
+            report.finish_sweeps += 1
+            y, M = A.tvp_and_jacobian(x)
+            xq = x ** (m - 2)
+            xp = xq * x
+            lo, hi = ratio_bracket(y, xp)
+            if not hi - lo < width:
+                break
+            best, width = (lo, hi, x, y, xp), hi - lo
+            # M = lam_k (m-1) diag(x^{m-2}) - J_A at lam_k = max r
+            M *= -1.0
+            M.reshape(-1)[:: n + 1] += hi * (m - 1) * xq
+            try:
+                w = np.linalg.solve(M, xp)
+            except np.linalg.LinAlgError:
+                break
+            x = (m - 2) * x + w / (x @ w)
+            x /= math.sqrt(x @ x)
+            if not np.minimum.reduce(x) > 0.0:  # NaN too
+                break
+    lo, hi, x, y, xp = best
+    if certified(0.5 * (lo + hi), lo, hi):
+        report.status, report.eigen = "converged", EigenPair(0.5 * (lo + hi), x)
+        r = y - report.eigen.lam * xp
+        report.residual_norm = math.sqrt(r @ r + (x @ x - 1.0) ** 2)
+        report.lambda_shifted = report.eigen.lam + report.alpha
+        report.lam_lower, report.lam_upper = lo, hi
 
 
 def solve_dominant(A, config=None, a=None, b=None, assume="auto"):
@@ -385,13 +413,12 @@ def solve_dominant(A, config=None, a=None, b=None, assume="auto"):
     diagonal alpha-shift to a nonnegative tensor, constant eps-perturbation
     when the input is (assumed) reducible, rank-one start system from the
     positive vectors a and b (default all ones), Euler-Newton path
-    following to beta, endgame jump to 1.
+    following to beta, one endgame jump to 1, then _finish for an
+    unperturbed answer that its Collatz-Wielandt bracket on A does not certify.
 
     ``assume`` gates the perturbation: "auto" perturbs iff the weak
     irreducibility check fails (skipped when no off-diagonal entry is zero),
     "irreducible"/"reducible" force it off/on.
-    A failed endgame first retries with beta closer to 1, then once more
-    with the perturbation switched on.
     """
     t_start = time.perf_counter()
     config = HomotopyConfig() if config is None else config
@@ -402,18 +429,13 @@ def solve_dominant(A, config=None, a=None, b=None, assume="auto"):
         raise ValueError("a and b must have length %d" % n)
     if assume not in ("auto", "irreducible", "reducible"):
         raise ValueError("assume must be one of auto, irreducible, reducible")
-    # One scan of A serves both attempts; with every off-diagonal entry
-    # positive it has settled irreducibility too.
+    # One scan of A; with every off-diagonal entry positive it has settled
+    # irreducibility too.
     alpha, complete = require_essentially_nonnegative(A)
     if assume == "auto":
         perturbed = not (complete or weak_irreducibility_check(A))
     else:
         perturbed = assume == "reducible"
     report = _solve_shifted(A, alpha, config, a, b, perturbed)
-    if report.status == "endgame_failure" and not perturbed:
-        retry = _solve_shifted(A, alpha, config, a, b, True)
-        retry.iter += report.iter
-        retry.nwtiter += report.nwtiter
-        report = retry
     report.wall_time_s = time.perf_counter() - t_start
     return report

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from .homotopy import HomotopyConfig, SolveReport
-from .tensor import EigenPair, _add_shift_terms, require_essentially_nonnegative, tvp
+from .tensor import EigenPair, _add_shift_terms, ratio_bracket, require_essentially_nonnegative, tvp
 
 # Not called here: the benchmark's tracer (perfbench/spans.py) wraps these
 # names in this module, so they must exist.
@@ -31,8 +31,9 @@ def pta_solve(A, config=None):
     Always iterates on T = (A + eps) + alpha*I, which is positive, so the
     iterates stay strictly positive and the ratio bracket
     [min_i y_i/x_i^{m-1}, max_i y_i/x_i^{m-1}] encloses the Perron value of
-    T.  The reported eigenvalue estimate is the bracket midpoint, shifted
-    back by alpha.  Of the HomotopyConfig it reads ``eps_perturb`` (eps),
+    T.  The reported eigenvalue estimate is its midpoint, shifted back by
+    alpha; lam_lower and lam_upper bracket A's from the last sweep's
+    A x^{m-1}, taken before T's terms are added.  Of the HomotopyConfig it reads ``eps_perturb`` (eps),
     ``eps2`` and ``max_steps``: it stops when the stacked eigen-residual on T
     drops to eps2 or after max_steps sweeps (status "step_limit").
     """
@@ -45,8 +46,9 @@ def pta_solve(A, config=None):
     iters = 0
     min_x = float(x.min())
     while True:
-        y = tvp(A, x)
+        yA = tvp(A, x)
         xp = x ** (m - 1)
+        y = yA.copy()
         _add_shift_terms(y, x, xp, m, alpha, eps)
         ratios = y / xp
         # Ufunc reductions skip the ndarray methods' Python wrappers.
@@ -66,18 +68,11 @@ def pta_solve(A, config=None):
             raise AssertionError("iterate left the positive cone")
         min_x = min(min_x, lo)
         iters += 1
+    lower, upper = ratio_bracket(yA, xp)
     return SolveReport(
-        method="pta",
-        status=status,
-        eigen=EigenPair(lam - alpha, x),
-        residual_norm=residual,
-        iter=iters,
-        nwtiter=0,
-        wall_time_s=time.perf_counter() - t_start,
-        alpha=alpha,
-        lambda_shifted=float(lam),
-        perturbed=True,
-        path_min_x=min_x,
+        "pta", status, EigenPair(lam - alpha, x), residual_norm=residual, iter=iters,
+        wall_time_s=time.perf_counter() - t_start, alpha=alpha, lambda_shifted=float(lam),
+        perturbed=True, path_min_x=min_x, lam_lower=lower, lam_upper=upper,
     )
 
 

@@ -240,6 +240,7 @@ class ShiftedTensor:
     A: Tensor
     alpha: float
     eps: float = 0.0
+    yA: np.ndarray | None = field(default=None, repr=False)  # if set, tvp leaves A x^{m-1} here
 
     @property
     def order(self):
@@ -254,6 +255,8 @@ class ShiftedTensor:
         x = _check_vector(self, x)
         m = self.order
         y = self.A.tvp(x)
+        if self.yA is not None:
+            self.yA[:] = y
         _add_shift_terms(y, x, x ** (m - 1), m, self.alpha, self.eps)
         return y
 
@@ -359,6 +362,15 @@ def eigen_residual(T, lam, x):
     x = _check_vector(T, x)
     r = T.tvp(x) - lam * x ** (T.order - 1)
     return np.concatenate([r, [x @ x - 1.0]])
+
+
+def ratio_bracket(y, xp):
+    """(min_i r_i, max_i r_i), r = y / xp: for y = A x^{m-1} and xp = x^{[m-1]},
+    the Collatz-Wielandt bracket on A's dominant eigenvalue (Yang and Yang,
+    SIAM J. Matrix Anal. Appl. 31, 2010); NaN unless every xp_i > 0."""
+    with np.errstate(over="ignore"):
+        r = y / xp if np.minimum.reduce(xp) > 0.0 else np.full(1, np.nan)
+    return float(np.minimum.reduce(r)), float(np.maximum.reduce(r))
 
 
 def weak_irreducibility_check(A):

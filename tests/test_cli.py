@@ -35,6 +35,10 @@ def test_solve_human_readable(tmp_path, capsys):
     assert code == 0
     assert "status:    converged" in out
     assert "lambda:    1" in out
+    # the Collatz-Wielandt bracket on the input at the reported x
+    (line,) = [line for line in out.splitlines() if line.startswith("bracket:   [")]
+    lo, hi = map(float, line[len("bracket:   ["):-1].split(", "))
+    assert lo <= 1.0 <= hi and hi - lo <= 1e-11
 
 
 def test_solve_both_methods_agree(tmp_path, capsys):

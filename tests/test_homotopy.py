@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from teneig import (
+    EigenPair,
     EssentialNonnegativityError,
     HomotopyConfig,
     NewtonStalled,
@@ -19,8 +20,11 @@ from teneig.homotopy import (
     DTAU_MAX,
     DTAU_MIN,
     PathState,
+    SolveReport,
+    _finish,
     _system,
     _tangent,
+    certified,
     endgame,
     newton_correct,
     predict,
@@ -422,7 +426,9 @@ def test_endgame_trivial_when_systems_coincide():
     assert np.allclose(got.x, pair.x, atol=1e-12)
 
 
-def test_failed_jump_retries_once_closer_to_one(monkeypatch):
+def test_a_failed_jump_is_finished_on_the_input(monkeypatch):
+    # the one jump stalls; the Newton-Noda finish on A, from the path's x at
+    # beta, then certifies the answer
     from teneig import homotopy
 
     real = homotopy.endgame
@@ -435,12 +441,57 @@ def test_failed_jump_retries_once_closer_to_one(monkeypatch):
         return real(T, S, state, config)
 
     monkeypatch.setattr(homotopy, "endgame", stalls_once)
-    rep = solve_dominant(dense_demo())
+    A = dense_demo()
+    rep = solve_dominant(A)
     assert rep.status == "converged" and not rep.perturbed
-    assert betas == [0.9999, 0.99995]
-    # 5 path steps, 1 more to the second beta and 2 jumps; the failed jump's
-    # 3 Newton iterations are counted
-    assert (rep.iter, rep.nwtiter) == (8, 14)
+    assert betas == [0.9999]
+    # 5 path steps and the jump; the failed jump's 3 Newton iterations count
+    assert (rep.iter, rep.nwtiter) == (6, 13)
+    assert rep.finish_sweeps > 0
+    assert rep.lam_lower <= rep.eigen.lam <= rep.lam_upper
+    assert relative_bracket(A.data, rep.eigen.lam, rep.eigen.x) <= 1e-14
+    assert rep.lambda_shifted == rep.eigen.lam + rep.alpha
+    T = ShiftedTensor(A, rep.alpha)
+    r = np.linalg.norm(eigen_residual(T, rep.lambda_shifted, rep.eigen.x))
+    assert r == pytest.approx(rep.residual_norm, abs=1e-13)
+
+
+def test_certified_needs_lambda_inside_the_widened_bracket():
+    # scaled(6,5)d=20 once reported lambda = -7.36e-13 beside a bracket of
+    # [1.546e-17, 1.570e-17]: narrow, but far from lambda
+    assert not certified(-7.36e-13, 1.546e-17, 1.570e-17)
+    assert not certified(1.55e-17, 1.546e-17, 1.570e-17)  # 1.5% wide
+    assert certified(1.0, 1.0 - 4e-7, 1.0 + 4e-7)
+    assert certified(1.0 + 9e-7, 1.0, 1.0)
+    assert not certified(1.0 + 2e-6, 1.0, 1.0)
+    assert not any(certified(*v) for v in [(np.nan, 1.0, 1.0), (1.0, np.nan, 1.0), (1.0, 1.0, np.nan)])
+
+
+@pytest.mark.parametrize("fault", ["singular", "nan", "zero"])
+def test_the_finish_stops_quietly_and_keeps_an_uncertified_report(monkeypatch, fault):
+    # a singular M, a non-finite w or x.w = 0 ends the sweeps (warnings are
+    # errors in this suite); the open bracket is not adopted
+    from teneig import homotopy
+
+    def solve(M, rhs):
+        if fault == "singular":
+            raise np.linalg.LinAlgError("singular")
+        return np.full_like(rhs, np.nan if fault == "nan" else 0.0)
+
+    monkeypatch.setattr(homotopy.np.linalg, "solve", solve)
+    report = SolveReport("homotopy", "step_limit", EigenPair(30.0, np.ones(3)), 1.0, alpha=6.32)
+    _finish(dense_demo(), report)
+    assert report.finish_sweeps == 1
+    assert (report.status, report.eigen.lam, report.residual_norm) == ("step_limit", 30.0, 1.0)
+    assert np.isnan(report.lam_lower) and np.isnan(report.lam_upper)
+
+
+def test_the_finish_starts_from_the_uniform_vector_when_x_is_not_positive():
+    report = SolveReport("homotopy", "step_limit", EigenPair(30.0, [1.0, 0.0, 0.0]), alpha=6.32)
+    _finish(dense_demo(), report)
+    assert report.status == "converged" and report.finish_sweeps > 2
+    assert report.eigen.lam == pytest.approx(36.27571901815835, rel=1e-14)
+    assert report.lambda_shifted == report.eigen.lam + 6.32
 
 
 # --------------------------------------------------------------------- driver
@@ -448,7 +499,9 @@ def test_failed_jump_retries_once_closer_to_one(monkeypatch):
 
 def test_step_size_floor_ends_in_step_limit(monkeypatch):
     # every correction stalls after one Newton iteration, so the first step
-    # halves from 0.1 down to DTAU_MIN = 1e-6 (17 tries) and fails there once more
+    # halves from 0.1 down to DTAU_MIN = 1e-6 (17 tries) and fails there once
+    # more; a perturbed solve keeps the path's status, and the finish on A
+    # certifies an unperturbed one from the start vector
     from teneig import homotopy
 
     def stalls(T, S, tau, u0, tol, cap):
@@ -456,9 +509,11 @@ def test_step_size_floor_ends_in_step_limit(monkeypatch):
 
     monkeypatch.setattr(homotopy, "newton_correct", stalls)
     cfg = HomotopyConfig(eps1=1e-300, eps2=1e-300)
-    rep = solve_dominant(dense_demo(), config=cfg)
-    assert rep.status == "step_limit"
-    assert rep.iter == rep.nwtiter == 18
+    for assume, status in (("reducible", "step_limit"), ("auto", "converged")):
+        rep = solve_dominant(dense_demo(), config=cfg, assume=assume)
+        assert rep.status == status
+        assert (rep.finish_sweeps > 0) is (assume == "auto")
+        assert rep.iter == rep.nwtiter == 18
 
 
 def _count_kernel_calls(monkeypatch, name="tvp_and_jacobian"):
@@ -489,10 +544,15 @@ def test_a_point_with_a_singular_jacobian_carries_no_tangent(monkeypatch):
 
     monkeypatch.setattr(homotopy, "_system", singular_at_start)
     calls = _count_kernel_calls(monkeypatch)
-    rep = solve_dominant(dense_demo())
+    rep = solve_dominant(dense_demo(), assume="reducible")
     assert rep.status == "step_limit"
     assert (rep.iter, rep.nwtiter) == (18, 0)
     assert len(calls) == 1
+    # unperturbed, the finish certifies the answer; it evaluates A, not T
+    rep = solve_dominant(dense_demo())
+    assert rep.status == "converged" and rep.finish_sweeps > 0
+    assert (rep.iter, rep.nwtiter) == (18, 0)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("A", [dense_demo(), random_instance(3, 20, seed=40)])
@@ -671,13 +731,25 @@ def test_solve_path_positivity_and_normalization(accepted_points):
 
 
 def test_solve_step_limit_status():
-    rep = solve_dominant(dense_demo(), config=HomotopyConfig(max_steps=1))
+    # unperturbed, the finish certifies the answer from the path's x at tau = 0.1
+    rep = solve_dominant(dense_demo(), config=HomotopyConfig(max_steps=1), assume="reducible")
     assert rep.status == "step_limit"
+    assert rep.iter == 1
+    rep = solve_dominant(dense_demo(), config=HomotopyConfig(max_steps=1))
+    assert rep.status == "converged" and rep.finish_sweeps > 0
     assert rep.iter == 1
 
 
-def test_solve_endgame_failure_after_escalation(monkeypatch):
-    # every jump stalls: both betas fail, then the perturbed retry fails too
+def _cancellation(k):
+    # [[-1, b], [b, -1]], b = 1 + 2^-k, has lambda = 2^-k; near k = 40 rounding
+    # holds the bracket at any x about 1e-4 wide, so nothing certifies it
+    b = 1.0 + 2.0**-k
+    return Tensor(np.array([[-1.0, b], [b, -1.0]]))
+
+
+def test_solve_endgame_failure_when_the_finish_cannot_certify(monkeypatch):
+    # every jump stalls, and the finish's sweeps cannot close the bracket, so
+    # the report keeps the path's point, bracket and status
     from teneig import homotopy
 
     def stalls(T, S, state, config):
@@ -685,25 +757,18 @@ def test_solve_endgame_failure_after_escalation(monkeypatch):
 
     monkeypatch.setattr(homotopy, "endgame", stalls)
     cfg = HomotopyConfig(eps2=1e-16)
-    rep = solve_dominant(dense_demo(), config=cfg)
-    assert rep.status == "endgame_failure"
-    assert rep.perturbed  # the final retry switched the perturbation on
+    rep = solve_dominant(_cancellation(40), config=cfg)
+    assert rep.status == "endgame_failure" and not rep.perturbed
+    assert rep.finish_sweeps > 0
+    assert rep.lam_upper - rep.lam_lower > 1e-6 * abs(rep.eigen.lam)
     assert rep.residual_norm > 1e-16
 
 
-@pytest.mark.parametrize(
-    "seed, betas, status, perturbed",
-    [
-        (15, [0.9999, 0.99995], "converged", False),  # the beta retry
-        (5, [0.9999, 0.99995, 0.9999], "converged", True),  # the perturbed re-solve
-        (13, [0.9999, 0.99995] * 2, "converged", True),  # the re-solve's own beta retry
-        (2, [0.9999, 0.99995] * 2, "endgame_failure", True),  # every jump fails
-    ],
-    ids=["beta-retry", "perturbed", "perturbed-beta-retry", "every-jump-fails"],
-)
-def test_log_uniform_inputs_reach_every_rescue(monkeypatch, seed, betas, status, perturbed):
-    # entries over twelve decades; no fault is injected, the wrapper only
-    # records the beta each jump starts from
+@pytest.mark.parametrize("seed", [15, 5, 13, 2])
+def test_log_uniform_inputs_whose_jump_fails_are_finished(monkeypatch, seed):
+    # entries over twelve decades: the one jump stalls, and the finish on A,
+    # unperturbed, certifies the path's point at beta; no fault is injected,
+    # the wrapper only records the beta the jump starts from and its outcome
     from teneig import homotopy
 
     A = Tensor(10.0 ** np.random.default_rng(seed).uniform(-6, 6, (8, 8, 8)))
@@ -712,26 +777,26 @@ def test_log_uniform_inputs_reach_every_rescue(monkeypatch, seed, betas, status,
 
     def recorded(T, S, state, config):
         jumps.append(state.tau)
-        return real(T, S, state, config)
+        try:
+            return real(T, S, state, config)
+        except NewtonStalled:
+            jumps.append("stalled")
+            raise
 
     monkeypatch.setattr(homotopy, "endgame", recorded)
     rep = solve_dominant(A)
-    assert (jumps, rep.status, rep.perturbed) == (betas, status, perturbed)
-    if status == "converged":
-        assert rep.eigen.x.min() > 0
-        assert relative_bracket(A.data, rep.eigen.lam, rep.eigen.x) <= 1e-6
+    assert (jumps, rep.status, rep.perturbed) == ([0.9999, "stalled"], "converged", False)
+    assert rep.finish_sweeps > 0
+    assert rep.eigen.x.min() > 0
+    assert rep.lam_upper - rep.lam_lower <= 2e-15 * rep.eigen.lam
+    assert relative_bracket(A.data, rep.eigen.lam, rep.eigen.x) <= 1e-14
 
 
 # The dominant eigenvalue of random_instance(3, 10, seed=1).
 SCALED_LAMBDA = 49.30685148335562
-SCALE_DEFECT = pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
 
 
-@pytest.mark.parametrize(
-    "k",
-    [pytest.param(-16, marks=SCALE_DEFECT), pytest.param(-12, marks=SCALE_DEFECT), 0, 4,
-     pytest.param(6, marks=SCALE_DEFECT), pytest.param(8, marks=SCALE_DEFECT)],
-)
+@pytest.mark.parametrize("k", [-16, -12, 0, 4, 6, 8])
 def test_solve_is_right_at_every_scale(k):
     lam = SCALED_LAMBDA * 10.0**k
     rep = solve_dominant(Tensor(random_instance(3, 10, seed=1).data * 10.0**k))
@@ -739,8 +804,8 @@ def test_solve_is_right_at_every_scale(k):
     assert abs(rep.eigen.lam - lam) <= 1e-6 * lam
 
 
-def test_perturbed_retry_scans_the_input_once(monkeypatch):
-    # alpha comes from one scan that serves both attempts
+def test_solve_scans_the_input_once(monkeypatch):
+    # the finish after a failed jump reads A through its kernel alone
     from teneig import homotopy
 
     scans = []
@@ -756,7 +821,7 @@ def test_perturbed_retry_scans_the_input_once(monkeypatch):
     monkeypatch.setattr(homotopy, "require_essentially_nonnegative", counted)
     monkeypatch.setattr(homotopy, "endgame", stalls)
     rep = solve_dominant(dense_demo())
-    assert rep.status == "endgame_failure" and rep.perturbed
+    assert rep.status == "converged" and rep.finish_sweeps > 0 and not rep.perturbed
     assert len(scans) == 1
 
 

@@ -20,7 +20,7 @@ from teneig import (
 from teneig.instances import dense_demo, random_instance
 from teneig.tensor import EssentialNonnegativityError, rank_one_start
 
-from oracles import alpha_shift_dense, pta_dense, relative_bracket, unit_tensor_naive
+from oracles import alpha_shift_dense, pta_dense, relative_bracket, tvp_naive, unit_tensor_naive
 
 
 def test_config_validation():
@@ -93,6 +93,20 @@ def test_pta_bracket_contains_perron_value():
         assert ratios.max() >= rho - 1e-9
         x = np.sqrt(y)
         x /= np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("A", [dense_demo(), random_instance(3, 4, seed=5), random_instance(4, 3, d=2, seed=6)])
+def test_pta_reports_the_bracket_on_the_input(A):
+    # the ratios of A itself at the returned x, not T's minus alpha, and
+    # they hold the homotopy's certified eigenvalue
+    rep = pta_solve(A)
+    x = rep.eigen.x
+    r = tvp_naive(A.data, x) / x ** (A.order - 1)
+    assert rep.lam_lower == pytest.approx(r.min(), rel=1e-13)
+    assert rep.lam_upper == pytest.approx(r.max(), rel=1e-13)
+    lam = solve_dominant(A).eigen.lam
+    assert rep.lam_lower <= lam * (1 + 1e-14) and lam <= rep.lam_upper * (1 + 1e-14)
+    assert rep.finish_sweeps == 0
 
 
 def test_pta_validates_input():

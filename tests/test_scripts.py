@@ -57,15 +57,38 @@ def test_compare_reports_finds_no_difference_between_a_tree_and_itself():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "reports compared: 96"
-    counts = [line.split() for line in lines[1:] if line.endswith(" differ")]
+    # no timed case reaches the certified finish
+    assert lines[1] == "reports that ran the finish: 0 in the base tree, 0 in the new tree"
+    counts = [line.split() for line in lines[2:] if line.endswith(" differ")]
     assert [c[0] for c in counts] == [
         "method", "status", "lambda", "x", "residual_norm", "iter", "nwtiter",
-        "alpha", "lambda_shifted", "perturbed", "path_min_x",
+        "alpha", "lambda_shifted", "perturbed", "path_min_x", "lam_lower",
+        "lam_upper", "finish_sweeps",
     ]
     assert all(c[1] == "0" for c in counts)
     assert lines[-2:] == [
         "largest relative lambda difference: 0",
         "largest relative lambda_shifted difference: 0",
+    ]
+
+
+def test_compare_reports_counts_the_finish_and_fields_of_one_tree(capsys):
+    # a report with finish_sweeps > 0 ran the finish; a field only one tree
+    # reports is named, not compared
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import compare_reports
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    old = {("g", 1, 0, "c", "homotopy"): {"lambda": 1.0, "lambda_shifted": 2.0}}
+    new = {key: {**rep, "finish_sweeps": 3} for key, rep in old.items()}
+    assert compare_reports.compare(old, new) == 0
+    assert capsys.readouterr().out.splitlines()[:5] == [
+        "reports compared: 1",
+        "reports that ran the finish: 0 in the base tree, 1 in the new tree",
+        "  lambda           0 differ",
+        "  lambda_shifted   0 differ",
+        "  finish_sweeps    only in the new tree",
     ]
 
 
