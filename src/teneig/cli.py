@@ -27,10 +27,6 @@ EXIT_IO = 3
 
 # (flag, HomotopyConfig field, help); each flag's default is the field's.
 _SOLVER_FLAGS = (
-    ("--dtau0", "dtau0", "initial continuation step"),
-    ("--eps1", "eps1", "path Newton tolerance"),
-    ("--eps2", "eps2", "endgame / PTA residual tolerance"),
-    ("--beta", "beta", "endgame threshold"),
     ("--epsilon", "eps_perturb", "constant added to A: homotopy on reducible input, PTA always"),
     ("--max-steps", "max_steps", "step / iteration cap"),
 )
@@ -101,6 +97,7 @@ def _print_report(report, out):
     out.write("time:      %.3f s\n" % d["wall_time_s"])
     out.write("alpha:     %.16g\n" % d["alpha"])
     out.write("perturbed: %s\n" % ("true" if d["perturbed"] else "false"))
+    out.write("finish:    %d sweeps\n" % d["finish_sweeps"])
 
 
 def _cmd_solve(args, config):

@@ -9,9 +9,9 @@ Perron pair) into the target system Q (shifted tensor T) as tau goes 0 -> 1:
 For every tau in [0,1) the positive blend has a unique positive Perron pair
 and a nonsingular Jacobian there, so the solution curve can be followed by
 an Euler predictor and a Newton corrector with adaptive step control, with a
-final jump ("endgame") from tau = beta to tau = 1.  HomotopyConfig holds the
-method's parameters; the step control's Newton caps and step bounds are the
-module constants NEWTON_CAP_* and DTAU_*.  Every answer carries its
+final jump ("endgame") from tau = BETA to tau = 1.  The recipe's steps,
+tolerances and caps are the module constants below; HomotopyConfig holds
+only what a caller sets, eps_perturb and max_steps.  Every answer carries its
 Collatz-Wielandt bracket [min r, max r], r = A x^{m-1} / x^{[m-1]}, on the
 input A; whatever the path's outcome, an unperturbed answer the bracket does
 not certify gets Newton-Noda sweeps on A (_finish), and nothing is retried.
@@ -56,12 +56,17 @@ from .tensor import (
 from .linalg import lu_apply, lu_factor  # noqa: F401
 from .tensor import add_identity, perturb, rank_one_start, tvp, tvp_jacobian  # noqa: F401
 
-# Step control: Newton iteration caps on the path and in the endgame, and
-# the floor and cap of the continuation step.
-NEWTON_CAP_PATH = 10
-NEWTON_CAP_ENDGAME = 100
+# Step control: the first continuation step, its floor and cap, the Newton
+# tolerances on the path (EPS1) and in the endgame (EPS2, also PTA's), their
+# iteration caps, and the tau at which the path jumps to 1 (BETA).
+DTAU0 = 0.1
 DTAU_MIN = 1e-6
 DTAU_MAX = 0.4
+EPS1 = 1e-5
+EPS2 = 1e-10
+NEWTON_CAP_PATH = 10
+NEWTON_CAP_ENDGAME = 100
+BETA = 0.9999
 
 # The certified finish: the relative width of the bracket that certifies an
 # answer (certified) and the cap on the Newton-Noda sweeps (_finish).
@@ -96,22 +101,12 @@ _STEP_FAILURES = (SingularMatrixError, NewtonStalled, PositivityLost)
 
 @dataclass
 class HomotopyConfig:
-    """Knobs of the path follower; defaults follow the standard recipe."""
+    """The two settings a caller chooses; the rest of the recipe is constants."""
 
-    dtau0: float = 0.1
-    eps1: float = 1e-5  # path Newton tolerance
-    eps2: float = 1e-10  # endgame tolerance
-    beta: float = 0.9999  # endgame threshold
     eps_perturb: float = 1e-9  # constant added to A: on reducible input here, always in PTA
     max_steps: int = 50000  # prediction-correction cap
 
     def __post_init__(self):
-        if not 0.0 < self.dtau0 <= DTAU_MAX:
-            raise ValueError("dtau0 must lie in (0, %g]" % DTAU_MAX)
-        if not 0.0 < self.eps2 <= self.eps1 < np.inf:
-            raise ValueError("need 0 < eps2 <= eps1, both finite")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
         if not 0.0 < self.eps_perturb < np.inf:
             raise ValueError("eps_perturb must be positive and finite")
         if self.max_steps < 1:
@@ -237,7 +232,7 @@ def newton_correct(T, S, tau, u0, tol, cap):
     u = np.array(u0, dtype=float)
     for i in range(cap + 1):
         r, J, dH = _system(T, S, tau, u[0], u[1:])
-        if math.sqrt(r @ r) <= tol:  # np.linalg.norm(r) for a 1-D float array
+        if math.hypot(*r) <= tol:  # the 2-norm; r @ r can overflow where it does not
             return u, i, None if tau == 1.0 else _tangent(J, dH)
         if i == cap:
             raise NewtonStalled(cap)
@@ -287,27 +282,27 @@ def _step(T, S, state, dtau, tau_next, tol, cap):
     return u, iters, g
 
 
-def endgame(T, S, state, config):
-    """Final jump from the path's state at tau = beta to tau = 1: one more
-    prediction-correction step, to the tight tolerance eps2 with a larger
+def endgame(T, S, state):
+    """Final jump from the path's state at tau = BETA to tau = 1: one more
+    prediction-correction step, to the tight tolerance EPS2 with a larger
     Newton cap.  Returns (EigenPair, newton_iterations)."""
-    u, iters, _ = _step(T, S, state, 1.0 - state.tau, 1.0, config.eps2, NEWTON_CAP_ENDGAME)
+    u, iters, _ = _step(T, S, state, 1.0 - state.tau, 1.0, EPS2, NEWTON_CAP_ENDGAME)
     return EigenPair(u[0], u[1:]), iters
 
 
-def _follow(T, S, state, target, config):
-    """Step until tau = target is accepted; False at max_steps or the DTAU_MIN floor."""
-    while state.tau < target:
-        if state.step_count >= config.max_steps:
+def _follow(T, S, state, max_steps):
+    """Step until tau = BETA is accepted; False at max_steps or the DTAU_MIN floor."""
+    while state.tau < BETA:
+        if state.step_count >= max_steps:
             return False
         dtau = state.dtau
         tau_next = state.tau + dtau
-        if tau_next >= target:
-            tau_next = target
-            dtau = target - state.tau
+        if tau_next >= BETA:
+            tau_next = BETA
+            dtau = BETA - state.tau
         state.step_count += 1
         try:
-            u_new, iters, g = _step(T, S, state, dtau, tau_next, config.eps1, NEWTON_CAP_PATH)
+            u_new, iters, g = _step(T, S, state, dtau, tau_next, EPS1, NEWTON_CAP_PATH)
         except _STEP_FAILURES as exc:
             state.newton_total += getattr(exc, "iterations", 0)
             # Halve the step just tried, which clipping can make < state.dtau.
@@ -323,7 +318,7 @@ def _follow(T, S, state, target, config):
 
 
 def _solve_shifted(A, alpha, config, a, b, use_perturbation):
-    """The path on T = (A_eps or A) + alpha*I to beta, one jump to 1, and the
+    """The path on T = (A_eps or A) + alpha*I to BETA, one jump to 1, and the
     finish; wall time unset.  T and the start system S are closed-form
     operators over A and the start vectors, so the only n^m array is A.
     """
@@ -333,13 +328,13 @@ def _solve_shifted(A, alpha, config, a, b, use_perturbation):
     start = start_pair(a, b, m)
     u = np.concatenate([[start.lam], start.x])
     g = _tangent(*_system(T, S, 0.0, u[0], u[1:])[1:])
-    state = PathState(0.0, u, g, config.dtau0, min_x=float(u[1:].min()))
+    state = PathState(0.0, u, g, DTAU0, min_x=float(u[1:].min()))
 
     # The jump counts in iter, not in the path's step_count (its max_steps).
-    pair, status, jumped = None, "step_limit", _follow(T, S, state, config.beta, config)
+    pair, status, jumped = None, "step_limit", _follow(T, S, state, config.max_steps)
     if jumped:
         try:
-            pair, iters = endgame(T, S, state, config)
+            pair, iters = endgame(T, S, state)
             status = "converged"
             state.min_x = min(state.min_x, float(pair.x.min()))
         except _STEP_FAILURES as exc:
@@ -388,6 +383,8 @@ def _finish(A, report):
             # M = lam_k (m-1) diag(x^{m-2}) - J_A at lam_k = max r
             M *= -1.0
             M.reshape(-1)[:: n + 1] += hi * (m - 1) * xq
+            # Not linalg.solve: its conditioning check rejects M near
+            # reducibility, where these sweeps still converge.
             try:
                 w = np.linalg.solve(M, xp)
             except np.linalg.LinAlgError:
@@ -413,7 +410,7 @@ def solve_dominant(A, config=None, a=None, b=None, assume="auto"):
     diagonal alpha-shift to a nonnegative tensor, constant eps-perturbation
     when the input is (assumed) reducible, rank-one start system from the
     positive vectors a and b (default all ones), Euler-Newton path
-    following to beta, one endgame jump to 1, then _finish for an
+    following to BETA, one endgame jump to 1, then _finish for an
     unperturbed answer that its Collatz-Wielandt bracket on A does not certify.
 
     ``assume`` gates the perturbation: "auto" perturbs iff the weak

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .homotopy import HomotopyConfig, SolveReport
+from .homotopy import EPS2, HomotopyConfig, SolveReport
 from .tensor import EigenPair, _add_shift_terms, ratio_bracket, require_essentially_nonnegative, tvp
 
 # Not called here: the benchmark's tracer (perfbench/spans.py) wraps these
@@ -33,9 +33,9 @@ def pta_solve(A, config=None):
     [min_i y_i/x_i^{m-1}, max_i y_i/x_i^{m-1}] encloses the Perron value of
     T.  The reported eigenvalue estimate is its midpoint, shifted back by
     alpha; lam_lower and lam_upper bracket A's from the last sweep's
-    A x^{m-1}, taken before T's terms are added.  Of the HomotopyConfig it reads ``eps_perturb`` (eps),
-    ``eps2`` and ``max_steps``: it stops when the stacked eigen-residual on T
-    drops to eps2 or after max_steps sweeps (status "step_limit").
+    A x^{m-1}, taken before T's terms are added.  It adds the config's
+    ``eps_perturb`` and stops when the stacked eigen-residual on T drops to
+    the endgame tolerance EPS2 or after ``max_steps`` sweeps ("step_limit").
     """
     t_start = time.perf_counter()
     config = HomotopyConfig() if config is None else config
@@ -55,7 +55,7 @@ def pta_solve(A, config=None):
         lam = 0.5 * (np.maximum.reduce(ratios) + np.minimum.reduce(ratios))
         r = y - lam * xp
         residual = math.sqrt(r @ r + (x @ x - 1.0) ** 2)
-        if residual <= config.eps2:
+        if residual <= EPS2:
             status = "converged"
             break
         if iters >= config.max_steps:

@@ -74,9 +74,7 @@ def _wrong_answers(k):
         2,
         6,
         25,
-        # the path's residual r @ r overflows at m = 6 (a RuntimeWarning)
-        pytest.param(30, marks=pytest.mark.xfail(
-            strict=True, raises=RuntimeWarning, reason="ROADMAP item 3")),
+        30,
     ],
 )
 def test_converged_answers_on_the_exact_family_are_right(k):

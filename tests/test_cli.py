@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from teneig import HomotopyConfig, Tensor, load_tensor, pta_solve, save_tensor, solve_dominant
+from teneig import cli
 from teneig.cli import main
 from teneig.instances import dense_demo, random_instance, sparse_ring_demo
 
@@ -39,6 +41,24 @@ def test_solve_human_readable(tmp_path, capsys):
     (line,) = [line for line in out.splitlines() if line.startswith("bracket:   [")]
     lo, hi = map(float, line[len("bracket:   ["):-1].split(", "))
     assert lo <= 1.0 <= hi and hi - lo <= 1e-11
+    # the path certifies the ring's answer; the finish made no sweep
+    assert "finish:    0 sweeps" in out
+
+
+def test_solve_human_readable_shows_the_finish(tmp_path, capsys):
+    # the jump fails on this log-uniform input and the finish certifies it
+    path = tmp_path / "wide.ten"
+    save_tensor(path, Tensor(10.0 ** np.random.default_rng(15).uniform(-6, 6, (8, 8, 8))))
+    code, out, _ = run_cli(capsys, "solve", str(path))
+    assert code == 0
+    (line,) = [line for line in out.splitlines() if line.startswith("finish:    ")]
+    assert line.endswith(" sweeps") and int(line.split()[1]) > 0
+
+
+def test_solver_flags_are_the_config_fields():
+    names = {name for _, name, _ in cli._SOLVER_FLAGS}
+    assert names == {f.name for f in dataclasses.fields(HomotopyConfig)}
+    assert names == {"eps_perturb", "max_steps"}
 
 
 def test_solve_both_methods_agree(tmp_path, capsys):
@@ -119,13 +139,13 @@ def test_solve_nonfinite_entry_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["solve", "FILE", "--beta", "2"],
-        ["solve", "FILE", "--dtau0", "0"],
+        ["solve", "FILE", "--max-steps", "0"],
+        ["solve", "FILE", "--epsilon", "0"],
         ["solve", "FILE", "--epsilon", "inf", "--method", "pta"],
         ["solve", "FILE", "--epsilon", "nan", "--assume", "reducible"],
-        ["solve", "FILE", "--eps1", "inf"],
-        ["solve", "FILE", "--eps1", "nan"],
-        ["compare", "3", "3", "--eps2", "-1"],
+        ["solve", "FILE", "--max-steps", "-1", "--method", "pta"],
+        ["compare", "3", "3", "--epsilon", "-1"],
+        ["compare", "3", "3", "--max-steps", "0"],
     ],
 )
 def test_bad_solver_flag_exit_2(tmp_path, capsys, argv):

@@ -17,8 +17,11 @@ from teneig import (
     start_system,
 )
 from teneig.homotopy import (
+    BETA,
     DTAU_MAX,
     DTAU_MIN,
+    EPS1,
+    EPS2,
     PathState,
     SolveReport,
     _finish,
@@ -86,17 +89,9 @@ def polished_path_point(T, S, tau_target, tol=1e-13):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        HomotopyConfig(dtau0=0.5)  # above DTAU_MAX
-    with pytest.raises(ValueError):
-        HomotopyConfig(eps1=1e-12, eps2=1e-5)
-    with pytest.raises(ValueError):
-        HomotopyConfig(beta=1.0)
-    with pytest.raises(ValueError):
         HomotopyConfig(eps_perturb=0.0)
     with pytest.raises(ValueError):
         HomotopyConfig(max_steps=0)
-    with pytest.raises(ValueError):
-        HomotopyConfig(eps2=0.0)
 
 
 # ---------------------------------------------------------- residual/jacobian
@@ -418,9 +413,8 @@ def test_step_update_stays_clamped(dtau, iters, window):
 def test_endgame_trivial_when_systems_coincide():
     _, S = positive_instance(seed=25)
     pair = start_pair(np.ones(3), np.ones(3), 3)
-    cfg = HomotopyConfig()
-    state = path_state(S, S, cfg.beta, np.concatenate([[pair.lam], pair.x]), 1.0 - cfg.beta)
-    got, iters = endgame(S, S, state, cfg)
+    state = path_state(S, S, BETA, np.concatenate([[pair.lam], pair.x]), 1.0 - BETA)
+    got, iters = endgame(S, S, state)
     assert iters == 0
     assert got.lam == pytest.approx(pair.lam, abs=1e-12)
     assert np.allclose(got.x, pair.x, atol=1e-12)
@@ -434,11 +428,11 @@ def test_a_failed_jump_is_finished_on_the_input(monkeypatch):
     real = homotopy.endgame
     betas = []
 
-    def stalls_once(T, S, state, config):
+    def stalls_once(T, S, state):
         betas.append(state.tau)
         if len(betas) == 1:
             raise NewtonStalled(3)
-        return real(T, S, state, config)
+        return real(T, S, state)
 
     monkeypatch.setattr(homotopy, "endgame", stalls_once)
     A = dense_demo()
@@ -508,9 +502,8 @@ def test_step_size_floor_ends_in_step_limit(monkeypatch):
         raise NewtonStalled(1)
 
     monkeypatch.setattr(homotopy, "newton_correct", stalls)
-    cfg = HomotopyConfig(eps1=1e-300, eps2=1e-300)
     for assume, status in (("reducible", "step_limit"), ("auto", "converged")):
-        rep = solve_dominant(dense_demo(), config=cfg, assume=assume)
+        rep = solve_dominant(dense_demo(), assume=assume)
         assert rep.status == status
         assert (rep.finish_sweeps > 0) is (assume == "auto")
         assert rep.iter == rep.nwtiter == 18
@@ -623,17 +616,16 @@ def test_rejected_clipped_step_retries_half_its_length(monkeypatch):
 
     def stalls_at_beta_once(T, S, tau, u0, tol, cap):
         targets.append(tau)
-        if tau == cfg.beta and targets.count(tau) == 1:
+        if tau == BETA and targets.count(tau) == 1:
             raise NewtonStalled(0)
         return real(T, S, tau, u0, tol, cap)
 
-    cfg = HomotopyConfig()
     monkeypatch.setattr(homotopy, "newton_correct", stalls_at_beta_once)
-    rep = solve_dominant(dense_demo(), config=cfg)
+    rep = solve_dominant(dense_demo())
     assert rep.status == "converged"
-    failed = targets.index(cfg.beta)
+    failed = targets.index(BETA)
     assert targets[failed - 1] == pytest.approx(0.8, abs=1e-12)
-    assert targets[failed + 1] == pytest.approx(0.8 + 0.5 * (cfg.beta - 0.8), abs=1e-12)
+    assert targets[failed + 1] == pytest.approx(0.8 + 0.5 * (BETA - 0.8), abs=1e-12)
 
 
 def test_solve_matrix_hand_case():
@@ -714,7 +706,6 @@ def test_solve_respects_assume_flag():
 
 
 def test_solve_path_positivity_and_normalization(accepted_points):
-    cfg = HomotopyConfig()
     for A in (dense_demo(), random_instance(3, 5, seed=34)):
         accepted_points.clear()
         rep = solve_dominant(A)
@@ -723,11 +714,11 @@ def test_solve_path_positivity_and_normalization(accepted_points):
         assert rep.path_min_x > 0.0
         for _, u in accepted_points:
             assert u[1:].min() > 0.0
-            assert abs(u[1:] @ u[1:] - 1.0) <= cfg.eps1
-        # the path reaches beta, then the endgame jumps to 1
-        assert accepted_points[-2][0] >= cfg.beta
+            assert abs(u[1:] @ u[1:] - 1.0) <= EPS1
+        # the path reaches BETA, then the endgame jumps to 1
+        assert accepted_points[-2][0] >= BETA
         assert accepted_points[-1][0] == 1.0
-        assert abs(rep.eigen.x @ rep.eigen.x - 1.0) <= cfg.eps2
+        assert abs(rep.eigen.x @ rep.eigen.x - 1.0) <= EPS2
 
 
 def test_solve_step_limit_status():
@@ -752,12 +743,11 @@ def test_solve_endgame_failure_when_the_finish_cannot_certify(monkeypatch):
     # the report keeps the path's point, bracket and status
     from teneig import homotopy
 
-    def stalls(T, S, state, config):
+    def stalls(T, S, state):
         raise NewtonStalled(1)
 
     monkeypatch.setattr(homotopy, "endgame", stalls)
-    cfg = HomotopyConfig(eps2=1e-16)
-    rep = solve_dominant(_cancellation(40), config=cfg)
+    rep = solve_dominant(_cancellation(40))
     assert rep.status == "endgame_failure" and not rep.perturbed
     assert rep.finish_sweeps > 0
     assert rep.lam_upper - rep.lam_lower > 1e-6 * abs(rep.eigen.lam)
@@ -775,10 +765,10 @@ def test_log_uniform_inputs_whose_jump_fails_are_finished(monkeypatch, seed):
     real = homotopy.endgame
     jumps = []
 
-    def recorded(T, S, state, config):
+    def recorded(T, S, state):
         jumps.append(state.tau)
         try:
-            return real(T, S, state, config)
+            return real(T, S, state)
         except NewtonStalled:
             jumps.append("stalled")
             raise
@@ -815,7 +805,7 @@ def test_solve_scans_the_input_once(monkeypatch):
         scans.append(T)
         return real(T)
 
-    def stalls(T, S, state, config):
+    def stalls(T, S, state):
         raise NewtonStalled(1)
 
     monkeypatch.setattr(homotopy, "require_essentially_nonnegative", counted)

@@ -17,6 +17,7 @@ from teneig import (
     tvp,
     weak_irreducibility_check,
 )
+from teneig.homotopy import EPS2
 from teneig.instances import dense_demo, random_instance
 from teneig.tensor import EssentialNonnegativityError, rank_one_start
 
@@ -24,9 +25,7 @@ from oracles import alpha_shift_dense, pta_dense, relative_bracket, tvp_naive, u
 
 
 def test_config_validation():
-    # the three HomotopyConfig fields pta_solve reads reject bad values
-    with pytest.raises(ValueError):
-        HomotopyConfig(eps2=0.0)
+    # the two HomotopyConfig fields pta_solve reads reject bad values
     with pytest.raises(ValueError):
         HomotopyConfig(max_steps=0)
     with pytest.raises(ValueError):
@@ -186,7 +185,7 @@ def test_pta_matches_iteration_on_dense_copy(m, n, d, seed):
     # must be those of the paper's iteration on T stored densely
     A = random_instance(m, n, d=d, seed=seed)
     cfg = HomotopyConfig()
-    status, sweeps, lam, alpha, x = pta_dense(A.data, cfg.eps_perturb, cfg.eps2, cfg.max_steps)
+    status, sweeps, lam, alpha, x = pta_dense(A.data, cfg.eps_perturb, EPS2, cfg.max_steps)
     rep = pta_solve(A, cfg)
     assert (rep.status, rep.iter) == (status, sweeps)
     assert rep.alpha == alpha

@@ -1,6 +1,7 @@
 """Smoke runs of the experiment scripts, each exiting 0 and printing its
 table, and of the code in README.md."""
 
+import argparse
 import inspect
 import json
 import os
@@ -162,3 +163,17 @@ def test_readme_python_blocks_run_in_order():
         exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["report"].status == "converged"
     assert len(namespace["records"]) == 10
+
+
+def test_readme_cli_flags_are_options_of_solve_or_compare():
+    # a flag deleted from the parser must not linger in the docs
+    from teneig.cli import build_parser
+
+    text = (ROOT / "README.md").read_text()
+    section = re.search(r"^## CLI\n(.*?)^## ", text, re.M | re.S).group(1)
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = set(sub.choices["solve"]._option_string_actions)
+    options |= set(sub.choices["compare"]._option_string_actions)
+    assert {"--epsilon", "--max-steps", "--json"} <= named
+    assert named <= options
