@@ -16,9 +16,12 @@ tensor to a file in a temporary directory and runs `teneig solve FILE
 too.  The script prints how many reports of each tree ran the certified
 finish (finish_sweeps > 0), then, per SolveReport.to_dict() field other
 than wall_time_s, how many reports differ bit for bit (NaN equals NaN) or
-that the field is in one tree's reports only, and the largest relative
-differences in lambda and lambda_shifted.  It exits 1 when
-the two trees made different sets of reports.
+that the field is in one tree's reports only, the largest relative
+differences in lambda and lambda_shifted, and per group one line of work
+totals: the sums of the reports' integer fields (iter, nwtiter, the finish's
+sweeps, the passes over the input and the LAPACK calls), base -> new, "-"
+for a field a tree does not report.  It exits 1 when the two trees made
+different sets of reports.
 """
 
 from __future__ import annotations
@@ -105,6 +108,13 @@ def rel_diff(a, b):
     return abs(a - b) / max(abs(a), abs(b))
 
 
+def total(reports, keys, field):
+    """The sum of field over the reports of keys, or "-" where they lack it."""
+    if field not in reports[keys[0]]:
+        return "-"
+    return sum(reports[k][field] for k in keys)
+
+
 def compare(base, new):
     """Print the per-field difference counts; return 0 if the report sets match."""
     keys = sorted(set(base) & set(new))
@@ -112,7 +122,8 @@ def compare(base, new):
     ran = [sum(r.get("finish_sweeps", 0) > 0 for r in reps.values()) for reps in (base, new)]
     print("reports that ran the finish: %d in the base tree, %d in the new tree" % tuple(ran))
     a, b = (base[keys[0]], new[keys[0]]) if keys else ({}, {})
-    for f in [*a, *(f for f in b if f not in a)]:
+    names = [*a, *(f for f in b if f not in a)]
+    for f in names:
         if f in SKIPPED:
             continue
         if f not in a or f not in b:
@@ -125,6 +136,12 @@ def compare(base, new):
     for f in ("lambda", "lambda_shifted"):
         worst = max((rel_diff(base[k][f], new[k][f]) for k in keys), default=0.0)
         print("largest relative %s difference: %.3g" % (f, worst))
+    counts = [f for f in names if type({**b, **a}[f]) is int]  # not perturbed, a bool
+    print("work totals, base -> new:")
+    for group in sorted({k[0] for k in keys}):
+        mine = [k for k in keys if k[0] == group]
+        totals = ("%s %s -> %s" % (f, total(base, mine, f), total(new, mine, f)) for f in counts)
+        print("  %-16s %s" % (group, ", ".join(totals)))
     only = sorted(set(base) ^ set(new))
     for k in only:
         print("only in %s tree: %s" % ("base" if k in base else "new", list(k)))

@@ -98,6 +98,10 @@ def _print_report(report, out):
     out.write("alpha:     %.16g\n" % d["alpha"])
     out.write("perturbed: %s\n" % ("true" if d["perturbed"] else "false"))
     out.write("finish:    %d sweeps\n" % d["finish_sweeps"])
+    out.write(
+        "work:      %d y-passes, %d J-passes, %d linear solves\n"
+        % (d["y_passes"], d["jacobian_passes"], d["linear_solves"])
+    )
 
 
 def _cmd_solve(args, config):

@@ -16,18 +16,24 @@ Collatz-Wielandt bracket [min r, max r], r = A x^{m-1} / x^{[m-1]}, on the
 input A; whatever the path's outcome, an unperturbed answer the bracket does
 not certify gets Newton-Noda sweeps on A (_finish), and nothing is retried.
 
-Cost model.  Each Newton iterate makes one (y, J) evaluation of T, one of S
-and one LAPACK solve.  S is closed form, O(n^2), and so are T's alpha*I and
-eps terms; T's evaluation reads each slice block of the input A twice, once
-for the contraction chain and once for the k = m-1 Jacobian term
-(Tensor.tvp_and_jacobian).  The evaluation keeps T's and S's n-by-n
-Jacobians and the (n+1)-by-(n+1) system matrix, in which the blend
-tau*J_T + (1-tau)*J_S is formed in place.  The predictor evaluates nothing:
-each accepted point carries the tangent its corrector solved for from its
-last evaluation (PathState), and the start point's is solved once, before
-the first step.  The final residual is one y-only pass, which also gives
-the bracket; the finish, only while that is open, makes one (y, J) pass
-over A and one LAPACK solve per sweep.
+Cost model.  Every Newton iterate makes a y-pass (_y_pass): T's
+contraction, one read of each slice block of the input A, which also writes
+T's mode-2 Jacobian term into the (n+1)-by-(n+1) system matrix, the
+residual and -dH into an (n+1)-by-2 right-hand side.  Only an iterate that
+updates makes a J-pass (_j_pass), one more read of A (Tensor.jacobian_pass)
+that completes the system matrix, in which the blend tau*J_T + (1-tau)*J_S
+is formed in place, and one LAPACK call on both columns: the Newton step
+and the path tangent, which the accepted point carries for the predictor.
+A point accepted before tau = 1 without an update gets one J-pass and
+LAPACK call for its tangent; at tau = 1 no tangent is solved, and the start
+tangent needs T's y-pass alone, T's Jacobian having weight 0 at tau = 0.  S
+is closed form, O(n^2), and so are T's alpha*I and eps terms.  So a solve
+without rejections makes 2 + iter + nwtiter y-passes (the start, every
+iterate, the final residual, which also gives the bracket), nwtiter + z
+J-passes and 1 + nwtiter + z LAPACK calls, z the points accepted before
+tau = 1 without an update; SolveReport counts all three.  The finish, only
+while the bracket is open, makes a y-pass of A per sweep, and a J-pass and
+LAPACK call only for a sweep that goes on.
 """
 
 from __future__ import annotations
@@ -117,7 +123,8 @@ class HomotopyConfig:
 class PathState:
     """Point u = (lam, x...) on the solution curve at tau, its path tangent
     (JH g = -dH/dtau; None where JH is singular), step-control history, and
-    the path's counters, min_x the smallest x component of an accepted point."""
+    the path's counters, min_x the smallest x component of an accepted point;
+    the last three are SolveReport's work counts."""
 
     tau: float
     u: np.ndarray = field(repr=False)
@@ -127,6 +134,9 @@ class PathState:
     step_count: int = 0
     newton_total: int = 0
     min_x: float = np.inf
+    y_passes: int = 0
+    jacobian_passes: int = 0
+    linear_solves: int = 0
 
 
 @dataclass
@@ -138,7 +148,9 @@ class SolveReport:
     nonnegative tensor the solver actually iterated on.  The defaults
     describe a solve that produced nothing, as recorded for a solver that
     raised.  The fields, in order, are the keys of ``to_dict()``, with
-    ``eigen`` given as ``lambda`` and ``x``.
+    ``eigen`` given as ``lambda`` and ``x``.  The last three count the work:
+    passes over A for T x^{m-1} (the y-pass) and for the rest of its
+    Jacobian (the J-pass), and LAPACK calls.
     """
 
     method: str  # homotopy | pta
@@ -155,6 +167,9 @@ class SolveReport:
     lam_lower: float = np.nan  # Collatz-Wielandt bracket on A at x
     lam_upper: float = np.nan
     finish_sweeps: int = 0  # Newton-Noda sweeps of the certified finish
+    y_passes: int = 0
+    jacobian_passes: int = 0
+    linear_solves: int = 0
 
     def to_dict(self):
         """The JSON report of ``teneig solve`` and of ``teneig compare`` records."""
@@ -169,42 +184,77 @@ class SolveReport:
         return out
 
 
-def _system(T, S, tau, lam, x):
-    """Residual, (lam, x)-Jacobian and tau-derivative of H_tau at (lam, x).
+def _y_pass(T, S, tau, lam, x, M, R):
+    """The first half of H_tau's evaluation at (lam, x), one read of A.
 
-    One tvp_and_jacobian call on each of T and S gives all three.  The
-    Jacobian's first column is -x^{[m-1]} stacked over 0, its trailing n-by-n
-    block is the x-Jacobian of the blended contraction minus
-    lam*(m-1)*diag(x^{m-2}), and its bottom row is (0, 2x^T) from the
-    normalization constraint.  The tau-derivative is ((T - S) x^{m-1}; 0).
+    Writes the residual into R[0] and the tangent's right-hand side
+    -dH/dtau = ((S - T) x^{m-1}; 0) into R[1].  For tau > 0, T's tvp leaves
+    its mode-2 Jacobian term in M's x-block, where _j_pass completes it.
+    S is the rank-one start system, S x^{m-1} = (b.x)^{m-1} c.  Returns
+    (x^{m-2}, x^{[m-1]}, b.x), which _j_pass reuses.
     """
-    m, n = T.order, T.dim
-    yT, JT = T.tvp_and_jacobian(x)
-    yS, JS = S.tvp_and_jacobian(x)
+    m, n = T.order, x.shape[0]
+    yT = T.tvp(x, M[:n, 1:] if tau else None)
+    s = S.b @ x
+    yS = s ** (m - 1) * S.c
     xq = x ** (m - 2)
     xp = xq * x
-    r = np.empty(n + 1)
-    r[:n] = tau * yT + (1.0 - tau) * yS - lam * xp
-    r[n] = x @ x - 1.0
-    # Both kernels return fresh n-by-n arrays, so the blend is built in J's
-    # block and in JS itself: no n-by-n temporary, and JT is released first.
-    J = np.empty((n + 1, n + 1))
-    J[:n, 0] = -xp
-    J[n, 0] = 0.0
-    blend = J[:n, 1:]
-    np.multiply(JT, tau, out=blend)
-    del JT
-    JS *= 1.0 - tau
-    blend += JS
-    # Entries (i, i+1) sit at flat offsets 1 + i*(n+2): a strided view, where
-    # fancy indexing would hold two index arrays at the solve's memory peak.
-    xq *= lam * (m - 1)
-    J.reshape(-1)[1 :: n + 2] -= xq
-    J[n, 1:] = 2.0 * x
-    dH = np.empty(n + 1)
-    np.subtract(yT, yS, out=dH[:n])
-    dH[n] = 0.0
-    return r, J, dH
+    R[0, :n] = tau * yT + (1.0 - tau) * yS - lam * xp
+    R[0, n] = x @ x - 1.0
+    np.subtract(yS, yT, out=R[1, :n])
+    R[1, n] = 0.0
+    return xq, xp, s
+
+
+def _j_pass(T, S, tau, lam, x, M, shared):
+    """The second half: completes M, which holds the y-pass's term, to the
+    (lam, x)-Jacobian of H_tau, from the y-pass's shared values.  One read
+    of A for tau > 0, none at tau = 0, where T's Jacobian has weight 0.
+
+    M's first column is -x^{[m-1]} over 0, its trailing n-by-n block is the
+    x-Jacobian of the blended contraction minus lam*(m-1)*diag(x^{m-2}),
+    and its bottom row is (0, 2x^T) from the normalization constraint.  The
+    blend tau*J_T + (1-tau)*J_S is formed in that block; S's Jacobian is
+    (m-1)(b.x)^{m-2} c b^T.
+    """
+    xq, xp, s = shared
+    m, n = T.order, x.shape[0]
+    J = M[:n, 1:]
+    if tau:
+        T.jacobian_pass(x, J)
+        J *= tau
+    else:
+        J[...] = 0.0
+    if tau < 1.0:
+        J += np.multiply.outer(((1.0 - tau) * (m - 1) * s ** (m - 2)) * S.c, S.b)
+    # Entries (i, i+1) sit at flat offsets 1 + i*(n+2): a strided view.
+    M.reshape(-1)[1 :: n + 2] -= lam * (m - 1) * xq
+    np.negative(xp, out=M[:n, 0])
+    M[n, 0] = 0.0
+    np.multiply(x, 2.0, out=M[n, 1:])
+
+
+def _tangent(T, S, tau, u, M, R, shared, state):
+    """The path tangent g at u, JH g = -dH, from u's y-pass in M, R and
+    shared: a J-pass and one LAPACK call, counted in state; None where g
+    fails the conditioning check."""
+    _j_pass(T, S, tau, u[0], u[1:], M, shared)
+    state.jacobian_passes += tau > 0.0
+    state.linear_solves += 1
+    try:
+        return solve(M, R[1])
+    except SingularMatrixError:
+        return None
+
+
+def _start_tangent(T, S, state):
+    """The tangent at the start point state.u: at tau = 0 T's Jacobian has
+    weight 0, so a y-pass and one LAPACK call give it."""
+    u = state.u
+    M, R = np.empty((u.shape[0],) * 2), np.empty((2, u.shape[0]))
+    shared = _y_pass(T, S, 0.0, u[0], u[1:], M, R)
+    state.y_passes += 1
+    return _tangent(T, S, 0.0, u, M, R, shared, state)
 
 
 def predict(state, dtau):
@@ -215,41 +265,47 @@ def predict(state, dtau):
     return state.u + dtau * state.tangent
 
 
-def newton_correct(T, S, tau, u0, tol, cap):
+def newton_correct(T, S, tau, u0, tol, cap, state=None):
     """Newton iteration on the homotopy at fixed tau from u0 = (lam, x...).
 
-    Returns (u, iterations, g) once the residual 2-norm drops to tol, where
-    g is the path tangent at u, solved from the Jacobian and tau-derivative
-    of that last evaluation, or None when that Jacobian is singular or tau
-    is 1, where the path ends and no prediction follows.  Raises
-    NewtonStalled after cap updates, or SingularMatrixError on a degenerate
-    Jacobian; both carry the Newton iterations already spent.
+    Every iterate makes a y-pass; one that updates then makes a J-pass and
+    one LAPACK call on the two columns (r, -dH), which give the Newton step
+    and the path tangent.  Returns (u, iterations, g) once the residual
+    2-norm drops to tol: g is the last update's tangent, or after none a
+    J-pass and one LAPACK call at u0 give it.  g is None where its column
+    fails the conditioning check, and at tau = 1, where the path ends and no
+    prediction follows.  Raises NewtonStalled after cap updates, or
+    SingularMatrixError where an update's column fails the check; both
+    carry the Newton iterations already spent.  The passes and LAPACK calls
+    are counted in state, the path's PathState.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if cap < 1:
         raise ValueError("cap must be at least 1")
     u = np.array(u0, dtype=float)
+    state = PathState(tau, u, None, 0.0) if state is None else state
+    M, R = np.empty((u.shape[0],) * 2), np.empty((2, u.shape[0]))
+    g = None
     for i in range(cap + 1):
-        r, J, dH = _system(T, S, tau, u[0], u[1:])
-        if math.hypot(*r) <= tol:  # the 2-norm; r @ r can overflow where it does not
-            return u, i, None if tau == 1.0 else _tangent(J, dH)
+        shared = _y_pass(T, S, tau, u[0], u[1:], M, R)
+        state.y_passes += 1
+        if math.hypot(*R[0]) <= tol:  # the 2-norm; r @ r can overflow where it does not
+            if tau == 1.0:
+                return u, i, None
+            return u, i, g if i else _tangent(T, S, tau, u, M, R, shared, state)
         if i == cap:
             raise NewtonStalled(cap)
-        try:
-            u = u - solve(J, r)
-        except SingularMatrixError as err:
+        _j_pass(T, S, tau, u[0], u[1:], M, shared)
+        state.jacobian_passes += 1
+        state.linear_solves += 1
+        step, g = solve(M, R.T)
+        if step is None:
+            err = SingularMatrixError()
             err.iterations = i
-            raise
+            raise err
+        u = u - step
     raise AssertionError("unreachable")
-
-
-def _tangent(J, dH):
-    """The path tangent g, J g = -dH, or None where J is singular."""
-    try:
-        return solve(J, -dH)
-    except SingularMatrixError:
-        return None
 
 
 def update_step_size(state, newton_iters_used):
@@ -276,7 +332,7 @@ def _step(T, S, state, dtau, tau_next, tol, cap):
     strictly positive curve for a sign-mixed eigenpair of the blend.
     """
     ubar = predict(state, dtau)
-    u, iters, g = newton_correct(T, S, tau_next, ubar, tol, cap)
+    u, iters, g = newton_correct(T, S, tau_next, ubar, tol, cap, state)
     if u[1:].min() <= 0.0:
         raise PositivityLost(iters)
     return u, iters, g
@@ -327,8 +383,8 @@ def _solve_shifted(A, alpha, config, a, b, use_perturbation):
     S = start_system(a, b, m)
     start = start_pair(a, b, m)
     u = np.concatenate([[start.lam], start.x])
-    g = _tangent(*_system(T, S, 0.0, u[0], u[1:])[1:])
-    state = PathState(0.0, u, g, DTAU0, min_x=float(u[1:].min()))
+    state = PathState(0.0, u, None, DTAU0, min_x=float(u[1:].min()))
+    state.tangent = _start_tangent(T, S, state)
 
     # The jump counts in iter, not in the path's step_count (its max_steps).
     pair, status, jumped = None, "step_limit", _follow(T, S, state, config.max_steps)
@@ -348,7 +404,8 @@ def _solve_shifted(A, alpha, config, a, b, use_perturbation):
         "homotopy", status, EigenPair(pair.lam - T.alpha, pair.x), residual_norm=residual,
         iter=state.step_count + jumped, nwtiter=state.newton_total, alpha=T.alpha,
         lambda_shifted=pair.lam, perturbed=use_perturbation, path_min_x=state.min_x,
-        lam_lower=lo, lam_upper=hi,
+        lam_lower=lo, lam_upper=hi, y_passes=state.y_passes + 1,  # + the final residual
+        jacobian_passes=state.jacobian_passes, linear_solves=state.linear_solves,
     )
     if not use_perturbation and not certified(report.eigen.lam, lo, hi):
         _finish(A, report)
@@ -366,25 +423,31 @@ def _finish(A, report):
     vector if x is not positive, while the bracket narrows, at most
     SWEEP_CAP; a singular M or an x not finite and positive ends them.  The
     narrowest bracket is adopted if it certifies, "converged" at its middle.
+    Each sweep makes a y-pass; only one that goes on makes a J-pass.
     """
     m, n = A.order, A.dim
     x = report.eigen.x if report.eigen.x.min() > 0.0 else np.full(n, n**-0.5)
     best, width = (np.nan,) * 5, np.inf
+    M = np.empty((n, n))
     with np.errstate(all="ignore"):
         while report.finish_sweeps < SWEEP_CAP:
             report.finish_sweeps += 1
-            y, M = A.tvp_and_jacobian(x)
+            report.y_passes += 1
+            y = A.tvp(x, M)
             xq = x ** (m - 2)
             xp = xq * x
             lo, hi = ratio_bracket(y, xp)
             if not hi - lo < width:
                 break
             best, width = (lo, hi, x, y, xp), hi - lo
+            report.jacobian_passes += 1
+            A.jacobian_pass(x, M)
             # M = lam_k (m-1) diag(x^{m-2}) - J_A at lam_k = max r
             M *= -1.0
             M.reshape(-1)[:: n + 1] += hi * (m - 1) * xq
             # Not linalg.solve: its conditioning check rejects M near
             # reducibility, where these sweeps still converge.
+            report.linear_solves += 1
             try:
                 w = np.linalg.solve(M, xp)
             except np.linalg.LinAlgError:

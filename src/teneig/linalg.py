@@ -36,26 +36,41 @@ class SingularMatrixError(RuntimeError):
 def solve(M, rhs):
     """Solve M y = rhs with LAPACK (``np.linalg.solve``).
 
-    Raises SingularMatrixError when LAPACK meets an exactly zero pivot, when
-    y is not finite, or when ||M||_inf ||y||_inf > ||rhs||_inf / PIVOT_RTOL.
-    Since ||y|| <= ||M^{-1}|| ||rhs||, that ratio is a lower bound on
-    kappa_inf(M), so a system that fails it is singular to working precision.
+    A vector rhs gives y, or SingularMatrixError when LAPACK meets an exactly
+    zero pivot, when y is not finite, or when ||M||_inf ||y||_inf >
+    ||rhs||_inf / PIVOT_RTOL.  Since ||y|| <= ||M^{-1}|| ||rhs||, that ratio
+    is a lower bound on kappa_inf(M), so a system that fails it is singular
+    to working precision.  A k-by-c rhs gives the list of its c solution
+    columns from one LAPACK call, each checked as a vector rhs would be and
+    None where it fails, in place of the raise.
     """
     try:
         y = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError:
+        if rhs.ndim == 2:
+            return [None] * rhs.shape[1]
         raise SingularMatrixError() from None
-    # The reductions behind .sum(axis=1).max(), without the method wrappers.
-    # np.maximum propagates NaN, so ny is finite exactly when every y_i is.
-    # The norms are Python floats, whose products overflow to inf silently
-    # where numpy scalars would warn; the IEEE operations are the same.
-    ny = float(np.maximum.reduce(np.abs(y)))
-    if not math.isfinite(ny):
-        raise SingularMatrixError()
+    # The reductions behind .max(axis=0) and .sum(axis=1).max(), without the
+    # method wrappers; for a vector they give one number each.
+    ny = np.maximum.reduce(np.abs(y), axis=0).tolist()
+    nb = np.maximum.reduce(np.abs(rhs), axis=0).tolist()
     nM = float(np.maximum.reduce(np.add.reduce(np.abs(M), axis=1)))
-    if nM * ny > float(np.maximum.reduce(np.abs(rhs))) / PIVOT_RTOL:
-        raise SingularMatrixError()
-    return y
+    if rhs.ndim == 1:
+        if not _conditioned(nM, ny, nb):
+            raise SingularMatrixError()
+        return y
+    return [y[:, j] if _conditioned(nM, a, b) else None for j, (a, b) in enumerate(zip(ny, nb))]
+
+
+def _conditioned(nM, ny, nb):
+    """solve's check on one column: ||M|| ny <= nb / PIVOT_RTOL, ny finite.
+
+    np.maximum propagates NaN, so ny is finite exactly when every entry of
+    the column is.  The norms are Python floats, whose products overflow to
+    inf silently where numpy scalars would warn; the IEEE operations are the
+    same.
+    """
+    return math.isfinite(ny) and not nM * ny > nb / PIVOT_RTOL
 
 
 @dataclass

@@ -7,7 +7,9 @@ path-following solver and as the slow baseline on badly scaled instances.
 
 T is never stored: each sweep makes one y-only pass over the input A and
 adds T's two closed-form terms, alpha*x^{[m-1]} and eps*(1.x)^{m-1}, as
-ShiftedTensor does, so the only n^m array is the input.
+ShiftedTensor does, so the only n^m array is the input.  The last sweep
+only measures its residual, so a report has y_passes = iter + 1 and no
+J-pass or LAPACK call.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def pta_solve(A, config=None):
     return SolveReport(
         "pta", status, EigenPair(lam - alpha, x), residual_norm=residual, iter=iters,
         wall_time_s=time.perf_counter() - t_start, alpha=alpha, lambda_shifted=float(lam),
-        perturbed=True, path_min_x=min_x, lam_lower=lower, lam_upper=upper,
+        perturbed=True, path_min_x=min_x, lam_lower=lower, lam_upper=upper, y_passes=iters + 1,
     )
 
 

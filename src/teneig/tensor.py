@@ -2,7 +2,8 @@
 
 An order-m, dimension-n tensor is stored as a C-ordered float array of shape
 (n,)*m, so the flat entry layout is lexicographic with the first index slowest.
-All operations are pure; tensors are frozen after construction.
+Tensors are frozen after construction; no operation changes one, and the
+two kernel passes write only into the arrays their caller hands them.
 """
 
 from __future__ import annotations
@@ -27,8 +28,20 @@ class EssentialNonnegativityError(ValueError):
         )
 
 
+class _Operator:
+    """What the solver asks of an operator x -> T x^{m-1}: ``tvp(x, P)``, the
+    y-pass, which leaves the first part of the Jacobian in P if given, and
+    ``jacobian_pass(x, J)``, which adds the rest to J."""
+
+    def tvp_and_jacobian(self, x):
+        """(T x^{m-1}, its n-by-n Jacobian in x): the y-pass, then the J-pass."""
+        J = np.empty((self.dim, self.dim))
+        y = self.tvp(x, J)
+        return y, self.jacobian_pass(x, J)
+
+
 @dataclass(frozen=True, eq=False)
-class Tensor:
+class Tensor(_Operator):
     """Dense order-m, dimension-n real tensor with finite entries."""
 
     data: np.ndarray = field(repr=False)
@@ -63,20 +76,31 @@ class Tensor:
     def __repr__(self):
         return "Tensor(order=%d, dim=%d)" % (self.order, self.dim)
 
-    def tvp(self, x):
-        """T x^{m-1}: the chain P_0 = T, P_j = P_{j-1} @ x ends in P_{m-1}."""
-        return _by_blocks(self, _tvp_rows, _check_vector(self, x))[0]
+    def tvp(self, x, P=None):
+        """T x^{m-1}, one read of the data (the y-pass).
 
-    def tvp_and_jacobian(self, x):
-        """(T x^{m-1}, its n-by-n Jacobian in x) from views of the data.
-
-        The chain P_0 = T, P_j = P_{j-1} @ x ends in y = P_{m-1}.  The
-        derivative in trailing mode k+1 contracts P_{m-1-k}'s k-1 middle
-        modes, flattened into one, with the (k-1)-fold outer power of x:
-        k = 1 is P_{m-2} itself and k = m-1 is a second pass over the data.
-        Every trailing mode counts, so T need not be semi-symmetric.
+        The chain P_0 = T, P_j = P_{j-1} @ x ends in P_{m-1}.  P, an n-by-n
+        array if given, receives P_{m-2}: the Jacobian's term in trailing
+        mode 2, which jacobian_pass completes.
         """
-        return _by_blocks(self, _kernel_rows, _check_vector(self, x))
+        x = _check_vector(self, x)
+        y = np.empty(self.dim)
+        _by_blocks(self, _tvp_rows, x, y, P)
+        return y
+
+    def jacobian_pass(self, x, J):
+        """Add the Jacobian's terms in trailing modes 3..m to J, which holds
+        tvp's P, and return J: one more read of the data (the J-pass).
+
+        The term in mode k contracts every other trailing mode with x.
+        Contracting mode 2 first, Q = x x_2 T, leaves an order-(m-1) tensor
+        with 1/n of the entries whose whole Jacobian is the sum of those
+        terms: its own mode-2 term, the end of its chain, plus the same
+        split of x x_2 Q, down to order 2, where Q is its Jacobian.  Every
+        trailing mode counts, so T need not be semi-symmetric.
+        """
+        _by_blocks(self, _jacobian_rows, _check_vector(self, x), J)
+        return J
 
 
 def _diag_index(order, dim):
@@ -106,50 +130,60 @@ def _slice_blocks(T, budget):
     return [(n * j // count, n * (j + 1) // count) for j in range(count)]
 
 
-def _tvp_rows(block, x):
-    """(block @ x ... @ x,): the rows of T x^{m-1} that block = T[i0:i1] owns.
+def _tvp_rows(block, x, y, P=None):
+    """Write the rows of T x^{m-1} that block = T[i0:i1] owns into y, and
+    P_{m-2}'s into P if given (Tensor.tvp).
 
-    Each step contracts the last axis of the flat 2-D view P.reshape(-1, n):
+    Each step contracts the last axis of the flat 2-D view P_j.reshape(-1, n):
     one gemv over the whole block, where matmul on the stacked n-by-n
     matrices would make one per matrix.
     """
-    P, n = block, x.shape[0]
-    for _ in range(block.ndim - 1):
-        P = P.reshape(-1, n) @ x
-    return (P,)
+    Pj, n = block, x.shape[0]
+    for _ in range(block.ndim - 2):
+        Pj = Pj.reshape(-1, n) @ x
+    Pj = Pj.reshape(-1, n)
+    if P is not None:
+        P[...] = Pj
+    np.matmul(Pj, x, out=y)
 
 
-def _kernel_rows(block, x):
-    """The rows of (T x^{m-1}, Jacobian) that block = T[i0:i1] owns; see
-    Tensor.tvp_and_jacobian.  P_j is held flat, as _tvp_rows's chain makes
-    it, and y = P_{m-1} is that chain's result bit for bit."""
-    m, rows, n = block.ndim, block.shape[0], x.shape[0]
-    P = [block]
-    for _ in range(m - 1):
-        P.append(P[-1].reshape(-1, n) @ x)
-    J = P[m - 2].reshape(rows, n).copy()
-    xk = x  # the (k-1)-fold outer power of x, flattened
-    for k in range(2, m):
-        J += xk @ P[m - 1 - k].reshape(rows, n ** (k - 1), n)
-        if k + 1 < m:
-            xk = np.multiply.outer(xk, x).reshape(-1)
-    return P[m - 1], J
+def _jacobian_rows(block, x, J):
+    """Add the rows that block = T[i0:i1] owns of the Jacobian's terms in
+    trailing modes 3..m to J (Tensor.jacobian_pass).  Each step contracts x
+    into Q's mode 2, one gemv per slice, and adds the new Q's mode-2 term:
+    the end of its chain, p-2 steps over its flat view for Q of order p."""
+    rows, n = block.shape[0], x.shape[0]
+    Q = block
+    for p in range(block.ndim - 1, 1, -1):
+        Q = np.matmul(x, Q.reshape(rows, n, -1))
+        C = Q
+        for _ in range(p - 2):
+            C = C.reshape(-1, n) @ x
+        J += C.reshape(rows, n)
 
 
-def _by_blocks(T, rows, x):
-    """rows(T.data, x), a tuple of arrays by row, over the kernel blocks.
+def _by_blocks(T, rows, x, *out):
+    """rows(block, x, *out) over the kernel blocks, each block T[i0:i1]
+    given the rows i0:i1 of every output array (None stays None).
 
     Row i of every output depends on slice T[i] alone, so blocks are
-    independent and their rows are stacked: the result does not depend on
-    how many threads ran them.  A tensor of one block runs inline.  x is
-    the caller's checked vector (_check_vector).
+    independent and each writes its own rows in place: the result does not
+    depend on how many threads ran them.  A tensor of one block runs
+    inline.  x is the caller's checked vector (_check_vector).
     """
     if T.data.size <= KERNEL_BLOCK_ENTRIES:  # then _slice_blocks gives one block
-        return rows(T.data, x)
+        rows(T.data, x, *out)
+        return
     pool = _pool()
-    blocks = _slice_blocks(T, KERNEL_BLOCK_ENTRIES)
-    jobs = [pool.submit(rows, T.data[i0:i1], x) for i0, i1 in blocks]
-    return tuple(map(np.concatenate, zip(*[job.result() for job in jobs])))
+    jobs = [
+        pool.submit(rows, T.data[i0:i1], x, *(o if o is None else o[i0:i1] for o in out))
+        for i0, i1 in _slice_blocks(T, KERNEL_BLOCK_ENTRIES)
+    ]
+    # Every block ends before a worker's error is raised: none writes into
+    # the outputs after the caller has them back.
+    for err in [job.exception() for job in jobs]:
+        if err is not None:
+            raise err
 
 
 _POOL_LOCK = threading.Lock()
@@ -230,7 +264,7 @@ def tvp_jacobian(T, x):
 
 
 @dataclass(frozen=True, eq=False)
-class ShiftedTensor:
+class ShiftedTensor(_Operator):
     """T = (A + eps) + alpha*I as the input A plus closed-form terms.
 
     Holds no n^m array but A.  alpha*I adds alpha*x^{[m-1]} to T x^{m-1} and
@@ -250,30 +284,27 @@ class ShiftedTensor:
     def dim(self):
         return self.A.dim
 
-    def tvp(self, x):
-        """T x^{m-1}: A's contraction plus the closed-form terms."""
+    def tvp(self, x, P=None):
+        """T x^{m-1}: A's y-pass (P as in Tensor.tvp) plus the closed-form terms."""
         x = _check_vector(self, x)
         m = self.order
-        y = self.A.tvp(x)
+        y = self.A.tvp(x, P)
         if self.yA is not None:
             self.yA[:] = y
         _add_shift_terms(y, x, x ** (m - 1), m, self.alpha, self.eps)
         return y
 
-    def tvp_and_jacobian(self, x):
-        """(T x^{m-1}, its Jacobian in x): A's kernel plus the closed-form terms."""
+    def jacobian_pass(self, x, J):
+        """Complete J, which holds tvp's P, to T's Jacobian: A's J-pass plus
+        alpha*(m-1)*diag(x^{m-2}) and eps*(m-1)*(1.x)^{m-2} in every entry."""
         x = _check_vector(self, x)
         m = self.order
-        y, J = self.A.tvp_and_jacobian(x)
-        xq = x ** (m - 2)
-        _add_shift_terms(y, x, xq * x, m, self.alpha, self.eps)
-        # J is a fresh C-ordered n-by-n array: its diagonal is every
-        # (n+1)-th entry of the flat view.
-        xq *= self.alpha * (m - 1)
-        J.reshape(-1)[:: self.dim + 1] += xq
+        self.A.jacobian_pass(x, J)
+        # A writeable view of J's diagonal, whatever J's strides.
+        np.einsum("ii->i", J)[...] += self.alpha * (m - 1) * x ** (m - 2)
         if self.eps:
-            J += self.eps * (m - 1) * x.sum() ** (m - 2)
-        return y, J
+            J += self.eps * (m - 1) * float(np.add.reduce(x)) ** (m - 2)
+        return J
 
 
 def _add_shift_terms(y, x, xp, m, alpha, eps):
@@ -294,7 +325,7 @@ def perturb(A, eps):
 
 
 @dataclass(frozen=True, eq=False)
-class RankOne:
+class RankOne(_Operator):
     """The order-m tensor with entries c_{i1} * b_{i2} * ... * b_{im}, never stored.
 
     Its contraction is (b.x)^{m-1} c and its Jacobian (m-1)(b.x)^{m-2} c b^T.
@@ -308,13 +339,19 @@ class RankOne:
     def dim(self):
         return self.b.shape[0]
 
-    def tvp_and_jacobian(self, x):
+    def tvp(self, x, P=None):
+        """(b.x)^{m-1} c, and the whole Jacobian into P if given."""
         x = _check_vector(self, x)
         m = self.order
         s = self.b @ x
-        J = np.multiply.outer(self.c, self.b)
-        J *= (m - 1) * s ** (m - 2)
-        return s ** (m - 1) * self.c, J
+        if P is not None:
+            np.multiply.outer(self.c, self.b, out=P)
+            P *= (m - 1) * s ** (m - 2)
+        return s ** (m - 1) * self.c
+
+    def jacobian_pass(self, x, J):
+        """J as tvp left it: the whole Jacobian."""
+        return J
 
 
 def start_system(a, b, order):

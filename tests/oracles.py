@@ -23,6 +23,26 @@ def tvp_naive(data, x):
     return out
 
 
+def fused_kernel(data, x):
+    """(data x^{m-1}, its Jacobian in x) from one fused chain: P_0 = data,
+    P_j = P_{j-1} @ x over the flat (-1, n) view ends in y = P_{m-1}, and
+    the derivative in trailing mode k+1 contracts P_{m-1-k}'s k-1 middle
+    modes with the (k-1)-fold outer power of x (k = 1 is P_{m-2} itself).
+    The reference for the library's y-pass and J-pass, which contract in
+    another order."""
+    m, n = data.ndim, data.shape[0]
+    P = [data]
+    for _ in range(m - 1):
+        P.append(P[-1].reshape(-1, n) @ x)
+    J = P[m - 2].reshape(n, n).copy()
+    xk = x
+    for k in range(2, m):
+        J += xk @ P[m - 1 - k].reshape(n, n ** (k - 1), n)
+        if k + 1 < m:
+            xk = np.multiply.outer(xk, x).reshape(-1)
+    return P[m - 1], J
+
+
 def relative_bracket(data, lam, x):
     """Width of the Collatz-Wielandt bracket of data at x > 0, the range of
     (data x^{m-1})_i / x_i^{m-1}, widened to include lam, over |lam|."""

@@ -43,6 +43,11 @@ def test_solve_human_readable(tmp_path, capsys):
     assert lo <= 1.0 <= hi and hi - lo <= 1e-11
     # the path certifies the ring's answer; the finish made no sweep
     assert "finish:    0 sweeps" in out
+    # the report's work counts, as the library counts them
+    rep = solve_dominant(sparse_ring_demo())
+    assert "work:      %d y-passes, %d J-passes, %d linear solves" % (
+        rep.y_passes, rep.jacobian_passes, rep.linear_solves) in out.splitlines()
+    assert rep.y_passes > rep.jacobian_passes > 0
 
 
 def test_solve_human_readable_shows_the_finish(tmp_path, capsys):

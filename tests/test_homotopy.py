@@ -25,8 +25,8 @@ from teneig.homotopy import (
     PathState,
     SolveReport,
     _finish,
-    _system,
-    _tangent,
+    _j_pass,
+    _y_pass,
     certified,
     endgame,
     newton_correct,
@@ -34,7 +34,7 @@ from teneig.homotopy import (
     update_step_size,
 )
 from teneig.instances import dense_demo, random_instance, sparse_ring_demo
-from teneig.linalg import SingularMatrixError, lu_apply, lu_factor
+from teneig.linalg import SingularMatrixError, lu_apply, lu_factor, solve
 from teneig.tensor import add_identity, rank_one_start
 
 from oracles import (
@@ -47,31 +47,47 @@ from oracles import (
 )
 
 
-# The residual, Jacobian and tau-derivative of the homotopy are the three
-# outputs of the solver's one evaluation, homotopy._system.
+def system(T, S, tau, lam, x):
+    """(residual, Jacobian, tau-derivative) of H_tau at (lam, x), as the
+    solver evaluates them: its y-pass, then its J-pass."""
+    n = T.dim
+    M, R = np.empty((n + 1, n + 1)), np.empty((2, n + 1))
+    shared = _y_pass(T, S, tau, lam, x, M, R)
+    _j_pass(T, S, tau, lam, x, M, shared)
+    return R[0], M, -R[1]
+
+
 def homotopy_residual(T, S, tau, lam, x):
-    return _system(T, S, tau, lam, x)[0]
+    return system(T, S, tau, lam, x)[0]
 
 
 def homotopy_jacobian(T, S, tau, lam, x):
-    return _system(T, S, tau, lam, x)[1]
+    return system(T, S, tau, lam, x)[1]
 
 
 def tau_derivative(T, S, x):
-    return _system(T, S, 0.0, 0.0, x)[2]
+    return system(T, S, 0.0, 0.0, x)[2]
+
+
+def tangent(T, S, tau, u):
+    """The path tangent at u, JH g = -dH, as the corrector solves it at a
+    point it accepts without an update; None where g fails solve's check."""
+    _, J, dH = system(T, S, tau, u[0], u[1:])
+    return solve(J, -dH[:, None])[0]
 
 
 def positive_instance(m=3, n=3, seed=0):
+    # S is the homotopy's rank-one start system, never stored
     rng = np.random.default_rng(seed)
     T = Tensor(rng.uniform(0.1, 1.0, size=(n,) * m))
-    S = rank_one_start(np.ones(n), np.ones(n), m)
+    S = start_system(np.ones(n), np.ones(n), m)
     return T, S
 
 
 def path_state(T, S, tau, u, dtau):
     """A PathState at u = (lam, x...) carrying its path tangent, as the solver's do."""
     u = np.asarray(u, dtype=float)
-    return PathState(tau, u, _tangent(*_system(T, S, tau, u[0], u[1:])[1:]), dtau)
+    return PathState(tau, u, tangent(T, S, tau, u), dtau)
 
 
 def polished_path_point(T, S, tau_target, tol=1e-13):
@@ -124,7 +140,7 @@ def test_residual_zero_at_start_system_solution():
     rng = np.random.default_rng(6)
     a = rng.uniform(0.5, 2.0, size=3)
     b = rng.uniform(0.5, 2.0, size=3)
-    S = rank_one_start(a, b, 3)
+    S = start_system(a, b, 3)
     pair = start_pair(a, b, 3)
     r = homotopy_residual(T, S, 0.0, pair.lam, pair.x)
     assert np.linalg.norm(r) <= 1e-12 * max(1.0, pair.lam)
@@ -149,7 +165,7 @@ def test_jacobian_matrix_case_blocks():
     tau, lam = 0.3, 2.5
     x = np.array([0.1, -0.4, 0.9])
     J = homotopy_jacobian(T, S, tau, lam, x)
-    blend = tau * T.data + (1 - tau) * S.data - lam * np.eye(3)
+    blend = tau * T.data + (1 - tau) * rank_one_start(np.ones(3), np.ones(3), 2).data - lam * np.eye(3)
     assert np.allclose(J[:3, 1:], blend, atol=1e-15)
     assert np.array_equal(J[:3, 0], -x)
     assert J[3, 0] == 0.0
@@ -167,13 +183,13 @@ def test_jacobian_nonsingular_on_path():
 
 
 def test_system_from_closed_form_operators_matches_dense_tensors():
-    # the solver's T and S are operators over A; _system takes either
+    # the solver's T is an operator over A; its passes take a dense T too
     rng = np.random.default_rng(40)
     A = random_instance(3, 4, seed=41)
     a = rng.uniform(0.5, 2.0, size=4)
     b = rng.uniform(0.5, 2.0, size=4)
     for eps in (0.0, 1e-3):
-        dense = (Tensor(alpha_shift_dense(A.data, eps)[1]), rank_one_start(a, b, 3))
+        dense = (Tensor(alpha_shift_dense(A.data, eps)[1]), start_system(a, b, 3))
         ops = (ShiftedTensor(A, require_essentially_nonnegative(A)[0], eps), start_system(a, b, 3))
         x = rng.uniform(0.2, 1.0, size=4)
         for f, args in (
@@ -186,19 +202,28 @@ def test_system_from_closed_form_operators_matches_dense_tensors():
 
 
 def test_system_assembly_holds_few_n_by_n_temporaries():
-    # the blend is built in place in J: the kernel's own temporaries, JT, JS
-    # and J are the n-by-n arrays alive at the peak, not the sums between
+    # one whole iterate that updates, and the y-pass of the next: the y-pass
+    # leaves T's mode-2 term in the system matrix M, the J-pass completes M
+    # in place, and one LAPACK call on (r, -dH) gives the step and the
+    # tangent; M, S's Jacobian or LAPACK's copy of M and the kernel's own
+    # per-block temporaries are the n-by-n arrays alive at the peak, not the
+    # sums between
     import tracemalloc
 
     A = random_instance(3, 120, seed=42)
     n = A.dim
     alpha = require_essentially_nonnegative(A)[0]
     T, S = ShiftedTensor(A, alpha), start_system(np.ones(n), np.ones(n), 3)
-    x = np.full(n, n**-0.5)
-    _system(T, S, 0.4, 7.5, x)  # warm-up: the kernel's thread pool and caches
+    u0 = np.concatenate([[7.5], np.full(n, n**-0.5)])
+
+    def one_update():
+        with pytest.raises(NewtonStalled):
+            newton_correct(T, S, 0.4, u0, 1e-300, 1)
+
+    one_update()  # warm-up: the kernel's thread pool and caches
     tracemalloc.start()
     try:
-        _system(T, S, 0.4, 7.5, x)
+        one_update()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -227,10 +252,10 @@ def test_tau_derivative_matches_finite_difference_in_tau():
 
 def test_tau_derivative_sparse_demo_frozen():
     T = Tensor(alpha_shift_dense(sparse_ring_demo().data)[1])
-    S = rank_one_start(np.ones(3), np.ones(3), 3)
+    S = start_system(np.ones(3), np.ones(3), 3)
     x0 = np.ones(3) / np.sqrt(3.0)
     d = tau_derivative(T, S, x0)
-    expected = tvp_naive(T.data, x0) - tvp_naive(S.data, x0)
+    expected = tvp_naive(T.data, x0) - tvp_naive(rank_one_start(np.ones(3), np.ones(3), 3).data, x0)
     assert np.allclose(expected, [-7.0 / 3.0, -7.0 / 3.0, -5.0 / 3.0], atol=1e-14)
     assert np.allclose(d[:3], expected, atol=1e-13)
     assert d[3] == 0.0
@@ -270,14 +295,33 @@ def test_predict_is_second_order_in_step():
     assert 2.5 <= ratio <= 6.0
 
 
-def test_corrector_hands_on_the_predictors_tangent():
-    # the tangent newton_correct returns is the one solved for afresh at the
-    # converged point, bit for bit, and predict steps along it; a state
-    # without a tangent predicts nothing
+def test_corrector_hands_on_the_predictors_tangent(monkeypatch):
+    # after no update, the tangent newton_correct returns is the one solved
+    # for at the accepted point, bit for bit; after updates, it is the second
+    # column of the last update's LAPACK call, whose first is the step to the
+    # accepted point; predict steps along it, and a state without a tangent
+    # predicts nothing
+    from teneig import homotopy
+
     T, S = positive_instance(seed=16)
     u = polished_path_point(T, S, 0.3)
-    v, _, g = newton_correct(T, S, 0.3, u, 1e-5, 10)
-    assert np.array_equal(g, _tangent(*_system(T, S, 0.3, v[0], v[1:])[1:]))
+    v, iters, g = newton_correct(T, S, 0.3, u, 1e-5, 10)
+    assert iters == 0
+    assert np.array_equal(g, tangent(T, S, 0.3, v))
+    iterates = []
+    real = homotopy._y_pass
+
+    def recorded(T, S, tau, lam, x, M, R):
+        iterates.append(np.concatenate([[lam], x]))
+        return real(T, S, tau, lam, x, M, R)
+
+    monkeypatch.setattr(homotopy, "_y_pass", recorded)
+    w, iters, g = newton_correct(T, S, 0.3, u + 1e-3, 1e-10, 10)
+    assert iters == len(iterates) - 1 >= 2
+    r, J, dH = system(T, S, 0.3, iterates[-2][0], iterates[-2][1:])
+    step, want = np.linalg.solve(J, np.stack([r, -dH], axis=1)).T
+    assert np.array_equal(w, iterates[-2] - step)
+    assert np.array_equal(g, want)
     assert np.array_equal(predict(PathState(0.3, v, g, 0.1), dtau=1.0), v + g)
     with pytest.raises(SingularMatrixError):
         predict(PathState(0.3, v, None, 0.1), dtau=1.0)
@@ -498,7 +542,7 @@ def test_step_size_floor_ends_in_step_limit(monkeypatch):
     # certifies an unperturbed one from the start vector
     from teneig import homotopy
 
-    def stalls(T, S, tau, u0, tol, cap):
+    def stalls(T, S, tau, u0, tol, cap, state=None):
         raise NewtonStalled(1)
 
     monkeypatch.setattr(homotopy, "newton_correct", stalls)
@@ -509,13 +553,13 @@ def test_step_size_floor_ends_in_step_limit(monkeypatch):
         assert rep.iter == rep.nwtiter == 18
 
 
-def _count_kernel_calls(monkeypatch, name="tvp_and_jacobian"):
+def _count_kernel_calls(monkeypatch, name="tvp"):
     calls = []
     real = getattr(ShiftedTensor, name)
 
-    def counted(self, x):
+    def counted(self, x, *out):
         calls.append(x)
-        return real(self, x)
+        return real(self, x, *out)
 
     monkeypatch.setattr(ShiftedTensor, name, counted)
     return calls
@@ -524,63 +568,80 @@ def _count_kernel_calls(monkeypatch, name="tvp_and_jacobian"):
 def test_a_point_with_a_singular_jacobian_carries_no_tangent(monkeypatch):
     # the start point's Jacobian is zeroed, so it carries no tangent and every
     # try of the first step is rejected at once, down to the DTAU_MIN floor
-    # (17 halvings and one more try there): the start is the only evaluation
+    # (17 halvings and one more try there): the start's y-pass and LAPACK
+    # call are the path's only work
     from teneig import homotopy
 
-    real = homotopy._system
+    real = homotopy._j_pass
 
-    def singular_at_start(T, S, tau, lam, x):
-        r, J, dH = real(T, S, tau, lam, x)
+    def singular_at_start(T, S, tau, lam, x, M, shared):
+        real(T, S, tau, lam, x, M, shared)
         if tau == 0.0:
-            J[:] = 0.0
-        return r, J, dH
+            M[:] = 0.0
 
-    monkeypatch.setattr(homotopy, "_system", singular_at_start)
+    monkeypatch.setattr(homotopy, "_j_pass", singular_at_start)
     calls = _count_kernel_calls(monkeypatch)
     rep = solve_dominant(dense_demo(), assume="reducible")
     assert rep.status == "step_limit"
     assert (rep.iter, rep.nwtiter) == (18, 0)
-    assert len(calls) == 1
+    # with the final residual's y-pass
+    assert (rep.y_passes, rep.jacobian_passes, rep.linear_solves) == (2, 0, 1)
+    assert len(calls) == 2
     # unperturbed, the finish certifies the answer; it evaluates A, not T
     rep = solve_dominant(dense_demo())
     assert rep.status == "converged" and rep.finish_sweeps > 0
     assert (rep.iter, rep.nwtiter) == (18, 0)
-    assert len(calls) == 2
+    assert rep.y_passes == 2 + rep.finish_sweeps
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("A", [dense_demo(), random_instance(3, 20, seed=40)])
 def test_each_accepted_point_is_evaluated_once(monkeypatch, A):
-    # with no rejection: the start tangent and one evaluation per Newton
-    # iterate (each of the iter steps and jumps ends in one more than its
-    # updates); the predictor reuses the corrector's tangent, and the final
-    # residual is one y-only pass
-    calls = _count_kernel_calls(monkeypatch)
-    residuals = _count_kernel_calls(monkeypatch, "tvp")
+    # with no rejection: a y-pass at the start, at every Newton iterate (each
+    # of the iter steps and jumps ends in one more than its updates) and for
+    # the final residual; a J-pass and a LAPACK call per update, and per
+    # point accepted before tau = 1 without one, for its tangent; the start
+    # tangent's LAPACK call needs no J-pass, T's Jacobian having weight 0
+    from teneig import homotopy
+
+    real = homotopy._step
+    accepted = []
+
+    def recorded(T, S, state, dtau, tau_next, tol, cap):
+        u, iters, g = real(T, S, state, dtau, tau_next, tol, cap)
+        accepted.append((tau_next, iters))
+        return u, iters, g
+
+    monkeypatch.setattr(homotopy, "_step", recorded)
     rep = solve_dominant(A)
-    assert rep.status == "converged"
-    assert len(calls) == 1 + rep.iter + rep.nwtiter
-    assert len(residuals) == 1
+    assert rep.status == "converged" and rep.finish_sweeps == 0
+    assert len(accepted) == rep.iter
+    at_rest = sum(iters == 0 for tau, iters in accepted if tau < 1.0)
+    assert rep.y_passes == 2 + rep.iter + rep.nwtiter
+    assert rep.jacobian_passes == rep.nwtiter + at_rest
+    assert rep.linear_solves == 1 + rep.jacobian_passes
 
 
 def test_rejected_first_step_reuses_the_start_tangent(monkeypatch):
-    # the first step stalls once; the start tangent is its only evaluation
+    # the first step stalls once; the start's y-pass is its only pass over A
     # before either correction, the retry's included
     from teneig import homotopy
 
     calls = _count_kernel_calls(monkeypatch)
+    jacobians = _count_kernel_calls(monkeypatch, "jacobian_pass")
     real = homotopy.newton_correct
     at_entry = []
 
-    def stalls_once(T, S, tau, u0, tol, cap):
-        at_entry.append(len(calls))
+    def stalls_once(T, S, tau, u0, tol, cap, state=None):
+        at_entry.append((len(calls), len(jacobians)))
         if len(at_entry) == 1:
             raise NewtonStalled(0)
-        return real(T, S, tau, u0, tol, cap)
+        return real(T, S, tau, u0, tol, cap, state)
 
     monkeypatch.setattr(homotopy, "newton_correct", stalls_once)
     rep = solve_dominant(dense_demo())
     assert rep.status == "converged"
-    assert at_entry[:2] == [1, 1]
+    assert at_entry[:2] == [(1, 0), (1, 0)]
 
 
 def test_rejected_step_reuses_the_tangent(monkeypatch):
@@ -589,20 +650,23 @@ def test_rejected_step_reuses_the_tangent(monkeypatch):
     from teneig import homotopy
 
     calls = _count_kernel_calls(monkeypatch)
+    jacobians = _count_kernel_calls(monkeypatch, "jacobian_pass")
     real = homotopy.newton_correct
     at_entry = []
 
-    def stalls_once(T, S, tau, u0, tol, cap):
-        at_entry.append(len(calls))
+    def stalls_once(T, S, tau, u0, tol, cap, state=None):
+        at_entry.append((len(calls), len(jacobians)))
         if len(at_entry) == 2:
             raise NewtonStalled(0)
-        return real(T, S, tau, u0, tol, cap)
+        return real(T, S, tau, u0, tol, cap, state)
 
     monkeypatch.setattr(homotopy, "newton_correct", stalls_once)
     rep = solve_dominant(dense_demo())
     assert rep.status == "converged"
     assert at_entry[2] == at_entry[1]
-    assert len(calls) == 1 + (rep.iter - 1) + rep.nwtiter
+    # the start, every iterate of the iter - 1 corrections and the residual
+    assert len(calls) == 2 + (rep.iter - 1) + rep.nwtiter == rep.y_passes
+    assert len(jacobians) == rep.jacobian_passes
 
 
 def test_rejected_clipped_step_retries_half_its_length(monkeypatch):
@@ -614,11 +678,11 @@ def test_rejected_clipped_step_retries_half_its_length(monkeypatch):
     real = homotopy.newton_correct
     targets = []
 
-    def stalls_at_beta_once(T, S, tau, u0, tol, cap):
+    def stalls_at_beta_once(T, S, tau, u0, tol, cap, state=None):
         targets.append(tau)
         if tau == BETA and targets.count(tau) == 1:
             raise NewtonStalled(0)
-        return real(T, S, tau, u0, tol, cap)
+        return real(T, S, tau, u0, tol, cap, state)
 
     monkeypatch.setattr(homotopy, "newton_correct", stalls_at_beta_once)
     rep = solve_dominant(dense_demo())
@@ -754,7 +818,7 @@ def test_solve_endgame_failure_when_the_finish_cannot_certify(monkeypatch):
     assert rep.residual_norm > 1e-16
 
 
-@pytest.mark.parametrize("seed", [15, 5, 13, 2])
+@pytest.mark.parametrize("seed", [15, 5, 13, 4])
 def test_log_uniform_inputs_whose_jump_fails_are_finished(monkeypatch, seed):
     # entries over twelve decades: the one jump stalls, and the finish on A,
     # unperturbed, certifies the path's point at beta; no fault is injected,

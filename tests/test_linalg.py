@@ -200,6 +200,50 @@ def test_solve_rejects_exactly_what_the_reference_check_rejects(system):
             assert solve(M, rhs).tobytes() == expected.tobytes()
 
 
+def _one_column(M, rhs):
+    try:
+        return solve(M, rhs)
+    except SingularMatrixError:
+        return None
+
+
+def _two_column_systems():
+    """(M, rhs) with a k-by-2 rhs: seeded systems of the three kinds
+    linear_systems draws, and systems where one column or both fail."""
+    for seed in range(600):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 9))
+        M = rng.standard_normal((k, k))
+        if seed % 3 == 1:
+            M *= 10.0 ** rng.uniform(-150.0, 150.0, (k, 1))
+        elif seed % 3 == 2:
+            rank = int(rng.integers(0, k))
+            M = rng.standard_normal((k, rank)) @ rng.standard_normal((rank, k))
+            M += [0.0, 1e-17, 1e-15, 1e-13, 1e-10][seed % 5] * rng.standard_normal((k, k))
+        yield M, rng.standard_normal((k, 2))
+    near = np.diag([1.0, 1.0, 0.1 * PIVOT_RTOL])
+    yield near, np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])  # the second fails
+    yield np.eye(2), np.array([[np.nan, 1.0], [1.0, 2.0]])  # the first is NaN
+    yield np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones((2, 2))  # LAPACK's zero pivot
+
+
+def test_two_columns_are_checked_as_two_one_column_solves():
+    # one LAPACK call on both columns accepts or rejects each exactly as a
+    # call on that column alone does, and agrees with it to rounding
+    decided = set()
+    for M, rhs in _two_column_systems():
+        with np.errstate(over="ignore"):
+            both = solve(M, rhs)
+            alone = [_one_column(M, rhs[:, j]) for j in range(2)]
+        assert len(both) == 2
+        for y2, y1 in zip(both, alone):
+            assert (y2 is None) == (y1 is None)
+            decided.add(y1 is None)
+            if y1 is not None:
+                assert np.abs(y2 - y1).max() <= 1e-13 * np.abs(y1).max()
+    assert decided == {True, False}
+
+
 def test_singular_error_names_a_pivot_only_when_given():
     assert SingularMatrixError().pivot_index is None
     assert "column" not in str(SingularMatrixError())

@@ -108,6 +108,26 @@ def test_pta_reports_the_bracket_on_the_input(A):
     assert rep.finish_sweeps == 0
 
 
+@pytest.mark.parametrize("max_steps", [3, 50000])
+def test_pta_counts_one_y_pass_per_sweep(monkeypatch, max_steps):
+    # each sweep reads A once, and the last only for its residual; no
+    # Jacobian and no linear solve
+    from teneig import pta
+
+    calls = []
+    real = pta.tvp
+
+    def counted(T, x):
+        calls.append(x)
+        return real(T, x)
+
+    monkeypatch.setattr(pta, "tvp", counted)
+    rep = pta_solve(dense_demo(), HomotopyConfig(max_steps=max_steps))
+    assert rep.status == ("step_limit" if max_steps == 3 else "converged")
+    assert rep.y_passes == rep.iter + 1 == len(calls)
+    assert rep.jacobian_passes == rep.linear_solves == 0
+
+
 def test_pta_validates_input():
     bad = np.zeros((2, 2, 2))
     bad[0, 1, 1] = -1.0

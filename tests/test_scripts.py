@@ -64,13 +64,23 @@ def test_compare_reports_finds_no_difference_between_a_tree_and_itself():
     assert [c[0] for c in counts] == [
         "method", "status", "lambda", "x", "residual_norm", "iter", "nwtiter",
         "alpha", "lambda_shifted", "perturbed", "path_min_x", "lam_lower",
-        "lam_upper", "finish_sweeps",
+        "lam_upper", "finish_sweeps", "y_passes", "jacobian_passes", "linear_solves",
     ]
     assert all(c[1] == "0" for c in counts)
-    assert lines[-2:] == [
+    at = lines.index("work totals, base -> new:")
+    assert lines[at - 2:at] == [
         "largest relative lambda difference: 0",
         "largest relative lambda_shifted difference: 0",
     ]
+    # one line per group; a tree against itself does the same work
+    work = lines[at + 1:]
+    assert [line.split()[0] for line in work] == ["file_roundtrip", "scaled_small"]
+    for line in work:
+        totals = [t.split() for t in line.split(None, 1)[1].split(", ")]
+        assert [t[0] for t in totals] == [
+            "iter", "nwtiter", "finish_sweeps", "y_passes", "jacobian_passes", "linear_solves",
+        ]
+        assert all(t[1] == t[3] and t[2] == "->" for t in totals)
 
 
 def test_compare_reports_counts_the_finish_and_fields_of_one_tree(capsys):
@@ -90,6 +100,37 @@ def test_compare_reports_counts_the_finish_and_fields_of_one_tree(capsys):
         "  lambda           0 differ",
         "  lambda_shifted   0 differ",
         "  finish_sweeps    only in the new tree",
+    ]
+
+
+def test_compare_reports_totals_the_work_per_group(capsys):
+    # the sums of the reports' integer fields, base -> new, one line per
+    # group; a field one tree does not report reads "-" there
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import compare_reports
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+
+    def report(iters, nwt, **more):
+        return {"lambda": 1.0, "lambda_shifted": 2.0, "iter": iters, "nwtiter": nwt,
+                "perturbed": False, **more}
+
+    old = {
+        ("large", 1, 0, "a", "homotopy"): report(6, 8),
+        ("large", 1, 1, "b", "homotopy"): report(7, 9),
+        ("small", 1, 0, "c", "pta"): report(40, 0),
+    }
+    new = {
+        ("large", 1, 0, "a", "homotopy"): report(6, 8, y_passes=16),
+        ("large", 1, 1, "b", "homotopy"): report(7, 10, y_passes=19),
+        ("small", 1, 0, "c", "pta"): report(40, 0, y_passes=41),
+    }
+    assert compare_reports.compare(old, new) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[lines.index("work totals, base -> new:") + 1:] == [
+        "  large            iter 13 -> 13, nwtiter 17 -> 18, y_passes - -> 35",
+        "  small            iter 40 -> 40, nwtiter 0 -> 0, y_passes - -> 41",
     ]
 
 

@@ -33,6 +33,7 @@ from oracles import (
     alpha_shift_dense,
     essential_nonnegativity_violation_naive,
     fd_jacobian,
+    fused_kernel,
     matrix_contraction_naive,
     off_diagonal_positive_naive,
     semi_symmetrize_naive,
@@ -224,6 +225,49 @@ def test_kernel_matches_naive_contraction_and_finite_differences(monkeypatch, m,
         assert np.array_equal(tvp(Tensor(data), x), y)
 
 
+def _split_passes(T, x):
+    """(y, J) from the y-pass, which leaves P_{m-2} in J, and the J-pass."""
+    J = np.empty((T.dim, T.dim))
+    y = T.tvp(x, J)
+    return y, T.jacobian_pass(x, J)
+
+
+@pytest.mark.parametrize("m, n", [(2, 7), (3, 7), (3, 10), (4, 6), (5, 4), (6, 3)])
+def test_split_passes_match_the_fused_reference_kernel(monkeypatch, m, n):
+    # the y-pass's y is tvp's bit for bit, with or without P; P plus the
+    # J-pass is the fused chain's Jacobian to rounding, over one block or
+    # several, and bit for bit for m <= 3 over one block, where both add
+    # the same two terms
+    rng = np.random.default_rng(40 * m + n)
+    data = rng.standard_normal((n,) * m)
+    x = rng.uniform(-1.5, 1.5, size=n)
+    y_ref, J_ref = fused_kernel(data, x)
+    one_block, *more = _block_budgets(m, n)
+    for budget in (one_block, *more):
+        monkeypatch.setattr(tensor, "KERNEL_BLOCK_ENTRIES", budget)
+        T = Tensor(data)
+        y, J = _split_passes(T, x)
+        assert np.array_equal(y, T.tvp(x))
+        assert np.abs(y - y_ref).max() <= 1e-14 * np.abs(y_ref).max()
+        assert np.abs(J - J_ref).max() <= 1e-14 * np.abs(J_ref).max()
+        if m <= 3 and budget == one_block:
+            assert np.array_equal(J, J_ref)
+        assert np.array_equal(T.tvp_and_jacobian(x)[1], J)
+
+
+def test_the_passes_write_into_strided_rows():
+    # the solver's Jacobian block is M[:n, 1:] of an (n+1)-by-(n+1) matrix:
+    # the y-pass and the J-pass fill it as they fill a fresh array, and touch
+    # nothing else of M
+    T = random_instance(4, 5, seed=17)
+    x = np.linspace(0.5, 1.0, 5)
+    M = np.full((6, 6), 7.0)
+    T.tvp(x, M[:5, 1:])
+    T.jacobian_pass(x, M[:5, 1:])
+    assert np.array_equal(M[:5, 1:], _split_passes(T, x)[1])
+    assert (M[5] == 7.0).all() and (M[:, 0] == 7.0).all()
+
+
 @pytest.mark.parametrize("m, n", [(2, 9), (3, 7), (5, 4)])
 def test_slice_blocks_are_near_equal_and_cover_every_slice(m, n):
     T = Tensor(np.zeros((n,) * m))
@@ -262,23 +306,35 @@ def _own_pool(monkeypatch, workers):
 
 
 def test_multi_block_result_does_not_depend_on_the_worker_count(monkeypatch):
-    # each block writes only its own rows, so 1 worker, the default pool and
-    # more workers than cores under frequent thread switches agree bit for bit
+    # each block writes only its own rows of y, P and J in place, so 1
+    # worker, the default pool and more workers than cores under frequent
+    # thread switches agree bit for bit, and with the fused reference kernel
+    # to rounding
     rng = np.random.default_rng(14)
-    T = Tensor(rng.uniform(0.0, 1.0, size=(23, 23, 23)))
-    x = rng.uniform(0.1, 1.0, size=23)
-    monkeypatch.setattr(tensor, "KERNEL_BLOCK_ENTRIES", 23**2)
-    default = T.tvp_and_jacobian(x), tvp(T, x)
+    cases = []
+    for m, n in ((3, 23), (4, 9), (6, 4)):
+        T = Tensor(rng.uniform(0.0, 1.0, size=(n,) * m))
+        x = rng.uniform(0.1, 1.0, size=n)
+        budget = 2 * n ** (m - 1)
+        monkeypatch.setattr(tensor, "KERNEL_BLOCK_ENTRIES", budget)
+        assert len(tensor._slice_blocks(T, budget)) > 1
+        default = _split_passes(T, x), tvp(T, x)
+        y_ref, J_ref = fused_kernel(T.data, x)
+        assert np.abs(default[0][1] - J_ref).max() <= 1e-14 * np.abs(J_ref).max()
+        assert np.abs(default[1] - y_ref).max() <= 1e-14 * np.abs(y_ref).max()
+        cases.append((T, x, budget, default))
     interval = sys.getswitchinterval()
     for workers in (1, 8):
         with _own_pool(monkeypatch, workers) as pool:
             sys.setswitchinterval(1e-6)
             try:
-                for _ in range(20):
-                    (y, J), y_only = T.tvp_and_jacobian(x), tvp(T, x)
-                    assert np.array_equal(y, default[0][0])
-                    assert np.array_equal(J, default[0][1])
-                    assert np.array_equal(y_only, default[1])
+                for T, x, budget, default in cases:
+                    monkeypatch.setattr(tensor, "KERNEL_BLOCK_ENTRIES", budget)
+                    for _ in range(20):
+                        (y, J), y_only = _split_passes(T, x), tvp(T, x)
+                        assert np.array_equal(y, default[0][0])
+                        assert np.array_equal(J, default[0][1])
+                        assert np.array_equal(y_only, default[1])
             finally:
                 sys.setswitchinterval(interval)
         assert tensor._POOL[1] is pool
@@ -287,7 +343,7 @@ def test_multi_block_result_does_not_depend_on_the_worker_count(monkeypatch):
 def test_a_worker_error_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(tensor, "KERNEL_BLOCK_ENTRIES", 1)
 
-    def fails(block, x):
+    def fails(block, x, *out):
         raise FloatingPointError("block %d" % block.shape[0])
 
     monkeypatch.setattr(tensor, "_tvp_rows", fails)
@@ -359,25 +415,30 @@ def test_closed_form_shift_matches_dense_alpha_shift(m, n):
 
 
 def test_shifted_operator_reaches_the_input_through_its_kernel_methods(monkeypatch):
-    # a solve evaluates A only by Tensor.tvp and Tensor.tvp_and_jacobian, once
-    # per call of the shifted operator's method of the same name
+    # a solve evaluates A only by its y-pass Tensor.tvp and its J-pass
+    # Tensor.jacobian_pass, once per call of the shifted operator's method of
+    # the same name, and the report counts every one of them
     from teneig import solve_dominant
 
     calls = {}
     for cls in (Tensor, ShiftedTensor):
-        for name in ("tvp", "tvp_and_jacobian"):
+        for name in ("tvp", "jacobian_pass", "tvp_and_jacobian"):
             real = getattr(cls, name)
 
-            def counted(self, x, _key=(cls.__name__, name), _real=real):
+            def counted(self, x, *out, _key=(cls.__name__, name), _real=real):
                 calls[_key] = calls.get(_key, 0) + 1
-                return _real(self, x)
+                return _real(self, x, *out)
 
             monkeypatch.setattr(cls, name, counted)
-    assert solve_dominant(random_instance(3, 10, seed=1)).status == "converged"
-    assert calls[("ShiftedTensor", "tvp_and_jacobian")] > 0
+    rep = solve_dominant(random_instance(3, 10, seed=1))
+    assert rep.status == "converged" and rep.finish_sweeps == 0
+    assert calls[("ShiftedTensor", "jacobian_pass")] > 0
     assert calls[("ShiftedTensor", "tvp")] > 0
-    for name in ("tvp", "tvp_and_jacobian"):
+    for name in ("tvp", "jacobian_pass"):
         assert calls.get(("Tensor", name), 0) == calls[("ShiftedTensor", name)]
+    assert (calls[("Tensor", "tvp")], calls[("Tensor", "jacobian_pass")]) == (
+        rep.y_passes, rep.jacobian_passes)
+    assert ("Tensor", "tvp_and_jacobian") not in calls
 
 
 @pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (4, 3), (5, 2)])

@@ -123,13 +123,14 @@ def test_traced_names_run_on_the_calling_thread(monkeypatch):
 
         monkeypatch.setattr(module, attr, recorded)
     workers = set()
-    real_rows = tensor._kernel_rows
+    for rows in ("_tvp_rows", "_jacobian_rows"):
+        real_rows = getattr(tensor, rows)
 
-    def kernel_rows(*args):
-        workers.add(threading.get_ident())
-        return real_rows(*args)
+        def kernel_rows(*args, _real=real_rows):
+            workers.add(threading.get_ident())
+            return _real(*args)
 
-    monkeypatch.setattr(tensor, "_kernel_rows", kernel_rows)
+        monkeypatch.setattr(tensor, rows, kernel_rows)
     A = teneig.random_instance(3, 12, seed=3)
     assert len(tensor._slice_blocks(A, tensor.KERNEL_BLOCK_ENTRIES)) > 1
     assert teneig.homotopy.solve_dominant(A).status == "converged"
