@@ -15,32 +15,34 @@ only what a caller sets, eps_perturb and max_steps.  Every answer carries its
 Collatz-Wielandt bracket [min r, max r], r = A x^{m-1} / x^{[m-1]}, on the
 input A; whatever the path's outcome, an unperturbed answer the bracket does
 not certify gets Newton-Noda sweeps on A (_finish), and nothing is retried.
+An unperturbed answer outside a finite bracket moves to its nearer end.
 
-Cost model.  Every Newton iterate makes a y-pass (_y_pass): T's
-contraction, one read of each slice block of the input A, which also writes
-T's mode-2 Jacobian term into the (n+1)-by-(n+1) system matrix, the
+Cost model.  A is read only by Tensor.tvp and Tensor.jacobian_pass, each one
+read of every slice block; the rest of H_tau is closed form, O(n^2): T's
+alpha*x^{[m-1]} and eps*(1.x)^{m-1}, S's (b.x)^{m-1} c, the lam term and
+their Jacobians.  Every Newton iterate makes a y-pass (_y_pass), which
+writes A's mode-2 Jacobian term into the (n+1)-by-(n+1) system matrix, the
 residual and -dH into an (n+1)-by-2 right-hand side.  Only an iterate that
-updates makes a J-pass (_j_pass), one more read of A (Tensor.jacobian_pass)
-that completes the system matrix, in which the blend tau*J_T + (1-tau)*J_S
-is formed in place, and one LAPACK call on both columns: the Newton step
-and the path tangent, which the accepted point carries for the predictor.
-A point accepted before tau = 1 without an update gets one J-pass and
-LAPACK call for its tangent; at tau = 1 no tangent is solved, and the start
-tangent needs T's y-pass alone, T's Jacobian having weight 0 at tau = 0.  S
-is closed form, O(n^2), and so are T's alpha*I and eps terms.  So a solve
-without rejections makes 2 + iter + nwtiter y-passes (the start, every
-iterate, the final residual, which also gives the bracket), nwtiter + z
-J-passes and 1 + nwtiter + z LAPACK calls, z the points accepted before
-tau = 1 without an update; SolveReport counts all three.  The finish, only
-while the bracket is open, makes a y-pass of A per sweep, and a J-pass and
-LAPACK call only for a sweep that goes on.
+updates makes a J-pass (_j_pass) that completes the system matrix, in which
+the blend tau*J_T + (1-tau)*J_S is formed in place, and one LAPACK call on
+both columns: the Newton step and the path tangent, which the accepted point
+carries for the predictor.  A point accepted before tau = 1 without an
+update gets one J-pass and LAPACK call for its tangent; at tau = 1 no
+tangent is solved, and the start tangent needs the y-pass alone, T's
+Jacobian having weight 0 at tau = 0.  So a solve without rejections makes
+2 + iter + nwtiter y-passes (the start, every iterate, the final residual,
+which also gives the bracket), nwtiter + z J-passes and 1 + nwtiter + z
+LAPACK calls, z the points accepted before tau = 1 without an update;
+SolveReport counts all three.  The finish, only while the bracket is open,
+makes a y-pass of A per sweep, and a J-pass and LAPACK call only for a sweep
+that goes on.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -48,11 +50,12 @@ from .linalg import SingularMatrixError, solve
 from .tensor import (
     EigenPair,
     ShiftedTensor,
-    eigen_residual,
+    _add_shift_terms,
     ratio_bracket,
     require_essentially_nonnegative,
     start_pair,
     start_system,
+    tvp,
     weak_irreducibility_check,
 )
 
@@ -60,7 +63,7 @@ from .tensor import (
 # LAPACK; perfbench/spans.py wraps these names in this module and needs them
 # to exist.
 from .linalg import lu_apply, lu_factor  # noqa: F401
-from .tensor import add_identity, perturb, rank_one_start, tvp, tvp_jacobian  # noqa: F401
+from .tensor import add_identity, eigen_residual, perturb, rank_one_start, tvp_jacobian  # noqa: F401
 
 # Step control: the first continuation step, its floor and cap, the Newton
 # tolerances on the path (EPS1) and in the endgame (EPS2, also PTA's), their
@@ -188,13 +191,15 @@ def _y_pass(T, S, tau, lam, x, M, R):
     """The first half of H_tau's evaluation at (lam, x), one read of A.
 
     Writes the residual into R[0] and the tangent's right-hand side
-    -dH/dtau = ((S - T) x^{m-1}; 0) into R[1].  For tau > 0, T's tvp leaves
+    -dH/dtau = ((S - T) x^{m-1}; 0) into R[1].  For tau > 0, A's tvp leaves
     its mode-2 Jacobian term in M's x-block, where _j_pass completes it.
     S is the rank-one start system, S x^{m-1} = (b.x)^{m-1} c.  Returns
     (x^{m-2}, x^{[m-1]}, b.x), which _j_pass reuses.
     """
-    m, n = T.order, x.shape[0]
-    yT = T.tvp(x, M[:n, 1:] if tau else None)
+    m, n = T.A.order, x.shape[0]
+    yT = T.A.tvp(x, M[:n, 1:] if tau else None)
+    # x ** (m - 1), as the final pass takes it; xq * x can differ in the last bit.
+    _add_shift_terms(yT, x, x ** (m - 1), m, T.alpha, T.eps)
     s = S.b @ x
     yS = s ** (m - 1) * S.c
     xq = x ** (m - 2)
@@ -214,21 +219,26 @@ def _j_pass(T, S, tau, lam, x, M, shared):
     M's first column is -x^{[m-1]} over 0, its trailing n-by-n block is the
     x-Jacobian of the blended contraction minus lam*(m-1)*diag(x^{m-2}),
     and its bottom row is (0, 2x^T) from the normalization constraint.  The
-    blend tau*J_T + (1-tau)*J_S is formed in that block; S's Jacobian is
-    (m-1)(b.x)^{m-2} c b^T.
+    blend tau*J_T + (1-tau)*J_S is formed in that block: J_T is A's Jacobian
+    plus alpha*(m-1)*diag(x^{m-2}) and eps*(m-1)*(1.x)^{m-2} in every entry,
+    and S's Jacobian is (m-1)(b.x)^{m-2} c b^T.
     """
     xq, xp, s = shared
-    m, n = T.order, x.shape[0]
+    m, n = T.A.order, x.shape[0]
     J = M[:n, 1:]
+    # J's diagonal, entries (i, i+1) of M, sits at flat offsets 1 + i*(n+2).
+    diag = M.reshape(-1)[1 :: n + 2]
     if tau:
-        T.jacobian_pass(x, J)
+        T.A.jacobian_pass(x, J)
+        diag += T.alpha * (m - 1) * xq
+        if T.eps:
+            J += T.eps * (m - 1) * float(np.add.reduce(x)) ** (m - 2)
         J *= tau
     else:
         J[...] = 0.0
     if tau < 1.0:
         J += np.multiply.outer(((1.0 - tau) * (m - 1) * s ** (m - 2)) * S.c, S.b)
-    # Entries (i, i+1) sit at flat offsets 1 + i*(n+2): a strided view.
-    M.reshape(-1)[1 :: n + 2] -= lam * (m - 1) * xq
+    diag -= lam * (m - 1) * xq
     np.negative(xp, out=M[:n, 0])
     M[n, 0] = 0.0
     np.multiply(x, 2.0, out=M[n, 1:])
@@ -375,8 +385,8 @@ def _follow(T, S, state, max_steps):
 
 def _solve_shifted(A, alpha, config, a, b, use_perturbation):
     """The path on T = (A_eps or A) + alpha*I to BETA, one jump to 1, and the
-    finish; wall time unset.  T and the start system S are closed-form
-    operators over A and the start vectors, so the only n^m array is A.
+    finish; wall time unset.  T and the start system S are records, whose
+    terms the passes add in closed form, so the only n^m array is A.
     """
     m = A.order
     T = ShiftedTensor(A, alpha, config.eps_perturb if use_perturbation else 0.0)
@@ -397,17 +407,27 @@ def _solve_shifted(A, alpha, config, a, b, use_perturbation):
             iters, status = getattr(exc, "iterations", 0), "endgame_failure"
         state.newton_total += iters
     pair = pair or EigenPair(float(state.u[0]), state.u[1:])
-    T = replace(T, yA=np.empty(A.dim))  # the final pass leaves A x^{m-1} in T.yA
-    residual = float(np.linalg.norm(eigen_residual(T, pair.lam, pair.x)))
-    lo, hi = ratio_bracket(T.yA, pair.x ** (m - 1))
+    # The final y-pass: A x^{m-1} gives the bracket, T x^{m-1} the residual.
+    x, xp = pair.x, pair.x ** (m - 1)
+    y = tvp(A, x)
+    yT = y.copy()
+    _add_shift_terms(yT, x, xp, m, T.alpha, T.eps)
+    residual = float(np.linalg.norm(np.concatenate([yT - pair.lam * xp, [x @ x - 1.0]])))
+    lo, hi = ratio_bracket(y, xp)
+    lam, lam_T = pair.lam - T.alpha, pair.lam
+    finish = not use_perturbation and not certified(lam, lo, hi)  # on the path's own lam
+    if not use_perturbation and math.isfinite(hi - lo) and not lo <= lam <= hi:
+        # The bracket holds A's eigenvalue, so a lam outside it moves to the nearer end.
+        lam = min(max(lam, lo), hi)
+        lam_T = lam + T.alpha
     report = SolveReport(
-        "homotopy", status, EigenPair(pair.lam - T.alpha, pair.x), residual_norm=residual,
+        "homotopy", status, EigenPair(lam, pair.x), residual_norm=residual,
         iter=state.step_count + jumped, nwtiter=state.newton_total, alpha=T.alpha,
-        lambda_shifted=pair.lam, perturbed=use_perturbation, path_min_x=state.min_x,
+        lambda_shifted=lam_T, perturbed=use_perturbation, path_min_x=state.min_x,
         lam_lower=lo, lam_upper=hi, y_passes=state.y_passes + 1,  # + the final residual
         jacobian_passes=state.jacobian_passes, linear_solves=state.linear_solves,
     )
-    if not use_perturbation and not certified(report.eigen.lam, lo, hi):
+    if finish:
         _finish(A, report)
     return report
 

@@ -6,10 +6,10 @@ ratios.  Linearly convergent; serves as an independent cross-check for the
 path-following solver and as the slow baseline on badly scaled instances.
 
 T is never stored: each sweep makes one y-only pass over the input A and
-adds T's two closed-form terms, alpha*x^{[m-1]} and eps*(1.x)^{m-1}, as
-ShiftedTensor does, so the only n^m array is the input.  The last sweep
-only measures its residual, so a report has y_passes = iter + 1 and no
-J-pass or LAPACK call.
+adds T's two closed-form terms, alpha*x^{[m-1]} and eps*(1.x)^{m-1}, by
+_add_shift_terms, as the homotopy's y-pass does, so the only n^m array is
+the input.  The last sweep only measures its residual, so a report has
+y_passes = iter + 1 and no J-pass or LAPACK call.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ def pta_solve(A, config=None):
     iters = 0
     min_x = float(x.min())
     while True:
-        yA = tvp(A, x)
+        ya = tvp(A, x)  # A x^{m-1}
         xp = x ** (m - 1)
-        y = yA.copy()
+        y = ya.copy()
         _add_shift_terms(y, x, xp, m, alpha, eps)
         ratios = y / xp
         # Ufunc reductions skip the ndarray methods' Python wrappers.
@@ -70,7 +70,7 @@ def pta_solve(A, config=None):
             raise AssertionError("iterate left the positive cone")
         min_x = min(min_x, lo)
         iters += 1
-    lower, upper = ratio_bracket(yA, xp)
+    lower, upper = ratio_bracket(ya, xp)
     return SolveReport(
         "pta", status, EigenPair(lam - alpha, x), residual_norm=residual, iter=iters,
         wall_time_s=time.perf_counter() - t_start, alpha=alpha, lambda_shifted=float(lam),

@@ -28,20 +28,8 @@ class EssentialNonnegativityError(ValueError):
         )
 
 
-class _Operator:
-    """What the solver asks of an operator x -> T x^{m-1}: ``tvp(x, P)``, the
-    y-pass, which leaves the first part of the Jacobian in P if given, and
-    ``jacobian_pass(x, J)``, which adds the rest to J."""
-
-    def tvp_and_jacobian(self, x):
-        """(T x^{m-1}, its n-by-n Jacobian in x): the y-pass, then the J-pass."""
-        J = np.empty((self.dim, self.dim))
-        y = self.tvp(x, J)
-        return y, self.jacobian_pass(x, J)
-
-
 @dataclass(frozen=True, eq=False)
-class Tensor(_Operator):
+class Tensor:
     """Dense order-m, dimension-n real tensor with finite entries."""
 
     data: np.ndarray = field(repr=False)
@@ -259,59 +247,28 @@ def tvp(T, x):
 
 
 def tvp_jacobian(T, x):
-    """Jacobian of x -> tvp(T, x), an n-by-n matrix; see Tensor.tvp_and_jacobian."""
-    return T.tvp_and_jacobian(x)[1]
+    """Jacobian of x -> tvp(T, x), an n-by-n matrix: T's y-pass, then its J-pass."""
+    J = np.empty((T.dim, T.dim))
+    T.tvp(x, J)
+    return T.jacobian_pass(x, J)
 
 
 @dataclass(frozen=True, eq=False)
-class ShiftedTensor(_Operator):
-    """T = (A + eps) + alpha*I as the input A plus closed-form terms.
-
-    Holds no n^m array but A.  alpha*I adds alpha*x^{[m-1]} to T x^{m-1} and
-    the constant tensor eps adds eps*(1.x)^{m-1} to every component.
-    """
+class ShiftedTensor:
+    """T = (A + eps) + alpha*I as a record, no n^m array but A: alpha*I adds
+    alpha*x^{[m-1]} to T x^{m-1} and the constant tensor eps adds
+    eps*(1.x)^{m-1} to every component (_add_shift_terms)."""
 
     A: Tensor
     alpha: float
     eps: float = 0.0
-    yA: np.ndarray | None = field(default=None, repr=False)  # if set, tvp leaves A x^{m-1} here
-
-    @property
-    def order(self):
-        return self.A.order
-
-    @property
-    def dim(self):
-        return self.A.dim
-
-    def tvp(self, x, P=None):
-        """T x^{m-1}: A's y-pass (P as in Tensor.tvp) plus the closed-form terms."""
-        x = _check_vector(self, x)
-        m = self.order
-        y = self.A.tvp(x, P)
-        if self.yA is not None:
-            self.yA[:] = y
-        _add_shift_terms(y, x, x ** (m - 1), m, self.alpha, self.eps)
-        return y
-
-    def jacobian_pass(self, x, J):
-        """Complete J, which holds tvp's P, to T's Jacobian: A's J-pass plus
-        alpha*(m-1)*diag(x^{m-2}) and eps*(m-1)*(1.x)^{m-2} in every entry."""
-        x = _check_vector(self, x)
-        m = self.order
-        self.A.jacobian_pass(x, J)
-        # A writeable view of J's diagonal, whatever J's strides.
-        np.einsum("ii->i", J)[...] += self.alpha * (m - 1) * x ** (m - 2)
-        if self.eps:
-            J += self.eps * (m - 1) * float(np.add.reduce(x)) ** (m - 2)
-        return J
 
 
 def _add_shift_terms(y, x, xp, m, alpha, eps):
     """Turn y = A x^{m-1} into T x^{m-1}, T = (A + eps) + alpha*I, in place:
     add alpha*xp, with xp = x^{[m-1]}, and eps*(1.x)^{m-1}.  The one
-    definition of both terms, for ShiftedTensor and pta_solve's sweep.
-    np.add.reduce(x) is x.sum() without its Python wrapper."""
+    definition of both terms, for the homotopy's passes and pta_solve's
+    sweep.  np.add.reduce(x) is x.sum() without its Python wrapper."""
     y += alpha * xp
     if eps:
         y += eps * float(np.add.reduce(x)) ** (m - 1)
@@ -325,33 +282,13 @@ def perturb(A, eps):
 
 
 @dataclass(frozen=True, eq=False)
-class RankOne(_Operator):
-    """The order-m tensor with entries c_{i1} * b_{i2} * ... * b_{im}, never stored.
-
-    Its contraction is (b.x)^{m-1} c and its Jacobian (m-1)(b.x)^{m-2} c b^T.
-    """
+class RankOne:
+    """The order-m tensor with entries c_{i1} * b_{i2} * ... * b_{im} as a
+    record, never stored: its contraction is (b.x)^{m-1} c."""
 
     c: np.ndarray
     b: np.ndarray
     order: int
-
-    @property
-    def dim(self):
-        return self.b.shape[0]
-
-    def tvp(self, x, P=None):
-        """(b.x)^{m-1} c, and the whole Jacobian into P if given."""
-        x = _check_vector(self, x)
-        m = self.order
-        s = self.b @ x
-        if P is not None:
-            np.multiply.outer(self.c, self.b, out=P)
-            P *= (m - 1) * s ** (m - 2)
-        return s ** (m - 1) * self.c
-
-    def jacobian_pass(self, x, J):
-        """J as tvp left it: the whole Jacobian."""
-        return J
 
 
 def start_system(a, b, order):
@@ -391,11 +328,8 @@ def _positive_pair(a, b):
 
 
 def eigen_residual(T, lam, x):
-    """Stacked residual (T x^{m-1} - lam * x^{[m-1]}; x.x - 1) of length n+1.
-
-    T is any operator with ``order`` and ``tvp``: a Tensor or a
-    ShiftedTensor.  One pass over a Tensor's data, with no Jacobian.
-    """
+    """Stacked residual (T x^{m-1} - lam * x^{[m-1]}; x.x - 1) of length n+1
+    for a Tensor T: one pass over its data, with no Jacobian."""
     x = _check_vector(T, x)
     r = T.tvp(x) - lam * x ** (T.order - 1)
     return np.concatenate([r, [x @ x - 1.0]])

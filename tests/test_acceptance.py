@@ -9,6 +9,7 @@ import pytest
 
 from teneig import (
     HomotopyConfig,
+    ShiftedTensor,
     Tensor,
     pta_solve,
     solve_dominant,
@@ -19,7 +20,7 @@ from teneig import (
 from teneig.homotopy import _j_pass, _y_pass
 from teneig.instances import dense_demo, random_instance, sparse_ring_demo
 from teneig.pta import convergence_rate_estimate
-from teneig.tensor import add_identity, perturb
+from teneig.tensor import add_identity, perturb, rank_one_start
 
 from oracles import (
     block2_dominant_bisect,
@@ -31,15 +32,16 @@ from oracles import (
 
 
 def homotopy_residual(T, S, tau, lam, x):
+    # T is a dense Tensor, taken as the solver's record with no shift
     n = T.dim
     R = np.empty((2, n + 1))
-    _y_pass(T, S, tau, lam, x, np.empty((n + 1, n + 1)), R)
+    _y_pass(ShiftedTensor(T, 0.0), S, tau, lam, x, np.empty((n + 1, n + 1)), R)
     return R[0]
 
 
 def homotopy_jacobian(T, S, tau, lam, x):
     # the solver's y-pass, then its J-pass, which completes M
-    n = T.dim
+    n, T = T.dim, ShiftedTensor(T, 0.0)
     M = np.empty((n + 1, n + 1))
     shared = _y_pass(T, S, tau, lam, x, M, np.empty((2, n + 1)))
     _j_pass(T, S, tau, lam, x, M, shared)
@@ -175,7 +177,7 @@ def test_criterion_6_invariant_suite(accepted_points):
         b = rng.uniform(0.2, 2.0, size=4)
         S = start_system(a, b, 3)
         pair = start_pair(a, b, 3)
-        r = np.linalg.norm(homotopy_residual(S, S, 0.0, pair.lam, pair.x))
+        r = np.linalg.norm(homotopy_residual(rank_one_start(a, b, 3), S, 0.0, pair.lam, pair.x))
         if r > 1e-12 * max(1.0, pair.lam):
             failures.append("start residual %.2e" % r)
             break

@@ -41,18 +41,19 @@ def test_the_two_exact_oracles_agree_on_matrices():
 
 def _wrong_answers(k):
     """The converged reports at scale 10^k that miss the oracle, or whose own
-    bracket [lam_lower, lam_upper], widened to hold lambda, does not certify
-    it.  A path answer lambda = lambda_T - alpha can sit outside the bracket
-    by rounding (3.7e-15 relative at k = 0), so the bracket is widened."""
+    bracket [lam_lower, lam_upper] does not hold lambda or is too wide to
+    certify it.  The inputs are the exact family and the n = 1 tensor
+    [[[2.5]]], whose bracket is the point 2.5 * 10^k: its lambda is exact."""
     wrong = []
-    for m, s, data in exact_family():
+    cases = [(m, s, data) for m, s, data in exact_family()] + [(3, "n=1", np.full((1,) * 3, 2.5))]
+    for m, s, data in cases:
         scaled = data * 10.0**k
-        lam = dominant_n2(scaled)
+        lam = scaled.item() if scaled.size == 1 else dominant_n2(scaled)
         rep = solve_dominant(Tensor(scaled))
         if rep.status != "converged":
             continue
         got, lo, hi = rep.eigen.lam, rep.lam_lower, rep.lam_upper
-        if abs(got - lam) > RTOL * abs(lam) or not max(hi, got) - min(lo, got) <= RTOL * abs(got):
+        if abs(got - lam) > RTOL * abs(lam) or not (lo <= got <= hi and hi - lo <= RTOL * abs(got)):
             wrong.append((m, s, got, lam))
     return wrong
 
@@ -61,7 +62,8 @@ def _wrong_answers(k):
     "k",
     [
         # entries near 1e-300 make subnormal products: (2, 8), lambda =
-        # -1.0e-302, is reported converged at -2.2e-16, outside its bracket
+        # -1.0e-302, is reported converged at -3.4e-298, the lower end of a
+        # bracket far too wide to certify it
         pytest.param(-300, marks=pytest.mark.xfail(
             strict=True, raises=AssertionError, reason="ROADMAP item 20")),
         -290,
@@ -124,8 +126,10 @@ EPS_DEFECT = pytest.mark.xfail(
         (solve_dominant, 30),
         (solve_dominant, 40),
         (solve_dominant, 45),
-        # converged, 0.12, 0.5 and 1.0 off
-        *[pytest.param(solve_dominant, k, marks=FLOOR_DEFECT) for k in (48, 50, 52)],
+        # converged, 0.016 and 0.29 off; at k = 50 lambda, clamped into its
+        # bracket, is the bracket's lower end, 2^-50 exactly
+        *[pytest.param(solve_dominant, k, marks=FLOOR_DEFECT) for k in (48, 52)],
+        (solve_dominant, 50),
         (pta_solve, 3),
         (pta_solve, 8),
         # converged, 8.2e-6 and 2.1 off

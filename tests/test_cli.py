@@ -300,9 +300,9 @@ def test_compare_records_solver_error(monkeypatch):
 
 
 def test_report_residual_reproducible_from_file(tmp_path, capsys):
-    # substituting the reported eigenpair back into the shifted operator, rebuilt
-    # from the file, reproduces the reported residual norm
-    from teneig import ShiftedTensor, eigen_residual, require_essentially_nonnegative
+    # substituting the reported eigenpair back into the shifted tensor, rebuilt
+    # densely from the file, reproduces the reported residual norm
+    from teneig import Tensor, eigen_residual, require_essentially_nonnegative
 
     path = tmp_path / "demo.ten"
     save_tensor(path, dense_demo())
@@ -311,7 +311,9 @@ def test_report_residual_reproducible_from_file(tmp_path, capsys):
         eps = HomotopyConfig().eps_perturb if report["perturbed"] else 0.0  # --epsilon default
         A = load_tensor(path)
         assert require_essentially_nonnegative(A)[0] == report["alpha"]
-        T = ShiftedTensor(A, report["alpha"], eps)
+        data = A.data + eps
+        data[(np.arange(A.dim),) * A.order] += report["alpha"]
+        T = Tensor(data)
         x = np.array(report["x"])
         r = np.linalg.norm(eigen_residual(T, report["lambda_shifted"], x))
         assert abs(r - report["residual_norm"]) <= 1e-12

@@ -35,7 +35,7 @@ from teneig.homotopy import (
 )
 from teneig.instances import dense_demo, random_instance, sparse_ring_demo
 from teneig.linalg import SingularMatrixError, lu_apply, lu_factor, solve
-from teneig.tensor import add_identity, rank_one_start
+from teneig.tensor import add_identity, rank_one_start, tvp_jacobian
 
 from oracles import (
     alpha_shift_dense,
@@ -50,7 +50,7 @@ from oracles import (
 def system(T, S, tau, lam, x):
     """(residual, Jacobian, tau-derivative) of H_tau at (lam, x), as the
     solver evaluates them: its y-pass, then its J-pass."""
-    n = T.dim
+    n = x.shape[0]
     M, R = np.empty((n + 1, n + 1)), np.empty((2, n + 1))
     shared = _y_pass(T, S, tau, lam, x, M, R)
     _j_pass(T, S, tau, lam, x, M, shared)
@@ -77,11 +77,19 @@ def tangent(T, S, tau, u):
 
 
 def positive_instance(m=3, n=3, seed=0):
-    # S is the homotopy's rank-one start system, never stored
+    # T is a positive tensor as the solver's record with no shift, S the
+    # homotopy's rank-one start system, never stored
     rng = np.random.default_rng(seed)
-    T = Tensor(rng.uniform(0.1, 1.0, size=(n,) * m))
+    T = ShiftedTensor(Tensor(rng.uniform(0.1, 1.0, size=(n,) * m)), 0.0)
     S = start_system(np.ones(n), np.ones(n), m)
     return T, S
+
+
+def coinciding_systems():
+    """(T, S) with T the start system S stored densely, as a record with no
+    shift: the homotopy is then S at every tau."""
+    a = np.ones(3)
+    return ShiftedTensor(rank_one_start(a, a, 3), 0.0), start_system(a, a, 3)
 
 
 def path_state(T, S, tau, u, dtau):
@@ -92,8 +100,8 @@ def path_state(T, S, tau, u, dtau):
 
 def polished_path_point(T, S, tau_target, tol=1e-13):
     """Walk plain Newton corrections along a tau grid from the exact start."""
-    n = T.dim
-    pair = start_pair(np.ones(n), np.ones(n), T.order)
+    n = T.A.dim
+    pair = start_pair(np.ones(n), np.ones(n), T.A.order)
     u = np.concatenate([[pair.lam], pair.x])
     for tau in np.linspace(0.0, tau_target, 11)[1:]:
         u, _, _ = newton_correct(T, S, float(tau), u, tol, 100)
@@ -118,10 +126,10 @@ def test_residual_endpoints_match_component_systems():
     rng = np.random.default_rng(2)
     x = rng.uniform(0.1, 1.0, size=3)
     lam = 4.2
-    q = eigen_residual(T, lam, x)
-    p = eigen_residual(S, lam, x)
+    q = eigen_residual(T.A, lam, x)
+    p = eigen_residual(rank_one_start(np.ones(3), np.ones(3), 3), lam, x)
     assert np.array_equal(homotopy_residual(T, S, 1.0, lam, x), q)
-    assert np.array_equal(homotopy_residual(T, S, 0.0, lam, x), p)
+    assert np.allclose(homotopy_residual(T, S, 0.0, lam, x), p, rtol=1e-14, atol=0)
 
 
 def test_residual_is_convex_combination():
@@ -131,7 +139,8 @@ def test_residual_is_convex_combination():
         x = rng.uniform(0.1, 1.0, size=3)
         lam = rng.uniform(0.5, 10.0)
         h = homotopy_residual(T, S, 0.5, lam, x)
-        combo = 0.5 * eigen_residual(S, lam, x) + 0.5 * eigen_residual(T, lam, x)
+        p = eigen_residual(rank_one_start(np.ones(3), np.ones(3), 3), lam, x)
+        combo = 0.5 * p + 0.5 * eigen_residual(T.A, lam, x)
         assert np.abs(h - combo).max() <= 1e-14 * max(1.0, np.abs(combo).max())
 
 
@@ -165,7 +174,7 @@ def test_jacobian_matrix_case_blocks():
     tau, lam = 0.3, 2.5
     x = np.array([0.1, -0.4, 0.9])
     J = homotopy_jacobian(T, S, tau, lam, x)
-    blend = tau * T.data + (1 - tau) * rank_one_start(np.ones(3), np.ones(3), 2).data - lam * np.eye(3)
+    blend = tau * T.A.data + (1 - tau) * rank_one_start(np.ones(3), np.ones(3), 2).data - lam * np.eye(3)
     assert np.allclose(J[:3, 1:], blend, atol=1e-15)
     assert np.array_equal(J[:3, 0], -x)
     assert J[3, 0] == 0.0
@@ -183,22 +192,34 @@ def test_jacobian_nonsingular_on_path():
 
 
 def test_system_from_closed_form_operators_matches_dense_tensors():
-    # the solver's T is an operator over A; its passes take a dense T too
-    rng = np.random.default_rng(40)
-    A = random_instance(3, 4, seed=41)
-    a = rng.uniform(0.5, 2.0, size=4)
-    b = rng.uniform(0.5, 2.0, size=4)
-    for eps in (0.0, 1e-3):
-        dense = (Tensor(alpha_shift_dense(A.data, eps)[1]), start_system(a, b, 3))
-        ops = (ShiftedTensor(A, require_essentially_nonnegative(A)[0], eps), start_system(a, b, 3))
-        x = rng.uniform(0.2, 1.0, size=4)
-        for f, args in (
-            (homotopy_residual, (0.4, 7.5, x)),
-            (homotopy_jacobian, (0.4, 7.5, x)),
-            (tau_derivative, (x,)),
-        ):
-            want = f(*dense, *args)
-            assert np.allclose(f(*ops, *args), want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+    # the solver's T = (A + eps) + alpha*I and S are records whose terms the
+    # passes add in closed form; the system is the one they give for T stored
+    # densely (taken with no shift), and at tau = 0 the one of S stored densely
+    for m, n in ((2, 4), (3, 3), (4, 3), (5, 2)):
+        rng = np.random.default_rng(20 * m + n)
+        data = rng.uniform(0.0, 1.0, size=(n,) * m)
+        data[(np.arange(n),) * m] = rng.uniform(-2.0, 0.0, size=n)
+        A = Tensor(data)
+        a, b = rng.uniform(0.2, 2.0, size=(2, n))
+        S = start_system(a, b, m)
+        x = rng.uniform(0.1, 1.5, size=n)
+        for eps in (0.0, 1e-9, 0.3):
+            alpha, dense = alpha_shift_dense(data, eps)
+            T = ShiftedTensor(A, require_essentially_nonnegative(A)[0], eps)
+            assert T.alpha == alpha
+            for tau in (0.0, 0.4, 1.0):
+                got = system(T, S, tau, 7.5, x)
+                want = system(ShiftedTensor(Tensor(dense), 0.0), S, tau, 7.5, x)
+                for g, w in zip(got, want):
+                    assert np.allclose(g, w, rtol=1e-13, atol=1e-13 * np.abs(w).max())
+        r, M, _ = system(T, S, 0.0, 7.5, x)
+        S_dense = rank_one_start(a, b, m)
+        want_r = eigen_residual(S_dense, 7.5, x)
+        want_J = tvp_jacobian(S_dense, x) - np.diag(7.5 * (m - 1) * x ** (m - 2))
+        assert np.allclose(r, want_r, rtol=1e-13, atol=1e-13 * np.abs(want_r).max())
+        assert np.allclose(M[:n, 1:], want_J, rtol=1e-13, atol=1e-13 * np.abs(want_J).max())
+        with pytest.raises(ValueError):
+            start_system(a, -b, m)
 
 
 def test_system_assembly_holds_few_n_by_n_temporaries():
@@ -234,8 +255,9 @@ def test_system_assembly_holds_few_n_by_n_temporaries():
 
 
 def test_tau_derivative_zero_when_systems_coincide():
-    _, S = positive_instance(seed=12)
-    assert np.array_equal(tau_derivative(S, S, np.ones(3)), np.zeros(4))
+    # at x = 1 both contractions are exact
+    T, S = coinciding_systems()
+    assert np.array_equal(tau_derivative(T, S, np.ones(3)), np.zeros(4))
 
 
 def test_tau_derivative_matches_finite_difference_in_tau():
@@ -254,7 +276,7 @@ def test_tau_derivative_sparse_demo_frozen():
     T = Tensor(alpha_shift_dense(sparse_ring_demo().data)[1])
     S = start_system(np.ones(3), np.ones(3), 3)
     x0 = np.ones(3) / np.sqrt(3.0)
-    d = tau_derivative(T, S, x0)
+    d = tau_derivative(ShiftedTensor(T, 0.0), S, x0)
     expected = tvp_naive(T.data, x0) - tvp_naive(rank_one_start(np.ones(3), np.ones(3), 3).data, x0)
     assert np.allclose(expected, [-7.0 / 3.0, -7.0 / 3.0, -5.0 / 3.0], atol=1e-14)
     assert np.allclose(d[:3], expected, atol=1e-13)
@@ -273,9 +295,9 @@ def test_predict_zero_step_returns_current_point():
 
 
 def test_predict_stationary_when_systems_coincide():
-    _, S = positive_instance(seed=15)
+    T, S = coinciding_systems()
     pair = start_pair(np.ones(3), np.ones(3), 3)
-    state = path_state(S, S, 0.2, np.concatenate([[pair.lam], pair.x]), 0.3)
+    state = path_state(T, S, 0.2, np.concatenate([[pair.lam], pair.x]), 0.3)
     u = predict(state, state.dtau)
     assert np.allclose(u, np.concatenate([[pair.lam], pair.x]), atol=1e-14)
 
@@ -328,8 +350,9 @@ def test_corrector_hands_on_the_predictors_tangent(monkeypatch):
     # at tau = 1 the path ends, so no tangent is solved for
     pair = start_pair(np.ones(3), np.ones(3), 3)
     u0 = np.concatenate([[pair.lam], pair.x])
-    assert newton_correct(S, S, 0.5, u0, 1e-5, 10)[2] is not None
-    assert newton_correct(S, S, 1.0, u0, 1e-5, 10)[2] is None
+    T, S = coinciding_systems()
+    assert newton_correct(T, S, 0.5, u0, 1e-5, 10)[2] is not None
+    assert newton_correct(T, S, 1.0, u0, 1e-5, 10)[2] is None
 
 
 # ------------------------------------------------------------------ corrector
@@ -455,10 +478,10 @@ def test_step_update_stays_clamped(dtau, iters, window):
 
 
 def test_endgame_trivial_when_systems_coincide():
-    _, S = positive_instance(seed=25)
+    T, S = coinciding_systems()
     pair = start_pair(np.ones(3), np.ones(3), 3)
-    state = path_state(S, S, BETA, np.concatenate([[pair.lam], pair.x]), 1.0 - BETA)
-    got, iters = endgame(S, S, state)
+    state = path_state(T, S, BETA, np.concatenate([[pair.lam], pair.x]), 1.0 - BETA)
+    got, iters = endgame(T, S, state)
     assert iters == 0
     assert got.lam == pytest.approx(pair.lam, abs=1e-12)
     assert np.allclose(got.x, pair.x, atol=1e-12)
@@ -489,7 +512,7 @@ def test_a_failed_jump_is_finished_on_the_input(monkeypatch):
     assert rep.lam_lower <= rep.eigen.lam <= rep.lam_upper
     assert relative_bracket(A.data, rep.eigen.lam, rep.eigen.x) <= 1e-14
     assert rep.lambda_shifted == rep.eigen.lam + rep.alpha
-    T = ShiftedTensor(A, rep.alpha)
+    T = Tensor(alpha_shift_dense(A.data)[1])
     r = np.linalg.norm(eigen_residual(T, rep.lambda_shifted, rep.eigen.x))
     assert r == pytest.approx(rep.residual_norm, abs=1e-13)
 
@@ -554,14 +577,15 @@ def test_step_size_floor_ends_in_step_limit(monkeypatch):
 
 
 def _count_kernel_calls(monkeypatch, name="tvp"):
+    # the passes over A: Tensor.tvp, the y-pass, or Tensor.jacobian_pass
     calls = []
-    real = getattr(ShiftedTensor, name)
+    real = getattr(Tensor, name)
 
     def counted(self, x, *out):
         calls.append(x)
         return real(self, x, *out)
 
-    monkeypatch.setattr(ShiftedTensor, name, counted)
+    monkeypatch.setattr(Tensor, name, counted)
     return calls
 
 
@@ -587,12 +611,12 @@ def test_a_point_with_a_singular_jacobian_carries_no_tangent(monkeypatch):
     # with the final residual's y-pass
     assert (rep.y_passes, rep.jacobian_passes, rep.linear_solves) == (2, 0, 1)
     assert len(calls) == 2
-    # unperturbed, the finish certifies the answer; it evaluates A, not T
+    # unperturbed, the finish certifies the answer with a y-pass of A per sweep
     rep = solve_dominant(dense_demo())
     assert rep.status == "converged" and rep.finish_sweeps > 0
     assert (rep.iter, rep.nwtiter) == (18, 0)
     assert rep.y_passes == 2 + rep.finish_sweeps
-    assert len(calls) == 4
+    assert len(calls) == 2 + rep.y_passes
 
 
 @pytest.mark.parametrize("A", [dense_demo(), random_instance(3, 20, seed=40)])

@@ -11,12 +11,10 @@ from hypothesis.extra import numpy as hnp
 from teneig import (
     EigenPair,
     EssentialNonnegativityError,
-    ShiftedTensor,
     Tensor,
     eigen_residual,
     require_essentially_nonnegative,
     start_pair,
-    start_system,
     tvp,
     weak_irreducibility_check,
 )
@@ -219,7 +217,7 @@ def test_kernel_matches_naive_contraction_and_finite_differences(monkeypatch, m,
     Jfd = fd_jacobian(lambda v: tvp_naive(data, v), x)
     for budget in _block_budgets(m, n):
         monkeypatch.setattr(tensor, "KERNEL_BLOCK_ENTRIES", budget)
-        y, J = Tensor(data).tvp_and_jacobian(x)
+        y, J = _split_passes(Tensor(data), x)
         assert np.allclose(y, ref, rtol=0, atol=1e-13 * max(1.0, np.abs(ref).max()))
         assert np.abs(J - Jfd).max() <= 1e-6 * max(1.0, np.abs(J).max())
         assert np.array_equal(tvp(Tensor(data), x), y)
@@ -252,7 +250,7 @@ def test_split_passes_match_the_fused_reference_kernel(monkeypatch, m, n):
         assert np.abs(J - J_ref).max() <= 1e-14 * np.abs(J_ref).max()
         if m <= 3 and budget == one_block:
             assert np.array_equal(J, J_ref)
-        assert np.array_equal(T.tvp_and_jacobian(x)[1], J)
+        assert np.array_equal(tvp_jacobian(T, x), J)
 
 
 def test_the_passes_write_into_strided_rows():
@@ -289,7 +287,7 @@ def test_kernel_leaves_the_input_untouched(monkeypatch):
         before = np.array(T.data)
         for budget in _block_budgets(m, 3):
             monkeypatch.setattr(tensor, "KERNEL_BLOCK_ENTRIES", budget)
-            y, J = T.tvp_and_jacobian(rng.uniform(0.1, 1.0, size=3))
+            y, J = _split_passes(T, rng.uniform(0.1, 1.0, size=3))
             y += 1.0
             J += 1.0
             y = tvp(T, rng.uniform(0.1, 1.0, size=3))
@@ -364,7 +362,7 @@ def test_single_block_solves_never_make_the_pool(monkeypatch):
 
 def _kernel_in_child(T, x, expected):
     # runs in a forked child: exit 0 iff a fresh pool gives the same result
-    y, J = T.tvp_and_jacobian(x)
+    J = tvp_jacobian(T, x)
     fresh = tensor._POOL is not None and tensor._POOL[0] == os.getpid()
     os._exit(0 if fresh and np.array_equal(J, expected) else 1)
 
@@ -378,7 +376,7 @@ def test_forked_child_makes_its_own_pool(monkeypatch):
     monkeypatch.setattr(tensor, "KERNEL_BLOCK_ENTRIES", 1)
     T = random_instance(3, 6, seed=16)
     x = np.linspace(0.5, 1.0, 6)
-    expected = T.tvp_and_jacobian(x)[1]
+    expected = tvp_jacobian(T, x)
     assert tensor._POOL[0] == os.getpid()
     child = multiprocessing.get_context("fork").Process(
         target=_kernel_in_child, args=(T, x, expected)
@@ -392,71 +390,27 @@ def test_forked_child_makes_its_own_pool(monkeypatch):
     assert child.exitcode == 0
 
 
-def _essentially_nonnegative(rng, m, n):
-    data = rng.uniform(0.0, 1.0, size=(n,) * m)
-    data[(np.arange(n),) * m] = rng.uniform(-2.0, 0.0, size=n)
-    return Tensor(data)
-
-
-@pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (4, 3), (5, 2)])
-def test_closed_form_shift_matches_dense_alpha_shift(m, n):
-    rng = np.random.default_rng(20 * m + n)
-    A = _essentially_nonnegative(rng, m, n)
-    x = rng.uniform(0.1, 1.5, size=n)
-    for eps in (0.0, 1e-9, 0.3):
-        alpha, data = alpha_shift_dense(A.data, eps)
-        T = Tensor(data)
-        op = ShiftedTensor(A, require_essentially_nonnegative(A)[0], eps)
-        assert op.alpha == alpha and (op.order, op.dim) == (m, n)
-        y, J = op.tvp_and_jacobian(x)
-        y_ref, J_ref = T.tvp_and_jacobian(x)
-        assert np.allclose(y, y_ref, rtol=1e-13, atol=0)
-        assert np.allclose(J, J_ref, rtol=1e-13, atol=0)
-
-
 def test_shifted_operator_reaches_the_input_through_its_kernel_methods(monkeypatch):
-    # a solve evaluates A only by its y-pass Tensor.tvp and its J-pass
-    # Tensor.jacobian_pass, once per call of the shifted operator's method of
-    # the same name, and the report counts every one of them
+    # a solve reads A only through its y-pass Tensor.tvp and its J-pass
+    # Tensor.jacobian_pass, T's and S's other terms being closed form, and
+    # the report counts every call, unperturbed or perturbed
     from teneig import solve_dominant
 
     calls = {}
-    for cls in (Tensor, ShiftedTensor):
-        for name in ("tvp", "jacobian_pass", "tvp_and_jacobian"):
-            real = getattr(cls, name)
-
-            def counted(self, x, *out, _key=(cls.__name__, name), _real=real):
-                calls[_key] = calls.get(_key, 0) + 1
-                return _real(self, x, *out)
-
-            monkeypatch.setattr(cls, name, counted)
-    rep = solve_dominant(random_instance(3, 10, seed=1))
-    assert rep.status == "converged" and rep.finish_sweeps == 0
-    assert calls[("ShiftedTensor", "jacobian_pass")] > 0
-    assert calls[("ShiftedTensor", "tvp")] > 0
     for name in ("tvp", "jacobian_pass"):
-        assert calls.get(("Tensor", name), 0) == calls[("ShiftedTensor", name)]
-    assert (calls[("Tensor", "tvp")], calls[("Tensor", "jacobian_pass")]) == (
-        rep.y_passes, rep.jacobian_passes)
-    assert ("Tensor", "tvp_and_jacobian") not in calls
+        real = getattr(Tensor, name)
 
+        def counted(self, x, *out, _name=name, _real=real):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(self, x, *out)
 
-@pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (4, 3), (5, 2)])
-def test_closed_form_start_matches_dense_rank_one_start(m, n):
-    rng = np.random.default_rng(30 * m + n)
-    a = rng.uniform(0.2, 2.0, size=n)
-    b = rng.uniform(0.2, 2.0, size=n)
-    S = start_system(a, b, m)
-    dense = rank_one_start(a, b, m)
-    assert (S.order, S.dim) == (m, n)
-    for _ in range(3):
-        x = rng.uniform(0.1, 1.5, size=n)
-        y, J = S.tvp_and_jacobian(x)
-        y_ref, J_ref = dense.tvp_and_jacobian(x)
-        assert np.allclose(y, y_ref, rtol=1e-13, atol=0)
-        assert np.allclose(J, J_ref, rtol=1e-13, atol=0)
-    with pytest.raises(ValueError):
-        start_system(a, -b, m)
+        monkeypatch.setattr(Tensor, name, counted)
+    for assume in ("auto", "reducible"):
+        calls.clear()
+        rep = solve_dominant(random_instance(3, 10, seed=1), assume=assume)
+        assert rep.status == "converged" and rep.finish_sweeps == 0
+        assert rep.perturbed is (assume == "reducible")
+        assert (calls["tvp"], calls["jacobian_pass"]) == (rep.y_passes, rep.jacobian_passes)
 
 
 def test_scan_alpha_is_alpha_shifts_alpha():
@@ -542,10 +496,13 @@ def test_alpha_shift_nonnegative_output(T):
     data[(np.arange(n),) * T.order] = -np.abs(data[(np.arange(n),) * T.order])
     _, shifted = alpha_shift_dense(data)
     assert (shifted >= 0).all()
-    # the closed-form operator is nonnegative too: it maps positive x to y >= 0
+    # A's contraction plus the closed-form shift maps positive x to y >= 0 too
     A = Tensor(data)
     alpha = require_essentially_nonnegative(A)[0]
-    assert (ShiftedTensor(A, alpha).tvp(np.linspace(0.5, 1.5, n)) >= 0).all()
+    x = np.linspace(0.5, 1.5, n)
+    y = tvp(A, x)
+    tensor._add_shift_terms(y, x, x ** (T.order - 1), T.order, alpha, 0.0)
+    assert (y >= 0).all()
 
 
 def test_perturb():

@@ -138,5 +138,5 @@ def test_traced_names_run_on_the_calling_thread(monkeypatch):
     me = threading.get_ident()
     assert me not in workers
     called = {name for name, _ in threads}
-    assert {"homotopy.predict", "homotopy.eigen_residual", "pta.tvp"} <= called
+    assert {"homotopy.predict", "homotopy.tvp", "pta.tvp"} <= called
     assert {ident for _, ident in threads} == {me}
