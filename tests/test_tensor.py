@@ -11,14 +11,17 @@ from hypothesis.extra import numpy as hnp
 from teneig import (
     EigenPair,
     EssentialNonnegativityError,
+    ShiftedTensor,
     Tensor,
     eigen_residual,
     require_essentially_nonnegative,
     start_pair,
+    start_system,
     tvp,
     weak_irreducibility_check,
 )
 from teneig import tensor
+from teneig.homotopy import _j_pass, _y_pass
 from teneig.instances import dense_demo, random_instance, sparse_ring_demo
 from teneig.tensor import (
     add_identity,
@@ -388,6 +391,57 @@ def test_forked_child_makes_its_own_pool(monkeypatch):
         child.join()
         pytest.fail("the forked child hung on the inherited pool")
     assert child.exitcode == 0
+
+
+def _essentially_nonnegative(rng, m, n):
+    data = rng.uniform(0.0, 1.0, size=(n,) * m)
+    data[(np.arange(n),) * m] = rng.uniform(-2.0, 0.0, size=n)
+    return Tensor(data)
+
+
+def _blend_contraction(T, S, tau, x):
+    """H_tau's blended contraction tau*T x^{m-1} + (1-tau)*S x^{m-1} and its
+    x-Jacobian, as the solver's y-pass and J-pass evaluate them (lam = 0)."""
+    n = x.shape[0]
+    M, R = np.empty((n + 1, n + 1)), np.empty((2, n + 1))
+    _j_pass(T, S, tau, 0.0, x, M, _y_pass(T, S, tau, 0.0, x, M, R))
+    return R[0, :n], M[:n, 1:]
+
+
+@pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (4, 3), (5, 2)])
+def test_closed_form_shift_matches_dense_alpha_shift(m, n):
+    # at tau = 1 the passes give T's alpha and eps terms in closed form
+    rng = np.random.default_rng(20 * m + n)
+    A = _essentially_nonnegative(rng, m, n)
+    S = start_system(np.ones(n), np.ones(n), m)
+    x = rng.uniform(0.1, 1.5, size=n)
+    for eps in (0.0, 1e-9, 0.3):
+        alpha, data = alpha_shift_dense(A.data, eps)
+        T = Tensor(data)
+        op = ShiftedTensor(A, require_essentially_nonnegative(A)[0], eps)
+        assert op.alpha == alpha and (op.A.order, op.A.dim) == (m, n)
+        y, J = _blend_contraction(op, S, 1.0, x)
+        assert np.allclose(y, tvp(T, x), rtol=1e-13, atol=0)
+        assert np.allclose(J, tvp_jacobian(T, x), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (4, 3), (5, 2)])
+def test_closed_form_start_matches_dense_rank_one_start(m, n):
+    # at tau = 0 the passes give S's contraction (b.x)^{m-1} c in closed form
+    rng = np.random.default_rng(30 * m + n)
+    a = rng.uniform(0.2, 2.0, size=n)
+    b = rng.uniform(0.2, 2.0, size=n)
+    S = start_system(a, b, m)
+    dense = rank_one_start(a, b, m)
+    assert S.order == m and S.c.shape == S.b.shape == (n,)
+    T = ShiftedTensor(dense, 0.0)
+    for _ in range(3):
+        x = rng.uniform(0.1, 1.5, size=n)
+        y, J = _blend_contraction(T, S, 0.0, x)
+        assert np.allclose(y, tvp(dense, x), rtol=1e-13, atol=0)
+        assert np.allclose(J, tvp_jacobian(dense, x), rtol=1e-13, atol=0)
+    with pytest.raises(ValueError):
+        start_system(a, -b, m)
 
 
 def test_shifted_operator_reaches_the_input_through_its_kernel_methods(monkeypatch):
