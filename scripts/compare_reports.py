@@ -14,9 +14,11 @@ and for a "roundtrip" case perfbench/run.py's own roundtrip, which saves the
 tensor to a file in a temporary directory and runs `teneig solve FILE
 --method both --json` through teneig.cli.main, so the file layer is compared
 too.  The script prints how many reports of each tree ran the certified
-finish (finish_sweeps > 0), then, per SolveReport.to_dict() field other
-than wall_time_s, how many reports differ bit for bit (NaN equals NaN) or
-that the field is in one tree's reports only, the largest relative
+finish (finish_sweeps > 0), how many carry a lambda outside their own
+finite bracket [lam_lower, lam_upper] and how many a non-finite
+residual_norm, then, per SolveReport.to_dict() field other than
+wall_time_s, how many reports differ bit for bit (NaN equals NaN) or that
+the field is in one tree's reports only, the largest relative
 differences in lambda and lambda_shifted, and per group one line of work
 totals: the sums of the reports' integer fields (iter, nwtiter, the finish's
 sweeps, the passes over the input and the LAPACK calls), base -> new, "-"
@@ -108,6 +110,20 @@ def rel_diff(a, b):
     return abs(a - b) / max(abs(a), abs(b))
 
 
+def outside(rep):
+    """Whether the report's lambda lies outside its own finite bracket."""
+    lo, hi = rep.get("lam_lower", math.nan), rep.get("lam_upper", math.nan)
+    return math.isfinite(hi - lo) and not lo <= rep["lambda"] <= hi
+
+
+TALLIES = (
+    ("that ran the finish", lambda rep: rep.get("finish_sweeps", 0) > 0),
+    ("with lambda outside their finite bracket", outside),
+    ("with a non-finite residual_norm",
+     lambda rep: not math.isfinite(rep.get("residual_norm", 0.0))),
+)
+
+
 def total(reports, keys, field):
     """The sum of field over the reports of keys, or "-" where they lack it."""
     if field not in reports[keys[0]]:
@@ -119,8 +135,9 @@ def compare(base, new):
     """Print the per-field difference counts; return 0 if the report sets match."""
     keys = sorted(set(base) & set(new))
     print("reports compared: %d" % len(keys))
-    ran = [sum(r.get("finish_sweeps", 0) > 0 for r in reps.values()) for reps in (base, new)]
-    print("reports that ran the finish: %d in the base tree, %d in the new tree" % tuple(ran))
+    for what, counted in TALLIES:
+        tally = [sum(map(counted, reps.values())) for reps in (base, new)]
+        print("reports %s: %d in the base tree, %d in the new tree" % (what, *tally))
     a, b = (base[keys[0]], new[keys[0]]) if keys else ({}, {})
     names = [*a, *(f for f in b if f not in a)]
     for f in names:

@@ -13,9 +13,10 @@ final jump ("endgame") from tau = BETA to tau = 1.  The recipe's steps,
 tolerances and caps are the module constants below; HomotopyConfig holds
 only what a caller sets, eps_perturb and max_steps.  Every answer carries its
 Collatz-Wielandt bracket [min r, max r], r = A x^{m-1} / x^{[m-1]}, on the
-input A; whatever the path's outcome, an unperturbed answer the bracket does
-not certify gets Newton-Noda sweeps on A (_finish), and nothing is retried.
-An unperturbed answer outside a finite bracket moves to its nearer end.
+input A.  One answer stage decides the report: an unperturbed answer the
+bracket does not certify gets Newton-Noda sweeps on A (_finish), one outside
+a finite bracket moves to its nearer end, and nothing is retried; the
+residual is the reported pair's, on A + eps.
 
 Cost model.  A is read only by Tensor.tvp and Tensor.jacobian_pass, each one
 read of every slice block; the rest of H_tau is closed form, O(n^2): T's
@@ -30,12 +31,12 @@ carries for the predictor.  A point accepted before tau = 1 without an
 update gets one J-pass and LAPACK call for its tangent; at tau = 1 no
 tangent is solved, and the start tangent needs the y-pass alone, T's
 Jacobian having weight 0 at tau = 0.  So a solve without rejections makes
-2 + iter + nwtiter y-passes (the start, every iterate, the final residual,
-which also gives the bracket), nwtiter + z J-passes and 1 + nwtiter + z
-LAPACK calls, z the points accepted before tau = 1 without an update;
-SolveReport counts all three.  The finish, only while the bracket is open,
-makes a y-pass of A per sweep, and a J-pass and LAPACK call only for a sweep
-that goes on.
+2 + iter + nwtiter y-passes (the start, every iterate, the final pass,
+which gives the bracket and the residual), nwtiter + z J-passes and
+1 + nwtiter + z LAPACK calls, z the points accepted before tau = 1 without
+an update; SolveReport counts all three.  The finish, only while the
+bracket is open, makes a y-pass of A per sweep, and a J-pass and LAPACK
+call only for a sweep that goes on.
 """
 
 from __future__ import annotations
@@ -151,8 +152,9 @@ class SolveReport:
     nonnegative tensor the solver actually iterated on.  The defaults
     describe a solve that produced nothing, as recorded for a solver that
     raised.  The fields, in order, are the keys of ``to_dict()``, with
-    ``eigen`` given as ``lambda`` and ``x``.  The last three count the work:
-    passes over A for T x^{m-1} (the y-pass) and for the rest of its
+    ``eigen`` given as ``lambda`` and ``x``; ``residual_norm`` is the
+    reported pair's, on A (+ eps if perturbed).  The last three count the
+    work: passes over A for T x^{m-1} (the y-pass) and for the rest of its
     Jacobian (the J-pass), and LAPACK calls.
     """
 
@@ -198,12 +200,11 @@ def _y_pass(T, S, tau, lam, x, M, R):
     """
     m, n = T.A.order, x.shape[0]
     yT = T.A.tvp(x, M[:n, 1:] if tau else None)
-    # x ** (m - 1), as the final pass takes it; xq * x can differ in the last bit.
-    _add_shift_terms(yT, x, x ** (m - 1), m, T.alpha, T.eps)
-    s = S.b @ x
-    yS = s ** (m - 1) * S.c
     xq = x ** (m - 2)
     xp = xq * x
+    _add_shift_terms(yT, x, xp, m, T.alpha, T.eps)
+    s = S.b @ x
+    yS = s ** (m - 1) * S.c
     R[0, :n] = tau * yT + (1.0 - tau) * yS - lam * xp
     R[0, n] = x @ x - 1.0
     np.subtract(yS, yT, out=R[1, :n])
@@ -385,7 +386,7 @@ def _follow(T, S, state, max_steps):
 
 def _solve_shifted(A, alpha, config, a, b, use_perturbation):
     """The path on T = (A_eps or A) + alpha*I to BETA, one jump to 1, and the
-    finish; wall time unset.  T and the start system S are records, whose
+    answer; wall time unset.  T and the start system S are records, whose
     terms the passes add in closed form, so the only n^m array is A.
     """
     m = A.order
@@ -407,29 +408,30 @@ def _solve_shifted(A, alpha, config, a, b, use_perturbation):
             iters, status = getattr(exc, "iterations", 0), "endgame_failure"
         state.newton_total += iters
     pair = pair or EigenPair(float(state.u[0]), state.u[1:])
-    # The final y-pass: A x^{m-1} gives the bracket, T x^{m-1} the residual.
-    x, xp = pair.x, pair.x ** (m - 1)
-    y = tvp(A, x)
-    yT = y.copy()
-    _add_shift_terms(yT, x, xp, m, T.alpha, T.eps)
-    residual = float(np.linalg.norm(np.concatenate([yT - pair.lam * xp, [x @ x - 1.0]])))
+    # The answer.  The final y-pass, A x^{m-1}, gives the bracket on A.
+    x, lam, sweeps = pair.x, pair.lam - T.alpha, 0
+    y, xp = tvp(A, x), x ** (m - 1)
     lo, hi = ratio_bracket(y, xp)
-    lam, lam_T = pair.lam - T.alpha, pair.lam
-    finish = not use_perturbation and not certified(lam, lo, hi)  # on the path's own lam
-    if not use_perturbation and math.isfinite(hi - lo) and not lo <= lam <= hi:
-        # The bracket holds A's eigenvalue, so a lam outside it moves to the nearer end.
-        lam = min(max(lam, lo), hi)
-        lam_T = lam + T.alpha
-    report = SolveReport(
-        "homotopy", status, EigenPair(lam, pair.x), residual_norm=residual,
+    state.y_passes += 1
+    if not use_perturbation:
+        if not certified(lam, lo, hi):
+            sweeps, answer = _finish(A, x, state)
+            if answer:
+                lo, hi, x, y, xp = answer
+                lam, status = 0.5 * (lo + hi), "converged"
+        if math.isfinite(hi - lo):
+            # The bracket holds A's eigenvalue, so a lam outside it moves to the nearer end.
+            lam = min(max(lam, lo), hi)
+    # The reported pair's residual on A + eps, alpha cancelling, in y's place:
+    # y + eps*(1.x)^{m-1} - lam*xp.
+    _add_shift_terms(y, x, xp, m, -lam, T.eps)
+    return SolveReport(
+        "homotopy", status, EigenPair(lam, x), residual_norm=math.hypot(*y, x @ x - 1.0),
         iter=state.step_count + jumped, nwtiter=state.newton_total, alpha=T.alpha,
-        lambda_shifted=lam_T, perturbed=use_perturbation, path_min_x=state.min_x,
-        lam_lower=lo, lam_upper=hi, y_passes=state.y_passes + 1,  # + the final residual
+        lambda_shifted=lam + T.alpha, perturbed=use_perturbation, path_min_x=state.min_x,
+        lam_lower=lo, lam_upper=hi, finish_sweeps=sweeps, y_passes=state.y_passes,
         jacobian_passes=state.jacobian_passes, linear_solves=state.linear_solves,
     )
-    if finish:
-        _finish(A, report)
-    return report
 
 
 def certified(lam, lo, hi):
@@ -437,22 +439,23 @@ def certified(lam, lo, hi):
     return max(hi, lam) - min(lo, lam) <= CERT_RTOL * abs(lam)
 
 
-def _finish(A, report):
+def _finish(A, x, state):
     """Newton-Noda sweeps on A itself (Liu, Guo and Lin, Numer. Math. 2017,
-    less their step-length safeguard) from the report's x, or the uniform
-    vector if x is not positive, while the bracket narrows, at most
-    SWEEP_CAP; a singular M or an x not finite and positive ends them.  The
-    narrowest bracket is adopted if it certifies, "converged" at its middle.
-    Each sweep makes a y-pass; only one that goes on makes a J-pass.
+    less their step-length safeguard) from x, or the uniform vector if x is
+    not positive, while the bracket narrows, at most SWEEP_CAP; a singular M
+    or an x not finite and positive ends them.  Each sweep makes a y-pass,
+    and one that goes on a J-pass and a LAPACK call, counted in state.
+    Returns (sweeps, answer), answer the narrowest bracket's (lo, hi, x,
+    A x^{m-1}, x^{[m-1]}) if it certifies its middle, else None.
     """
     m, n = A.order, A.dim
-    x = report.eigen.x if report.eigen.x.min() > 0.0 else np.full(n, n**-0.5)
-    best, width = (np.nan,) * 5, np.inf
+    x = x if x.min() > 0.0 else np.full(n, n**-0.5)
+    best, width, sweeps = (np.nan,) * 5, np.inf, 0
     M = np.empty((n, n))
     with np.errstate(all="ignore"):
-        while report.finish_sweeps < SWEEP_CAP:
-            report.finish_sweeps += 1
-            report.y_passes += 1
+        while sweeps < SWEEP_CAP:
+            sweeps += 1
+            state.y_passes += 1
             y = A.tvp(x, M)
             xq = x ** (m - 2)
             xp = xq * x
@@ -460,14 +463,14 @@ def _finish(A, report):
             if not hi - lo < width:
                 break
             best, width = (lo, hi, x, y, xp), hi - lo
-            report.jacobian_passes += 1
+            state.jacobian_passes += 1
             A.jacobian_pass(x, M)
             # M = lam_k (m-1) diag(x^{m-2}) - J_A at lam_k = max r
             M *= -1.0
             M.reshape(-1)[:: n + 1] += hi * (m - 1) * xq
             # Not linalg.solve: its conditioning check rejects M near
             # reducibility, where these sweeps still converge.
-            report.linear_solves += 1
+            state.linear_solves += 1
             try:
                 w = np.linalg.solve(M, xp)
             except np.linalg.LinAlgError:
@@ -476,13 +479,8 @@ def _finish(A, report):
             x /= math.sqrt(x @ x)
             if not np.minimum.reduce(x) > 0.0:  # NaN too
                 break
-    lo, hi, x, y, xp = best
-    if certified(0.5 * (lo + hi), lo, hi):
-        report.status, report.eigen = "converged", EigenPair(0.5 * (lo + hi), x)
-        r = y - report.eigen.lam * xp
-        report.residual_norm = math.sqrt(r @ r + (x @ x - 1.0) ** 2)
-        report.lambda_shifted = report.eigen.lam + report.alpha
-        report.lam_lower, report.lam_upper = lo, hi
+    lo, hi = best[:2]
+    return sweeps, (best if certified(0.5 * (lo + hi), lo, hi) else None)
 
 
 def solve_dominant(A, config=None, a=None, b=None, assume="auto"):

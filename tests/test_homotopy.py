@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from teneig import (
-    EigenPair,
     EssentialNonnegativityError,
     HomotopyConfig,
     NewtonStalled,
@@ -23,7 +22,6 @@ from teneig.homotopy import (
     EPS1,
     EPS2,
     PathState,
-    SolveReport,
     _finish,
     _j_pass,
     _y_pass,
@@ -518,7 +516,8 @@ def test_certified_needs_lambda_inside_the_widened_bracket():
 @pytest.mark.parametrize("fault", ["singular", "nan", "zero"])
 def test_the_finish_stops_quietly_and_keeps_an_uncertified_report(monkeypatch, fault):
     # a singular M, a non-finite w or x.w = 0 ends the sweeps (warnings are
-    # errors in this suite); the open bracket is not adopted
+    # errors in this suite); the open bracket is no answer, so the driver
+    # keeps the path's
     from teneig import homotopy
 
     def solve(M, rhs):
@@ -527,19 +526,19 @@ def test_the_finish_stops_quietly_and_keeps_an_uncertified_report(monkeypatch, f
         return np.full_like(rhs, np.nan if fault == "nan" else 0.0)
 
     monkeypatch.setattr(homotopy.np.linalg, "solve", solve)
-    report = SolveReport("homotopy", "step_limit", EigenPair(30.0, np.ones(3)), 1.0, alpha=6.32)
-    _finish(dense_demo(), report)
-    assert report.finish_sweeps == 1
-    assert (report.status, report.eigen.lam, report.residual_norm) == ("step_limit", 30.0, 1.0)
-    assert np.isnan(report.lam_lower) and np.isnan(report.lam_upper)
+    state = PathState(1.0, np.ones(4), None, 0.0)
+    assert _finish(dense_demo(), np.full(3, 3**-0.5), state) == (1, None)
+    # the one sweep's passes and LAPACK call count in the path's state
+    assert (state.y_passes, state.jacobian_passes, state.linear_solves) == (1, 1, 1)
 
 
 def test_the_finish_starts_from_the_uniform_vector_when_x_is_not_positive():
-    report = SolveReport("homotopy", "step_limit", EigenPair(30.0, [1.0, 0.0, 0.0]), alpha=6.32)
-    _finish(dense_demo(), report)
-    assert report.status == "converged" and report.finish_sweeps > 2
-    assert report.eigen.lam == pytest.approx(36.27571901815835, rel=1e-14)
-    assert report.lambda_shifted == report.eigen.lam + 6.32
+    A, state = dense_demo(), PathState(1.0, np.ones(4), None, 0.0)
+    sweeps, (lo, hi, x, y, xp) = _finish(A, np.array([1.0, 0.0, 0.0]), state)
+    assert sweeps > 2 and state.y_passes == sweeps
+    assert 0.5 * (lo + hi) == pytest.approx(36.27571901815835, rel=1e-14)
+    assert certified(0.5 * (lo + hi), lo, hi)
+    assert np.array_equal(y, A.tvp(x)) and np.array_equal(xp, x * x)
 
 
 # --------------------------------------------------------------------- driver
@@ -867,6 +866,40 @@ def test_solve_is_right_at_every_scale(k):
     rep = solve_dominant(Tensor(random_instance(3, 10, seed=1).data * 10.0**k))
     assert rep.status == "converged"
     assert abs(rep.eigen.lam - lam) <= 1e-6 * lam
+
+
+@pytest.mark.parametrize("k", [200, 300])
+def test_the_residual_is_finite_at_huge_scales(k):
+    # the path's own passes still overflow there (ROADMAP item 3), but the
+    # reported pair's residual is taken without squaring its components
+    with np.errstate(all="ignore"):
+        rep = solve_dominant(Tensor(random_instance(3, 10, seed=1).data * 10.0**k))
+    assert np.isfinite(rep.residual_norm)
+
+
+def test_a_clamped_report_carries_the_residual_of_its_own_lambda(monkeypatch):
+    # scaled_small's scaled(3,10)d=2 at seed 2: the path's lambda lies above
+    # its bracket and moves to the upper end; the residual is that of the
+    # reported (lambda_shifted, x) on the dense T, not of the path's lambda
+    from teneig import homotopy
+
+    real, path_lams = homotopy.endgame, []
+
+    def recorded(T, S, state):
+        pair, iters = real(T, S, state)
+        path_lams.append(pair.lam - T.alpha)
+        return pair, iters
+
+    monkeypatch.setattr(homotopy, "endgame", recorded)
+    A = random_instance(3, 10, d=2, seed=2464207981)
+    rep = solve_dominant(A)
+    assert (rep.status, rep.perturbed, rep.finish_sweeps) == ("converged", False, 0)
+    assert path_lams[0] > rep.lam_upper == rep.eigen.lam > rep.lam_lower
+    x = rep.eigen.x
+    y = alpha_shift_dense(A.data)[1] @ x @ x  # T x^2, numpy alone
+    r = np.linalg.norm(np.append(y - rep.lambda_shifted * x**2, x @ x - 1.0))
+    # the residual of the path's lambda, 1.821e-11 against 1.717e-11, is 6% off
+    assert rep.residual_norm == pytest.approx(r, rel=1e-4)
 
 
 def test_solve_scans_the_input_once(monkeypatch):

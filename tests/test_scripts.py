@@ -58,8 +58,13 @@ def test_compare_reports_finds_no_difference_between_a_tree_and_itself():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "reports compared: 96"
-    # no timed case reaches the certified finish
-    assert lines[1] == "reports that ran the finish: 0 in the base tree, 0 in the new tree"
+    # no timed case reaches the certified finish; PTA's answers are not
+    # clamped into their brackets; every residual is finite
+    assert lines[1:4] == [
+        "reports that ran the finish: 0 in the base tree, 0 in the new tree",
+        "reports with lambda outside their finite bracket: 19 in the base tree, 19 in the new tree",
+        "reports with a non-finite residual_norm: 0 in the base tree, 0 in the new tree",
+    ]
     counts = [line.split() for line in lines[2:] if line.endswith(" differ")]
     assert [c[0] for c in counts] == [
         "method", "status", "lambda", "x", "residual_norm", "iter", "nwtiter",
@@ -84,19 +89,27 @@ def test_compare_reports_finds_no_difference_between_a_tree_and_itself():
 
 
 def test_compare_reports_counts_the_finish_and_fields_of_one_tree(capsys):
-    # a report with finish_sweeps > 0 ran the finish; a field only one tree
-    # reports is named, not compared
+    # a report with finish_sweeps > 0 ran the finish; one whose lambda lies
+    # outside its finite bracket, or whose residual is not finite, is counted
+    # too; a field only one tree reports is named, not compared
     sys.path.insert(0, str(ROOT / "scripts"))
     try:
         import compare_reports
     finally:
         sys.path.remove(str(ROOT / "scripts"))
-    old = {("g", 1, 0, "c", "homotopy"): {"lambda": 1.0, "lambda_shifted": 2.0}}
-    new = {key: {**rep, "finish_sweeps": 3} for key, rep in old.items()}
+    c, d = ("g", 1, 0, "c", "homotopy"), ("g", 1, 1, "d", "homotopy")
+    old = {c: {"lambda": 1.0, "lambda_shifted": 2.0}}
+    new = {c: {**old[c], "finish_sweeps": 3}}
+    # d's lambda = 1 lies in an unbounded bracket in the base tree, and
+    # outside a finite one, beside an infinite residual, in the new tree
+    old[d] = {**old[c], "lam_lower": 0.5, "lam_upper": float("inf"), "residual_norm": 1e-12}
+    new[d] = {**new[c], "lam_lower": 0.5, "lam_upper": 0.9, "residual_norm": float("inf")}
     assert compare_reports.compare(old, new) == 0
-    assert capsys.readouterr().out.splitlines()[:5] == [
-        "reports compared: 1",
-        "reports that ran the finish: 0 in the base tree, 1 in the new tree",
+    assert capsys.readouterr().out.splitlines()[:7] == [
+        "reports compared: 2",
+        "reports that ran the finish: 0 in the base tree, 2 in the new tree",
+        "reports with lambda outside their finite bracket: 0 in the base tree, 1 in the new tree",
+        "reports with a non-finite residual_norm: 0 in the base tree, 1 in the new tree",
         "  lambda           0 differ",
         "  lambda_shifted   0 differ",
         "  finish_sweeps    only in the new tree",
