@@ -17,8 +17,9 @@ too.  The script prints how many reports of each tree ran the certified
 finish (finish_sweeps > 0), how many carry a lambda outside their own
 finite bracket [lam_lower, lam_upper] and how many a non-finite
 residual_norm, then, per SolveReport.to_dict() field other than
-wall_time_s, how many reports differ bit for bit (NaN equals NaN) or that
-the field is in one tree's reports only, the largest relative
+wall_time_s, how many reports differ bit for bit (NaN equals NaN), for an
+integer field how many of those went up and how many down, or that the
+field is in one tree's reports only, the largest relative
 differences in lambda and lambda_shifted, and per group one line of work
 totals: the sums of the reports' integer fields (iter, nwtiter, the finish's
 sweeps, the passes over the input and the LAPACK calls), base -> new, "-"
@@ -140,6 +141,7 @@ def compare(base, new):
         print("reports %s: %d in the base tree, %d in the new tree" % (what, *tally))
     a, b = (base[keys[0]], new[keys[0]]) if keys else ({}, {})
     names = [*a, *(f for f in b if f not in a)]
+    counts = [f for f in names if type({**b, **a}[f]) is int]  # not perturbed, a bool
     for f in names:
         if f in SKIPPED:
             continue
@@ -147,13 +149,16 @@ def compare(base, new):
             print("  %-16s only in the %s tree" % (f, "base" if f in a else "new"))
             continue
         differ = sum(not same(base[k][f], new[k][f]) for k in keys)
-        print("  %-16s %d differ" % (f, differ))
+        line = "  %-16s %d differ" % (f, differ)
+        if differ and f in counts:
+            up = sum(new[k][f] > base[k][f] for k in keys)
+            line += " (%d up, %d down)" % (up, differ - up)
+        print(line)
     # lambda = lambda_shifted - alpha: one ulp of lambda_shifted is a large
     # relative step in a lambda much smaller than alpha.
     for f in ("lambda", "lambda_shifted"):
         worst = max((rel_diff(base[k][f], new[k][f]) for k in keys), default=0.0)
         print("largest relative %s difference: %.3g" % (f, worst))
-    counts = [f for f in names if type({**b, **a}[f]) is int]  # not perturbed, a bool
     print("work totals, base -> new:")
     for group in sorted({k[0] for k in keys}):
         mine = [k for k in keys if k[0] == group]

@@ -30,13 +30,15 @@ both columns: the Newton step and the path tangent, which the accepted point
 carries for the predictor.  A point accepted before tau = 1 without an
 update gets one J-pass and LAPACK call for its tangent; at tau = 1 no
 tangent is solved, and the start tangent needs the y-pass alone, T's
-Jacobian having weight 0 at tau = 0.  So a solve without rejections makes
-2 + iter + nwtiter y-passes (the start, every iterate, the final pass,
-which gives the bracket and the residual), nwtiter + z J-passes and
-1 + nwtiter + z LAPACK calls, z the points accepted before tau = 1 without
-an update; SolveReport counts all three.  The finish, only while the
-bracket is open, makes a y-pass of A per sweep, and a J-pass and LAPACK
-call only for a sweep that goes on.
+Jacobian having weight 0 at tau = 0.  A correction is rejected at its first
+iterate off the positive cone, where the curve cannot be, so one rejected
+after k updates costs k y-passes, k J-passes and k LAPACK calls.  So a
+solve without rejections makes 2 + iter + nwtiter y-passes (the start,
+every iterate, the final pass, which gives the bracket and the residual),
+nwtiter + z J-passes and 1 + nwtiter + z LAPACK calls, z the points
+accepted before tau = 1 without an update; SolveReport counts all three.
+The finish, only while the bracket is open, makes a y-pass of A per sweep,
+and a J-pass and LAPACK call only for a sweep that goes on.
 """
 
 from __future__ import annotations
@@ -93,11 +95,13 @@ class NewtonStalled(RuntimeError):
 
 
 class PositivityLost(RuntimeError):
-    """A correction converged outside the positive cone.
+    """A correction left the positive cone.
 
     The solution curve is the Perron pair of a positive blend and stays
-    strictly positive, so a corrected point with a nonpositive component
-    means Newton jumped to a different, sign-mixed eigenpair.
+    strictly positive, so an iterate with a nonpositive component is headed
+    for a different, sign-mixed eigenpair.  newton_correct raises it at the
+    first such iterate, _step for an accepted point that is one; iterations
+    counts the updates spent.
     """
 
     def __init__(self, iterations=0):
@@ -285,10 +289,13 @@ def newton_correct(T, S, tau, u0, tol, cap, state=None):
     2-norm drops to tol: g is the last update's tangent, or after none a
     J-pass and one LAPACK call at u0 give it.  g is None where its column
     fails the conditioning check, and at tau = 1, where the path ends and no
-    prediction follows.  Raises NewtonStalled after cap updates, or
-    SingularMatrixError where an update's column fails the check; both
-    carry the Newton iterations already spent.  The passes and LAPACK calls
-    are counted in state, the path's PathState.
+    prediction follows.  Raises PositivityLost at the first update that
+    leaves the positive cone (an x component not positive, or NaN),
+    NewtonStalled after cap updates, or SingularMatrixError where an
+    update's column fails the check; all carry the Newton iterations already
+    spent, so a correction rejected after k updates has made k y-passes,
+    k J-passes and k LAPACK calls.  The passes and LAPACK calls are counted
+    in state, the path's PathState.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -301,7 +308,7 @@ def newton_correct(T, S, tau, u0, tol, cap, state=None):
     for i in range(cap + 1):
         shared = _y_pass(T, S, tau, u[0], u[1:], M, R)
         state.y_passes += 1
-        if math.hypot(*R[0]) <= tol:  # the 2-norm; r @ r can overflow where it does not
+        if math.hypot(*R[0].tolist()) <= tol:  # the 2-norm; r @ r can overflow where it does not
             if tau == 1.0:
                 return u, i, None
             return u, i, g if i else _tangent(T, S, tau, u, M, R, shared, state)
@@ -316,6 +323,8 @@ def newton_correct(T, S, tau, u0, tol, cap, state=None):
             err.iterations = i
             raise err
         u = u - step
+        if not np.minimum.reduce(u[1:]) > 0.0:  # NaN too
+            raise PositivityLost(i + 1)
     raise AssertionError("unreachable")
 
 
@@ -339,8 +348,8 @@ def _step(T, S, state, dtau, tau_next, tol, cap):
     """One prediction-correction step from state to tau_next = state.tau + dtau.
 
     Returns newton_correct's (u, newton_iterations, tangent at u); raises one
-    of _STEP_FAILURES.  A nonpositive component means Newton left the
-    strictly positive curve for a sign-mixed eigenpair of the blend.
+    of _STEP_FAILURES.  newton_correct rejects every update that leaves the
+    positive cone; the check here catches a predictor accepted with none.
     """
     ubar = predict(state, dtau)
     u, iters, g = newton_correct(T, S, tau_next, ubar, tol, cap, state)

@@ -56,7 +56,7 @@ def pta_solve(A, config=None):
         # Ufunc reductions skip the ndarray methods' Python wrappers.
         lam = 0.5 * (np.maximum.reduce(ratios) + np.minimum.reduce(ratios))
         r = y - lam * xp
-        residual = math.sqrt(r @ r + (x @ x - 1.0) ** 2)
+        residual = math.hypot(*r.tolist(), x @ x - 1.0)  # r @ r can overflow where this does not
         if residual <= EPS2:
             status = "converged"
             break

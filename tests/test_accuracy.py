@@ -12,7 +12,7 @@ ROADMAP item to mend them.
 import numpy as np
 import pytest
 
-from teneig import Tensor, pta_solve, solve_dominant
+from teneig import Tensor, homotopy, pta_solve, solve_dominant
 
 from oracles import dominant_m2, dominant_n2, relative_bracket
 
@@ -100,11 +100,33 @@ def near_reducible(delta, seed):
     # 8.8e-5 wide at 1e-9) and the Newton-Noda finish closes it
     [1e-3, 1e-6, 1e-9, 1e-12],
 )
-def test_near_reducible_answers_are_certified(delta, seed):
+def test_near_reducible_answers_are_certified(monkeypatch, delta, seed):
+    # the weak coupling sends some path corrections towards sign-mixed
+    # eigenpairs of the blend; each is rejected within two updates of
+    # leaving the cone, where iterating to convergence spent up to the cap
+    # of 10 (six rejections of 10, 9, 8, 7, 6 and 5 iterations at
+    # delta = 1e-6, seed 2); the step it halves is the same, so is iter
+    rejected = []
+    real = homotopy._step
+
+    def recorded(*args):
+        try:
+            return real(*args)
+        except homotopy._STEP_FAILURES as exc:
+            rejected.append(exc)
+            raise
+
+    monkeypatch.setattr(homotopy, "_step", recorded)
     data = near_reducible(delta, seed)
     rep = solve_dominant(Tensor(data))
     assert rep.status == "converged"
     assert relative_bracket(data, rep.eigen.lam, rep.eigen.x) <= RTOL
+    assert rep.iter == ([10, 12, 6, 12, 14] if delta == 1e-3 else [10, 14, 18, 14, 14])[seed]
+    assert rejected or (delta, seed) == (1e-3, 2)
+    assert all(type(exc) is homotopy.PositivityLost for exc in rejected)
+    assert max((exc.iterations for exc in rejected), default=0) <= 2
+    if (delta, seed) == (1e-6, 2):
+        assert [exc.iterations for exc in rejected] == [1] * 6
 
 
 FLOOR_DEFECT = pytest.mark.xfail(

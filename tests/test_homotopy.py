@@ -7,6 +7,7 @@ from teneig import (
     EssentialNonnegativityError,
     HomotopyConfig,
     NewtonStalled,
+    PositivityLost,
     ShiftedTensor,
     Tensor,
     eigen_residual,
@@ -220,7 +221,9 @@ def test_system_assembly_holds_few_n_by_n_temporaries():
     n = A.dim
     alpha = require_essentially_nonnegative(A)[0]
     T, S = ShiftedTensor(A, alpha), start_system(np.ones(n), np.ones(n), 3)
-    u0 = np.concatenate([[7.5], np.full(n, n**-0.5)])
+    # near the blend's Perron value (about 11520), so the update stays in
+    # the positive cone and the next y-pass runs
+    u0 = np.concatenate([[11520.0], np.full(n, n**-0.5)])
 
     def one_update():
         with pytest.raises(NewtonStalled):
@@ -390,6 +393,21 @@ def test_newton_cap_exceeded_is_distinct():
     with pytest.raises(NewtonStalled) as err:
         newton_correct(T, S, 0.5, u + 0.5, 1e-18, 3)
     assert err.value.iterations == 3
+
+
+def test_newton_stops_at_its_first_iterate_off_the_positive_cone():
+    # the first update from u0 takes x out of the cone, so the correction is
+    # rejected there: one y-pass, one J-pass and one LAPACK call, where
+    # iterating on would head for a sign-mixed eigenpair of the blend
+    T, S = positive_instance(seed=25)
+    u0 = np.concatenate([[polished_path_point(T, S, 0.5)[0]], [0.1, 0.7, 0.7]])
+    r, J, _ = system(T, S, 0.5, u0[0], u0[1:])
+    assert (u0 - np.linalg.solve(J, r))[1:].min() <= 0.0
+    state = PathState(0.5, u0, None, 0.0)
+    with pytest.raises(PositivityLost) as err:
+        newton_correct(T, S, 0.5, u0, 1e-10, 10, state)
+    assert err.value.iterations == 1
+    assert (state.y_passes, state.jacobian_passes, state.linear_solves) == (1, 1, 1)
 
 
 def test_newton_singular_jacobian_is_distinct():

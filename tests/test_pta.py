@@ -128,6 +128,16 @@ def test_pta_counts_one_y_pass_per_sweep(monkeypatch, max_steps):
     assert rep.jacobian_passes == rep.linear_solves == 0
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_pta_residual_is_finite_at_huge_scales(scale):
+    # the residual's 2-norm is taken by math.hypot, as the homotopy's is: the
+    # squares r @ r overflow here, which the suite's warnings filter turns
+    # into a failure
+    A = random_instance(3, 10, seed=1)
+    rep = pta_solve(Tensor(A.data * scale), HomotopyConfig(max_steps=50))
+    assert np.isfinite(rep.residual_norm)
+
+
 def test_pta_validates_input():
     bad = np.zeros((2, 2, 2))
     bad[0, 1, 1] = -1.0

@@ -88,15 +88,41 @@ def test_compare_reports_finds_no_difference_between_a_tree_and_itself():
         assert all(t[1] == t[3] and t[2] == "->" for t in totals)
 
 
-def test_compare_reports_counts_the_finish_and_fields_of_one_tree(capsys):
-    # a report with finish_sweeps > 0 ran the finish; one whose lambda lies
-    # outside its finite bracket, or whose residual is not finite, is counted
-    # too; a field only one tree reports is named, not compared
+def _compare_reports():
     sys.path.insert(0, str(ROOT / "scripts"))
     try:
         import compare_reports
     finally:
         sys.path.remove(str(ROOT / "scripts"))
+    return compare_reports
+
+
+def _work_reports():
+    """Two trees' reports of three cases in two groups: b's nwtiter goes up
+    by one in the new tree, which alone reports y_passes."""
+
+    def report(iters, nwt, **more):
+        return {"lambda": 1.0, "lambda_shifted": 2.0, "iter": iters, "nwtiter": nwt,
+                "perturbed": False, **more}
+
+    old = {
+        ("large", 1, 0, "a", "homotopy"): report(6, 8),
+        ("large", 1, 1, "b", "homotopy"): report(7, 9),
+        ("small", 1, 0, "c", "pta"): report(40, 0),
+    }
+    new = {
+        ("large", 1, 0, "a", "homotopy"): report(6, 8, y_passes=16),
+        ("large", 1, 1, "b", "homotopy"): report(7, 10, y_passes=19),
+        ("small", 1, 0, "c", "pta"): report(40, 0, y_passes=41),
+    }
+    return old, new
+
+
+def test_compare_reports_counts_the_finish_and_fields_of_one_tree(capsys):
+    # a report with finish_sweeps > 0 ran the finish; one whose lambda lies
+    # outside its finite bracket, or whose residual is not finite, is counted
+    # too; a field only one tree reports is named, not compared
+    compare_reports = _compare_reports()
     c, d = ("g", 1, 0, "c", "homotopy"), ("g", 1, 1, "d", "homotopy")
     old = {c: {"lambda": 1.0, "lambda_shifted": 2.0}}
     new = {c: {**old[c], "finish_sweeps": 3}}
@@ -119,31 +145,34 @@ def test_compare_reports_counts_the_finish_and_fields_of_one_tree(capsys):
 def test_compare_reports_totals_the_work_per_group(capsys):
     # the sums of the reports' integer fields, base -> new, one line per
     # group; a field one tree does not report reads "-" there
-    sys.path.insert(0, str(ROOT / "scripts"))
-    try:
-        import compare_reports
-    finally:
-        sys.path.remove(str(ROOT / "scripts"))
+    compare_reports = _compare_reports()
 
-    def report(iters, nwt, **more):
-        return {"lambda": 1.0, "lambda_shifted": 2.0, "iter": iters, "nwtiter": nwt,
-                "perturbed": False, **more}
-
-    old = {
-        ("large", 1, 0, "a", "homotopy"): report(6, 8),
-        ("large", 1, 1, "b", "homotopy"): report(7, 9),
-        ("small", 1, 0, "c", "pta"): report(40, 0),
-    }
-    new = {
-        ("large", 1, 0, "a", "homotopy"): report(6, 8, y_passes=16),
-        ("large", 1, 1, "b", "homotopy"): report(7, 10, y_passes=19),
-        ("small", 1, 0, "c", "pta"): report(40, 0, y_passes=41),
-    }
+    old, new = _work_reports()
     assert compare_reports.compare(old, new) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[lines.index("work totals, base -> new:") + 1:] == [
         "  large            iter 13 -> 13, nwtiter 17 -> 18, y_passes - -> 35",
         "  small            iter 40 -> 40, nwtiter 0 -> 0, y_passes - -> 41",
+    ]
+
+
+def test_compare_reports_splits_a_differing_work_field_into_up_and_down(capsys):
+    # an integer field that differs says how many reports went up and how
+    # many down; one that does not, or a float, keeps its plain count
+    compare_reports = _compare_reports()
+    old, new = _work_reports()
+    new[("small", 1, 0, "c", "pta")]["iter"] = 39
+    new[("large", 1, 0, "a", "homotopy")]["nwtiter"] = 7
+    new[("large", 1, 0, "a", "homotopy")]["lambda"] = 1.5
+    assert compare_reports.compare(old, new) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[4:10] == [
+        "  lambda           1 differ",
+        "  lambda_shifted   0 differ",
+        "  iter             1 differ (0 up, 1 down)",
+        "  nwtiter          2 differ (1 up, 1 down)",
+        "  perturbed        0 differ",
+        "  y_passes         only in the new tree",
     ]
 
 
