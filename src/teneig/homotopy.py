@@ -9,7 +9,9 @@ Perron pair) into the target system Q (shifted tensor T) as tau goes 0 -> 1:
 For every tau in [0,1) the positive blend has a unique positive Perron pair
 and a nonsingular Jacobian there, so the solution curve can be followed by
 an Euler predictor and a Newton corrector with adaptive step control, with a
-final jump ("endgame") from tau = BETA to tau = 1.  The recipe's steps,
+final jump ("endgame") from tau = BETA to tau = 1.  newton_correct alone
+accepts a point: positive and, before tau = 1, with a tangent; any other is
+rejected, and the step is retried at half its length.  The recipe's steps,
 tolerances and caps are the module constants below; HomotopyConfig holds
 only what a caller sets, eps_perturb and max_steps.  Every answer carries its
 Collatz-Wielandt bracket [min r, max r], r = A x^{m-1} / x^{[m-1]}, on the
@@ -27,8 +29,8 @@ residual and -dH into an (n+1)-by-2 right-hand side.  Only an iterate that
 updates makes a J-pass (_j_pass) that completes the system matrix, in which
 the blend tau*J_T + (1-tau)*J_S is formed in place, and one LAPACK call on
 both columns: the Newton step and the path tangent, which the accepted point
-carries for the predictor.  A point accepted before tau = 1 without an
-update gets one J-pass and LAPACK call for its tangent; at tau = 1 no
+carries for the predictor.  A point within tolerance before tau = 1 without
+an update gets one J-pass and LAPACK call for its tangent; at tau = 1 no
 tangent is solved, and the start tangent needs the y-pass alone, T's
 Jacobian having weight 0 at tau = 0.  A correction is rejected at its first
 iterate off the positive cone, where the curve cannot be, so one rejected
@@ -100,8 +102,7 @@ class PositivityLost(RuntimeError):
     The solution curve is the Perron pair of a positive blend and stays
     strictly positive, so an iterate with a nonpositive component is headed
     for a different, sign-mixed eigenpair.  newton_correct raises it at the
-    first such iterate, _step for an accepted point that is one; iterations
-    counts the updates spent.
+    first such iterate, u0 included; iterations counts the updates spent.
     """
 
     def __init__(self, iterations=0):
@@ -109,7 +110,7 @@ class PositivityLost(RuntimeError):
         super().__init__("corrected point left the positive cone")
 
 
-# How a prediction-correction step fails; Newton's failures carry .iterations.
+# How newton_correct rejects a correction; each carries .iterations.
 _STEP_FAILURES = (SingularMatrixError, NewtonStalled, PositivityLost)
 
 
@@ -130,9 +131,10 @@ class HomotopyConfig:
 @dataclass
 class PathState:
     """Point u = (lam, x...) on the solution curve at tau, its path tangent
-    (JH g = -dH/dtau; None where JH is singular), step-control history, and
-    the path's counters, min_x the smallest x component of an accepted point;
-    the last three are SolveReport's work counts."""
+    (JH g = -dH/dtau; None only at a start whose JH is singular, which takes
+    no step), step-control history, and the path's counters, min_x the
+    smallest x component of an accepted point; the last three are
+    SolveReport's work counts."""
 
     tau: float
     u: np.ndarray = field(repr=False)
@@ -273,10 +275,7 @@ def _start_tangent(T, S, state):
 
 
 def predict(state, dtau):
-    """Euler predictor u + dtau * g from the state's point u and tangent g;
-    SingularMatrixError when it has none, its Jacobian being singular."""
-    if state.tangent is None:
-        raise SingularMatrixError()
+    """Euler predictor u + dtau * g from the state's point u and tangent g."""
     return state.u + dtau * state.tangent
 
 
@@ -285,17 +284,18 @@ def newton_correct(T, S, tau, u0, tol, cap, state=None):
 
     Every iterate makes a y-pass; one that updates then makes a J-pass and
     one LAPACK call on the two columns (r, -dH), which give the Newton step
-    and the path tangent.  Returns (u, iterations, g) once the residual
-    2-norm drops to tol: g is the last update's tangent, or after none a
-    J-pass and one LAPACK call at u0 give it.  g is None where its column
-    fails the conditioning check, and at tau = 1, where the path ends and no
-    prediction follows.  Raises PositivityLost at the first update that
-    leaves the positive cone (an x component not positive, or NaN),
-    NewtonStalled after cap updates, or SingularMatrixError where an
-    update's column fails the check; all carry the Newton iterations already
-    spent, so a correction rejected after k updates has made k y-passes,
-    k J-passes and k LAPACK calls.  The passes and LAPACK calls are counted
-    in state, the path's PathState.
+    and the path tangent.  The path's one acceptance rule: an iterate whose
+    residual 2-norm is within tol is returned as (u, iterations, g) if its
+    x is positive and, before tau = 1, it has a tangent g, the last
+    update's or after none one from a J-pass and LAPACK call at u0; g is
+    None at tau = 1, where the path ends.  Otherwise it raises
+    PositivityLost for an iterate off the positive cone (NaN too), right
+    after the update that left it or for u0 before its tangent is solved,
+    SingularMatrixError where a step or the tangent fails the conditioning
+    check, or NewtonStalled after cap updates; each carries the iterations
+    spent, so a correction rejected off the cone after k updates has made
+    k y-passes, k J-passes and k LAPACK calls.  The passes and LAPACK calls
+    are counted in state, the path's PathState.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -309,9 +309,14 @@ def newton_correct(T, S, tau, u0, tol, cap, state=None):
         shared = _y_pass(T, S, tau, u[0], u[1:], M, R)
         state.y_passes += 1
         if math.hypot(*R[0].tolist()) <= tol:  # the 2-norm; r @ r can overflow where it does not
+            if not np.minimum.reduce(u[1:]) > 0.0:  # only u0: every update is checked below
+                raise PositivityLost(i)
             if tau == 1.0:
                 return u, i, None
-            return u, i, g if i else _tangent(T, S, tau, u, M, R, shared, state)
+            g = g if i else _tangent(T, S, tau, u, M, R, shared, state)
+            if g is not None:
+                return u, i, g
+            break  # no tangent: rejected as singular
         if i == cap:
             raise NewtonStalled(cap)
         _j_pass(T, S, tau, u[0], u[1:], M, shared)
@@ -319,13 +324,13 @@ def newton_correct(T, S, tau, u0, tol, cap, state=None):
         state.linear_solves += 1
         step, g = solve(M, R.T)
         if step is None:
-            err = SingularMatrixError()
-            err.iterations = i
-            raise err
+            break
         u = u - step
         if not np.minimum.reduce(u[1:]) > 0.0:  # NaN too
             raise PositivityLost(i + 1)
-    raise AssertionError("unreachable")
+    err = SingularMatrixError()
+    err.iterations = i
+    raise err
 
 
 def update_step_size(state, newton_iters_used):
@@ -344,32 +349,20 @@ def update_step_size(state, newton_iters_used):
     return state.dtau
 
 
-def _step(T, S, state, dtau, tau_next, tol, cap):
-    """One prediction-correction step from state to tau_next = state.tau + dtau.
-
-    Returns newton_correct's (u, newton_iterations, tangent at u); raises one
-    of _STEP_FAILURES.  newton_correct rejects every update that leaves the
-    positive cone; the check here catches a predictor accepted with none.
-    """
-    ubar = predict(state, dtau)
-    u, iters, g = newton_correct(T, S, tau_next, ubar, tol, cap, state)
-    if u[1:].min() <= 0.0:
-        raise PositivityLost(iters)
-    return u, iters, g
-
-
 def endgame(T, S, state):
     """Final jump from the path's state at tau = BETA to tau = 1: one more
     prediction-correction step, to the tight tolerance EPS2 with a larger
     Newton cap.  Returns (EigenPair, newton_iterations)."""
-    u, iters, _ = _step(T, S, state, 1.0 - state.tau, 1.0, EPS2, NEWTON_CAP_ENDGAME)
+    ubar = predict(state, 1.0 - state.tau)
+    u, iters, _ = newton_correct(T, S, 1.0, ubar, EPS2, NEWTON_CAP_ENDGAME, state)
     return EigenPair(u[0], u[1:]), iters
 
 
 def _follow(T, S, state, max_steps):
-    """Step until tau = BETA is accepted; False at max_steps or the DTAU_MIN floor."""
+    """Step until tau = BETA is accepted; False at max_steps, the DTAU_MIN
+    floor or a start without a tangent, every accepted point having one."""
     while state.tau < BETA:
-        if state.step_count >= max_steps:
+        if state.step_count >= max_steps or state.tangent is None:
             return False
         dtau = state.dtau
         tau_next = state.tau + dtau
@@ -377,10 +370,11 @@ def _follow(T, S, state, max_steps):
             tau_next = BETA
             dtau = BETA - state.tau
         state.step_count += 1
+        ubar = predict(state, dtau)
         try:
-            u_new, iters, g = _step(T, S, state, dtau, tau_next, EPS1, NEWTON_CAP_PATH)
+            u_new, iters, g = newton_correct(T, S, tau_next, ubar, EPS1, NEWTON_CAP_PATH, state)
         except _STEP_FAILURES as exc:
-            state.newton_total += getattr(exc, "iterations", 0)
+            state.newton_total += exc.iterations
             # Halve the step just tried, which clipping can make < state.dtau.
             if dtau <= DTAU_MIN:
                 return False
@@ -414,7 +408,7 @@ def _solve_shifted(A, alpha, config, a, b, use_perturbation):
             status = "converged"
             state.min_x = min(state.min_x, float(pair.x.min()))
         except _STEP_FAILURES as exc:
-            iters, status = getattr(exc, "iterations", 0), "endgame_failure"
+            iters, status = exc.iterations, "endgame_failure"
         state.newton_total += iters
     pair = pair or EigenPair(float(state.u[0]), state.u[1:])
     # The answer.  The final y-pass, A x^{m-1}, gives the bracket on A.

@@ -293,9 +293,7 @@ class RankOne:
 
 def start_system(a, b, order):
     """The positive rank-one start tensor a^{[m-1]} (x) b (x) ... (x) b as a RankOne."""
-    a, b = _positive_pair(a, b)
-    if order < 2:
-        raise ValueError("order must be at least 2")
+    a, b = _positive_pair(a, b, order)
     return RankOne(a ** (order - 1), b, order)
 
 
@@ -310,20 +308,23 @@ def rank_one_start(a, b, order):
 
 def start_pair(a, b, order):
     """Perron pair of rank_one_start(a, b, order): ((a.b)^{m-1}, a/||a||_2)."""
-    a, b = _positive_pair(a, b)
-    if order < 2:
-        raise ValueError("order must be at least 2")
-    lam0 = float(a @ b) ** (order - 1)
-    return EigenPair(lam0, a)
+    a, b = _positive_pair(a, b, order)
+    return EigenPair(float(a @ b) ** (order - 1), a)
 
 
-def _positive_pair(a, b):
+def _positive_pair(a, b, order):
+    """a and b as float vectors for an order-m start, checked: positive, and
+    the start's a^{[m-1]}, (a.b)^{m-1} and a.a finite, so a and b are too."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError("a and b must be vectors of equal length")
-    if (a <= 0).any() or (b <= 0).any():
-        raise ValueError("a and b must be strictly positive")
+    if order < 2:
+        raise ValueError("order must be at least 2")
+    with np.errstate(all="ignore"):
+        top = [np.maximum.reduce(a) ** (order - 1), (a @ b) ** (order - 1), a @ a]
+    if not (np.minimum.reduce(a) > 0.0 and np.minimum.reduce(b) > 0.0 and np.isfinite(top).all()):
+        raise ValueError("a and b must be positive, with a^{[m-1]}, (a.b)^{m-1} and a.a finite")
     return a, b
 
 

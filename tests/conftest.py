@@ -9,18 +9,18 @@ hypothesis.settings.load_profile("suite")
 def accepted_points(monkeypatch):
     """(tau, (lam, x...)) of every correction the homotopy solver accepts.
 
-    Wraps teneig.homotopy._step, which returns only accepted corrections:
-    the path steps, then the endgame jump to tau = 1.
+    Wraps teneig.homotopy.newton_correct, which returns only the corrections
+    it accepts: the path steps, then the endgame jump to tau = 1.
     """
     from teneig import homotopy
 
     points = []
-    real = homotopy._step
+    real = homotopy.newton_correct
 
-    def recorded(T, S, state, dtau, tau_next, tol, cap):
-        u, iters, g = real(T, S, state, dtau, tau_next, tol, cap)
-        points.append((tau_next, u))
+    def recorded(T, S, tau, u0, tol, cap, state=None):
+        u, iters, g = real(T, S, tau, u0, tol, cap, state)
+        points.append((tau, u))
         return u, iters, g
 
-    monkeypatch.setattr(homotopy, "_step", recorded)
+    monkeypatch.setattr(homotopy, "newton_correct", recorded)
     return points

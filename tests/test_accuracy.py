@@ -107,7 +107,7 @@ def test_near_reducible_answers_are_certified(monkeypatch, delta, seed):
     # of 10 (six rejections of 10, 9, 8, 7, 6 and 5 iterations at
     # delta = 1e-6, seed 2); the step it halves is the same, so is iter
     rejected = []
-    real = homotopy._step
+    real = homotopy.newton_correct
 
     def recorded(*args):
         try:
@@ -116,7 +116,7 @@ def test_near_reducible_answers_are_certified(monkeypatch, delta, seed):
             rejected.append(exc)
             raise
 
-    monkeypatch.setattr(homotopy, "_step", recorded)
+    monkeypatch.setattr(homotopy, "newton_correct", recorded)
     data = near_reducible(delta, seed)
     rep = solve_dominant(Tensor(data))
     assert rep.status == "converged"

@@ -309,8 +309,7 @@ def test_corrector_hands_on_the_predictors_tangent(monkeypatch):
     # after no update, the tangent newton_correct returns is the one solved
     # for at the accepted point, bit for bit; after updates, it is the second
     # column of the last update's LAPACK call, whose first is the step to the
-    # accepted point; predict steps along it, and a state without a tangent
-    # predicts nothing
+    # accepted point; predict steps along it
     from teneig import homotopy
 
     T, S = positive_instance(seed=16)
@@ -333,8 +332,6 @@ def test_corrector_hands_on_the_predictors_tangent(monkeypatch):
     assert np.array_equal(w, iterates[-2] - step)
     assert np.array_equal(g, want)
     assert np.array_equal(predict(PathState(0.3, v, g, 0.1), dtau=1.0), v + g)
-    with pytest.raises(SingularMatrixError):
-        predict(PathState(0.3, v, None, 0.1), dtau=1.0)
     # at tau = 1 the path ends, so no tangent is solved for
     pair = start_pair(np.ones(3), np.ones(3), 3)
     u0 = np.concatenate([[pair.lam], pair.x])
@@ -408,6 +405,18 @@ def test_newton_stops_at_its_first_iterate_off_the_positive_cone():
         newton_correct(T, S, 0.5, u0, 1e-10, 10, state)
     assert err.value.iterations == 1
     assert (state.y_passes, state.jacobian_passes, state.linear_solves) == (1, 1, 1)
+
+
+def test_newton_rejects_an_off_cone_point_it_accepts_without_an_update():
+    # a tolerance this loose accepts u0 at its first y-pass, but its x is off
+    # the cone, so the point is rejected before its tangent is solved
+    T, S = positive_instance(seed=25)
+    u0 = np.concatenate([[polished_path_point(T, S, 0.5)[0]], [0.1, -0.7, 0.7]])
+    state = PathState(0.5, u0, None, 0.0)
+    with pytest.raises(PositivityLost) as err:
+        newton_correct(T, S, 0.5, u0, 1e300, 10, state)
+    assert err.value.iterations == 0
+    assert (state.y_passes, state.jacobian_passes, state.linear_solves) == (1, 0, 0)
 
 
 def test_newton_singular_jacobian_is_distinct():
@@ -594,10 +603,9 @@ def _count_kernel_calls(monkeypatch, name="tvp"):
 
 
 def test_a_point_with_a_singular_jacobian_carries_no_tangent(monkeypatch):
-    # the start point's Jacobian is zeroed, so it carries no tangent and every
-    # try of the first step is rejected at once, down to the DTAU_MIN floor
-    # (17 halvings and one more try there): the start's y-pass and LAPACK
-    # call are the path's only work
+    # the start point's Jacobian is zeroed, so it carries no tangent and the
+    # path ends before its first step: the start's y-pass and LAPACK call
+    # are the path's only work
     from teneig import homotopy
 
     real = homotopy._j_pass
@@ -611,16 +619,50 @@ def test_a_point_with_a_singular_jacobian_carries_no_tangent(monkeypatch):
     calls = _count_kernel_calls(monkeypatch)
     rep = solve_dominant(dense_demo(), assume="reducible")
     assert rep.status == "step_limit"
-    assert (rep.iter, rep.nwtiter) == (18, 0)
+    assert (rep.iter, rep.nwtiter) == (0, 0)
     # with the final residual's y-pass
     assert (rep.y_passes, rep.jacobian_passes, rep.linear_solves) == (2, 0, 1)
     assert len(calls) == 2
     # unperturbed, the finish certifies the answer with a y-pass of A per sweep
     rep = solve_dominant(dense_demo())
     assert rep.status == "converged" and rep.finish_sweeps > 0
-    assert (rep.iter, rep.nwtiter) == (18, 0)
+    assert (rep.iter, rep.nwtiter) == (0, 0)
     assert rep.y_passes == 2 + rep.finish_sweeps
     assert len(calls) == 2 + rep.y_passes
+
+
+def test_a_mid_path_tangent_failure_is_a_rejected_step(monkeypatch):
+    # the third two-column LAPACK call, the one update of the third step's
+    # correction, loses its tangent column; that correction is rejected like
+    # any other, the halved step is corrected afresh, and every prediction
+    # gets a correction: 2 + iter + nwtiter y-passes, with no finish
+    from teneig import homotopy
+
+    A = random_instance(3, 10, seed=1)
+    rep = solve_dominant(A)
+    assert (rep.iter, rep.nwtiter) == (6, 8)
+    real_solve, real_correct = homotopy.solve, homotopy.newton_correct
+    calls, rejected = [], []
+
+    def drops_a_tangent(M, rhs):
+        out = real_solve(M, rhs)
+        calls.append(rhs.ndim)
+        return [out[0], None] if calls.count(2) == 3 and rhs.ndim == 2 else out
+
+    def recorded(*args):
+        try:
+            return real_correct(*args)
+        except homotopy._STEP_FAILURES as exc:
+            rejected.append(exc)
+            raise
+
+    monkeypatch.setattr(homotopy, "solve", drops_a_tangent)
+    monkeypatch.setattr(homotopy, "newton_correct", recorded)
+    rep = solve_dominant(A)
+    assert rep.status == "converged" and rep.finish_sweeps == 0
+    assert [(type(exc), exc.iterations) for exc in rejected] == [(SingularMatrixError, 1)]
+    assert (rep.iter, rep.nwtiter) == (8, 9)
+    assert rep.y_passes == 2 + rep.iter + rep.nwtiter
 
 
 @pytest.mark.parametrize("A", [dense_demo(), random_instance(3, 20, seed=40)])
@@ -632,15 +674,15 @@ def test_each_accepted_point_is_evaluated_once(monkeypatch, A):
     # tangent's LAPACK call needs no J-pass, T's Jacobian having weight 0
     from teneig import homotopy
 
-    real = homotopy._step
+    real = homotopy.newton_correct
     accepted = []
 
-    def recorded(T, S, state, dtau, tau_next, tol, cap):
-        u, iters, g = real(T, S, state, dtau, tau_next, tol, cap)
-        accepted.append((tau_next, iters))
+    def recorded(T, S, tau, u0, tol, cap, state=None):
+        u, iters, g = real(T, S, tau, u0, tol, cap, state)
+        accepted.append((tau, iters))
         return u, iters, g
 
-    monkeypatch.setattr(homotopy, "_step", recorded)
+    monkeypatch.setattr(homotopy, "newton_correct", recorded)
     rep = solve_dominant(A)
     assert rep.status == "converged" and rep.finish_sweeps == 0
     assert len(accepted) == rep.iter
@@ -1050,6 +1092,24 @@ def test_solve_validates_input():
         solve_dominant(dense_demo(), a=np.ones(2))
     with pytest.raises(ValueError):
         solve_dominant(dense_demo(), a=np.array([1.0, -1.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([1.0, 1.0, 1.0], [np.nan, 1.0, 1.0]),
+        ([np.nan, 1.0, 1.0], [1.0, 1.0, 1.0]),
+        ([1.0, 1.0, 1.0], [np.inf, 1.0, 1.0]),
+        ([np.inf, 1.0, 1.0], [1.0, 1.0, 1.0]),
+        ([1.0, 1.0, 1.0], [1e300, 1.0, 1.0]),  # (a.b)^{m-1} overflows
+        ([1e200, 1.0, 1.0], [1.0, 1.0, 1.0]),  # a^{[m-1]} overflows
+    ],
+)
+def test_solve_rejects_start_vectors_that_are_not_finite(a, b):
+    # a NaN or inf entry, or a start term that overflows, gives no usable
+    # start pair, so it is refused before the path starts
+    with pytest.raises(ValueError, match="a and b must be"):
+        solve_dominant(dense_demo(), a=np.array(a), b=np.array(b))
 
 
 def test_solve_custom_start_vectors():

@@ -205,11 +205,13 @@ def test_traffic_coverage_lists_the_lines_no_benchmark_case_runs():
     lines = proc.stdout.splitlines()
     assert lines[-1].startswith("unexecuted: ")
     rows = {line.split(":")[0].strip(): line for line in lines if line.startswith("  ")}
-    # no benchmark point has a singular Jacobian, so predict never raises;
-    # the reference LU is called by tests alone
-    src, first = inspect.getsourcelines(homotopy.predict)
-    (raise_line,) = [first + i for i, text in enumerate(src) if "raise " in text]
-    assert rows["predict"] == "  predict: %d" % raise_line
+    # no benchmark point has a singular Jacobian, so newton_correct never
+    # rejects a point for want of a tangent (its first break) and predict
+    # runs whole; the reference LU is called by tests alone
+    src, first = inspect.getsourcelines(homotopy.newton_correct)
+    no_tangent = [first + i for i, text in enumerate(src) if text.strip().startswith("break")][0]
+    assert str(no_tangent) in rows["newton_correct"].split()
+    assert "predict" not in rows
     assert "lu_factor" in rows
     assert "_system" not in rows
 
