@@ -10,15 +10,16 @@ For every tau in [0,1) the positive blend has a unique positive Perron pair
 and a nonsingular Jacobian there, so the solution curve can be followed by
 an Euler predictor and a Newton corrector with adaptive step control, with a
 final jump ("endgame") from tau = BETA to tau = 1.  newton_correct alone
-accepts a point: positive and, before tau = 1, with a tangent; any other is
-rejected, and the step is retried at half its length.  The recipe's steps,
-tolerances and caps are the module constants below; HomotopyConfig holds
-only what a caller sets, eps_perturb and max_steps.  Every answer carries its
-Collatz-Wielandt bracket [min r, max r], r = A x^{m-1} / x^{[m-1]}, on the
-input A.  One answer stage decides the report: an unperturbed answer the
-bracket does not certify gets Newton-Noda sweeps on A (_finish), one outside
-a finite bracket moves to its nearer end, and nothing is retried; the
-residual is the reported pair's, on A + eps.
+accepts a point, the closed-form start pair at tau = 0 included: positive
+and, before tau = 1, with a tangent; any other is rejected, and the step is
+retried at half its length (a rejected start takes no step).  The recipe's
+steps, tolerances and caps are the module constants below; HomotopyConfig
+holds only what a caller sets, eps_perturb and max_steps.  Every answer
+carries its Collatz-Wielandt bracket [min r, max r], r = A x^{m-1} /
+x^{[m-1]}, on the input A.  One answer stage decides the report: an
+unperturbed answer the bracket does not certify gets Newton-Noda sweeps on
+A (_finish), one outside a finite bracket moves to its nearer end, and
+nothing is retried; the residual is the reported pair's, on A + eps.
 
 Cost model.  A is read only by Tensor.tvp and Tensor.jacobian_pass, each one
 read of every slice block; the rest of H_tau is closed form, O(n^2): T's
@@ -30,17 +31,21 @@ updates makes a J-pass (_j_pass) that completes the system matrix, in which
 the blend tau*J_T + (1-tau)*J_S is formed in place, and one LAPACK call on
 both columns: the Newton step and the path tangent, which the accepted point
 carries for the predictor.  A point within tolerance before tau = 1 without
-an update gets one J-pass and LAPACK call for its tangent; at tau = 1 no
-tangent is solved, and the start tangent needs the y-pass alone, T's
-Jacobian having weight 0 at tau = 0.  A correction is rejected at its first
-iterate off the positive cone, where the curve cannot be, so one rejected
-after k updates costs k y-passes, k J-passes and k LAPACK calls.  So a
-solve without rejections makes 2 + iter + nwtiter y-passes (the start,
-every iterate, the final pass, which gives the bracket and the residual),
-nwtiter + z J-passes and 1 + nwtiter + z LAPACK calls, z the points
-accepted before tau = 1 without an update; SolveReport counts all three.
-The finish, only while the bracket is open, makes a y-pass of A per sweep,
-and a J-pass and LAPACK call only for a sweep that goes on.
+an update makes the J-pass and one LAPACK call on the tangent column alone;
+at tau = 1 no tangent is solved.  That block of newton_correct is the
+path's one LAPACK call site.  The start is newton_correct's at tau = 0,
+where T's Jacobian has weight 0, so its J-pass reads nothing of A: the
+closed-form start pair, within tolerance, costs one y-pass and one LAPACK
+call.  A correction is rejected at its first iterate off the positive cone,
+where the curve cannot be, so one rejected after k updates costs k
+y-passes, k J-passes and k LAPACK calls.  So a solve without rejections
+makes 2 + iter + nwtiter y-passes (every iterate of the start's, the
+steps' and the jump's corrections, and the final pass, which gives the
+bracket and the residual) and nwtiter + z LAPACK calls, z the points
+accepted before tau = 1 without an update, the start among them; the
+J-passes are as many, less those at tau = 0.  SolveReport counts all
+three.  The finish, only while the bracket is open, makes a y-pass of A per
+sweep, and a J-pass and LAPACK call only for a sweep that goes on.
 """
 
 from __future__ import annotations
@@ -131,8 +136,8 @@ class HomotopyConfig:
 @dataclass
 class PathState:
     """Point u = (lam, x...) on the solution curve at tau, its path tangent
-    (JH g = -dH/dtau; None only at a start whose JH is singular, which takes
-    no step), step-control history, and the path's counters, min_x the
+    (JH g = -dH/dtau; None only at a start newton_correct rejected, which
+    takes no step), step-control history, and the path's counters, min_x the
     smallest x component of an accepted point; the last three are
     SolveReport's work counts."""
 
@@ -251,29 +256,6 @@ def _j_pass(T, S, tau, lam, x, M, shared):
     np.multiply(x, 2.0, out=M[n, 1:])
 
 
-def _tangent(T, S, tau, u, M, R, shared, state):
-    """The path tangent g at u, JH g = -dH, from u's y-pass in M, R and
-    shared: a J-pass and one LAPACK call, counted in state; None where g
-    fails the conditioning check."""
-    _j_pass(T, S, tau, u[0], u[1:], M, shared)
-    state.jacobian_passes += tau > 0.0
-    state.linear_solves += 1
-    try:
-        return solve(M, R[1])
-    except SingularMatrixError:
-        return None
-
-
-def _start_tangent(T, S, state):
-    """The tangent at the start point state.u: at tau = 0 T's Jacobian has
-    weight 0, so a y-pass and one LAPACK call give it."""
-    u = state.u
-    M, R = np.empty((u.shape[0],) * 2), np.empty((2, u.shape[0]))
-    shared = _y_pass(T, S, 0.0, u[0], u[1:], M, R)
-    state.y_passes += 1
-    return _tangent(T, S, 0.0, u, M, R, shared, state)
-
-
 def predict(state, dtau):
     """Euler predictor u + dtau * g from the state's point u and tangent g."""
     return state.u + dtau * state.tangent
@@ -284,18 +266,20 @@ def newton_correct(T, S, tau, u0, tol, cap, state=None):
 
     Every iterate makes a y-pass; one that updates then makes a J-pass and
     one LAPACK call on the two columns (r, -dH), which give the Newton step
-    and the path tangent.  The path's one acceptance rule: an iterate whose
-    residual 2-norm is within tol is returned as (u, iterations, g) if its
-    x is positive and, before tau = 1, it has a tangent g, the last
-    update's or after none one from a J-pass and LAPACK call at u0; g is
-    None at tau = 1, where the path ends.  Otherwise it raises
-    PositivityLost for an iterate off the positive cone (NaN too), right
-    after the update that left it or for u0 before its tangent is solved,
-    SingularMatrixError where a step or the tangent fails the conditioning
-    check, or NewtonStalled after cap updates; each carries the iterations
-    spent, so a correction rejected off the cone after k updates has made
-    k y-passes, k J-passes and k LAPACK calls.  The passes and LAPACK calls
-    are counted in state, the path's PathState.
+    and the path tangent, and u0 within tolerance before tau = 1 makes them
+    on -dH alone, for its tangent: the path's only J-passes and LAPACK
+    calls, the start's at tau = 0 included.  The path's one acceptance rule:
+    an iterate whose residual 2-norm is within tol is returned as (u,
+    iterations, g) if its x is positive and, before tau = 1, it has a
+    tangent g, the last update's or u0's; g is None at tau = 1, where the
+    path ends.  Otherwise it raises PositivityLost for an iterate off the
+    positive cone (NaN too), right after the update that left it or for u0
+    before its tangent is solved, SingularMatrixError where a step or the
+    tangent fails the conditioning check, or NewtonStalled after cap
+    updates; each carries the iterations spent, so a correction rejected off
+    the cone after k updates has made k y-passes, k J-passes and k LAPACK
+    calls.  The passes and LAPACK calls are counted in state, the path's
+    PathState; a J-pass at tau = 0 reads nothing of A and is not counted.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -308,27 +292,34 @@ def newton_correct(T, S, tau, u0, tol, cap, state=None):
     for i in range(cap + 1):
         shared = _y_pass(T, S, tau, u[0], u[1:], M, R)
         state.y_passes += 1
-        if math.hypot(*R[0].tolist()) <= tol:  # the 2-norm; r @ r can overflow where it does not
+        # The 2-norm; r @ r can overflow where it does not.
+        within = math.hypot(*R[0].tolist()) <= tol
+        if within:
             if not np.minimum.reduce(u[1:]) > 0.0:  # only u0: every update is checked below
                 raise PositivityLost(i)
             if tau == 1.0:
                 return u, i, None
-            g = g if i else _tangent(T, S, tau, u, M, R, shared, state)
-            if g is not None:
-                return u, i, g
-            break  # no tangent: rejected as singular
-        if i == cap:
+            if i:  # the last update's tangent
+                break
+        elif i == cap:
             raise NewtonStalled(cap)
+        # The path's one LAPACK call site, after a J-pass: the Newton step and
+        # the tangent, or at u0 within tolerance the tangent alone.
         _j_pass(T, S, tau, u[0], u[1:], M, shared)
-        state.jacobian_passes += 1
+        state.jacobian_passes += tau > 0.0
         state.linear_solves += 1
+        if within:
+            (g,) = solve(M, R[1:].T)
+            break
         step, g = solve(M, R.T)
         if step is None:
             break
         u = u - step
         if not np.minimum.reduce(u[1:]) > 0.0:  # NaN too
             raise PositivityLost(i + 1)
-    err = SingularMatrixError()
+    if within and g is not None:
+        return u, i, g
+    err = SingularMatrixError()  # no step, or no tangent
     err.iterations = i
     raise err
 
@@ -360,7 +351,7 @@ def endgame(T, S, state):
 
 def _follow(T, S, state, max_steps):
     """Step until tau = BETA is accepted; False at max_steps, the DTAU_MIN
-    floor or a start without a tangent, every accepted point having one."""
+    floor or a rejected start, every accepted point having a tangent."""
     while state.tau < BETA:
         if state.step_count >= max_steps or state.tangent is None:
             return False
@@ -397,8 +388,15 @@ def _solve_shifted(A, alpha, config, a, b, use_perturbation):
     S = start_system(a, b, m)
     start = start_pair(a, b, m)
     u = np.concatenate([[start.lam], start.x])
-    state = PathState(0.0, u, None, DTAU0, min_x=float(u[1:].min()))
-    state.tangent = _start_tangent(T, S, state)
+    state = PathState(0.0, u, None, DTAU0)
+    # The start is corrected and accepted like every point; one rejected
+    # carries no tangent, so the path takes no step.
+    try:
+        state.u, iters, state.tangent = newton_correct(T, S, 0.0, u, EPS1, NEWTON_CAP_PATH, state)
+    except _STEP_FAILURES as exc:
+        iters = exc.iterations
+    state.newton_total += iters
+    state.min_x = float(state.u[1:].min())
 
     # The jump counts in iter, not in the path's step_count (its max_steps).
     pair, status, jumped = None, "step_limit", _follow(T, S, state, config.max_steps)

@@ -1,6 +1,7 @@
 """Dense linear solves: LAPACK with a conditioning check, and a reference LU.
 
-The solver's Newton and tangent systems go through ``solve``.  ``lu_factor``
+The homotopy corrector's Newton and tangent systems go through ``solve``,
+one LAPACK call per system on a k-by-c right-hand side.  ``lu_factor``
 and ``lu_apply`` are a hand-written LU with partial pivoting: the reference
 that ``solve`` is tested against, and a name the benchmark tracer
 (perfbench/spans.py) wraps.
@@ -23,8 +24,9 @@ class SingularMatrixError(RuntimeError):
     """A linear system is singular to working precision.
 
     ``pivot_index`` names the column of the negligible pivot when the hand
-    LU found one.  It is None when ``solve`` rejected the system: LAPACK
-    reports no relative pivot, so no column is named.
+    LU found one.  It is None when the homotopy corrector raises it for a
+    column ``solve`` rejected: LAPACK reports no relative pivot, so no
+    column is named.
     """
 
     def __init__(self, pivot_index=None):
@@ -34,43 +36,30 @@ class SingularMatrixError(RuntimeError):
 
 
 def solve(M, rhs):
-    """Solve M y = rhs with LAPACK (``np.linalg.solve``).
+    """Solve M Y = rhs, rhs k-by-c, with one LAPACK call (``np.linalg.solve``).
 
-    A vector rhs gives y, or SingularMatrixError when LAPACK meets an exactly
-    zero pivot, when y is not finite, or when ||M||_inf ||y||_inf >
-    ||rhs||_inf / PIVOT_RTOL.  Since ||y|| <= ||M^{-1}|| ||rhs||, that ratio
-    is a lower bound on kappa_inf(M), so a system that fails it is singular
-    to working precision.  A k-by-c rhs gives the list of its c solution
-    columns from one LAPACK call, each checked as a vector rhs would be and
-    None where it fails, in place of the raise.
+    Returns the list of Y's c columns, each None where it fails the check:
+    LAPACK met an exactly zero pivot, the column y is not finite, or
+    ||M||_inf ||y||_inf > ||rhs_j||_inf / PIVOT_RTOL.  Since ||y|| <=
+    ||M^{-1}|| ||rhs_j||, that ratio is a lower bound on kappa_inf(M), so a
+    column that fails it is singular to working precision.
     """
     try:
         y = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError:
-        if rhs.ndim == 2:
-            return [None] * rhs.shape[1]
-        raise SingularMatrixError() from None
+        return [None] * rhs.shape[1]
     # The reductions behind .max(axis=0) and .sum(axis=1).max(), without the
-    # method wrappers; for a vector they give one number each.
+    # method wrappers.  np.maximum propagates NaN, so a column's norm is
+    # finite exactly when every entry is.  The norms are Python floats, whose
+    # products overflow to inf silently where numpy scalars would warn; the
+    # IEEE operations are the same.
     ny = np.maximum.reduce(np.abs(y), axis=0).tolist()
     nb = np.maximum.reduce(np.abs(rhs), axis=0).tolist()
     nM = float(np.maximum.reduce(np.add.reduce(np.abs(M), axis=1)))
-    if rhs.ndim == 1:
-        if not _conditioned(nM, ny, nb):
-            raise SingularMatrixError()
-        return y
-    return [y[:, j] if _conditioned(nM, a, b) else None for j, (a, b) in enumerate(zip(ny, nb))]
-
-
-def _conditioned(nM, ny, nb):
-    """solve's check on one column: ||M|| ny <= nb / PIVOT_RTOL, ny finite.
-
-    np.maximum propagates NaN, so ny is finite exactly when every entry of
-    the column is.  The norms are Python floats, whose products overflow to
-    inf silently where numpy scalars would warn; the IEEE operations are the
-    same.
-    """
-    return math.isfinite(ny) and not nM * ny > nb / PIVOT_RTOL
+    return [
+        y[:, j] if math.isfinite(c) and not nM * c > r / PIVOT_RTOL else None
+        for j, (c, r) in enumerate(zip(ny, nb))
+    ]
 
 
 @dataclass

@@ -314,7 +314,9 @@ def start_pair(a, b, order):
 
 def _positive_pair(a, b, order):
     """a and b as float vectors for an order-m start, checked: positive, and
-    the start's a^{[m-1]}, (a.b)^{m-1} and a.a finite, so a and b are too."""
+    the start's a^{[m-1]}, (a.b)^{m-1}, a.a and x^{[m-1]}, x = a/||a||, finite
+    and not below the smallest normal float, so a and b are finite and the
+    start neither overflows nor underflows."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 1 or a.shape != b.shape:
@@ -322,9 +324,14 @@ def _positive_pair(a, b, order):
     if order < 2:
         raise ValueError("order must be at least 2")
     with np.errstate(all="ignore"):
-        top = [np.maximum.reduce(a) ** (order - 1), (a @ b) ** (order - 1), a @ a]
-    if not (np.minimum.reduce(a) > 0.0 and np.minimum.reduce(b) > 0.0 and np.isfinite(top).all()):
-        raise ValueError("a and b must be positive, with a^{[m-1]}, (a.b)^{m-1} and a.a finite")
+        lo, aa = np.minimum.reduce(a), a @ a
+        powers = np.array([lo, np.maximum.reduce(a), a @ b, lo / np.sqrt(aa)]) ** (order - 1)
+    tiny, terms = np.finfo(float).tiny, (*powers.tolist(), aa)
+    if not (lo > 0.0 and np.minimum.reduce(b) > 0.0 and all(tiny <= t < np.inf for t in terms)):
+        raise ValueError(
+            "a and b must be positive, with a^{[m-1]}, (a.b)^{m-1}, a.a and (a/||a||)^{[m-1]}"
+            " finite and not below the smallest normal float"
+        )
     return a, b
 
 

@@ -10,7 +10,8 @@ def accepted_points(monkeypatch):
     """(tau, (lam, x...)) of every correction the homotopy solver accepts.
 
     Wraps teneig.homotopy.newton_correct, which returns only the corrections
-    it accepts: the path steps, then the endgame jump to tau = 1.
+    it accepts: the start at tau = 0, the path steps, then the endgame jump
+    to tau = 1.
     """
     from teneig import homotopy
 

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from teneig import (
+    EigenPair,
     EssentialNonnegativityError,
     HomotopyConfig,
     NewtonStalled,
@@ -572,13 +573,18 @@ def test_the_finish_starts_from_the_uniform_vector_when_x_is_not_positive():
 
 
 def test_step_size_floor_ends_in_step_limit(monkeypatch):
-    # every correction stalls after one Newton iteration, so the first step
-    # halves from 0.1 down to DTAU_MIN = 1e-6 (17 tries) and fails there once
-    # more; a perturbed solve keeps the path's status, and the finish on A
-    # certifies an unperturbed one from the start vector
+    # the start is accepted at tau = 0, then every correction stalls after
+    # one Newton iteration, so the first step halves from 0.1 down to
+    # DTAU_MIN = 1e-6 (17 tries) and fails there once more; a perturbed solve
+    # keeps the path's status, and the finish on A certifies an unperturbed
+    # one from the start vector
     from teneig import homotopy
 
+    real = homotopy.newton_correct
+
     def stalls(T, S, tau, u0, tol, cap, state=None):
+        if tau == 0.0:
+            return real(T, S, tau, u0, tol, cap, state)
         raise NewtonStalled(1)
 
     monkeypatch.setattr(homotopy, "newton_correct", stalls)
@@ -646,8 +652,8 @@ def test_a_mid_path_tangent_failure_is_a_rejected_step(monkeypatch):
 
     def drops_a_tangent(M, rhs):
         out = real_solve(M, rhs)
-        calls.append(rhs.ndim)
-        return [out[0], None] if calls.count(2) == 3 and rhs.ndim == 2 else out
+        calls.append(rhs.shape[1])
+        return [out[0], None] if calls.count(2) == 3 and rhs.shape[1] == 2 else out
 
     def recorded(*args):
         try:
@@ -667,11 +673,12 @@ def test_a_mid_path_tangent_failure_is_a_rejected_step(monkeypatch):
 
 @pytest.mark.parametrize("A", [dense_demo(), random_instance(3, 20, seed=40)])
 def test_each_accepted_point_is_evaluated_once(monkeypatch, A):
-    # with no rejection: a y-pass at the start, at every Newton iterate (each
-    # of the iter steps and jumps ends in one more than its updates) and for
+    # with no rejection: the start is one more accepted point, at tau = 0; a
+    # y-pass at every Newton iterate (each of the start's, the iter steps'
+    # and the jump's corrections ends in one more than its updates) and for
     # the final residual; a J-pass and a LAPACK call per update, and per
-    # point accepted before tau = 1 without one, for its tangent; the start
-    # tangent's LAPACK call needs no J-pass, T's Jacobian having weight 0
+    # point accepted before tau = 1 without one, for its tangent; the start's
+    # LAPACK call needs no J-pass, T's Jacobian having weight 0 at tau = 0
     from teneig import homotopy
 
     real = homotopy.newton_correct
@@ -685,38 +692,44 @@ def test_each_accepted_point_is_evaluated_once(monkeypatch, A):
     monkeypatch.setattr(homotopy, "newton_correct", recorded)
     rep = solve_dominant(A)
     assert rep.status == "converged" and rep.finish_sweeps == 0
-    assert len(accepted) == rep.iter
+    assert len(accepted) == 1 + rep.iter and accepted[0] == (0.0, 0)
     at_rest = sum(iters == 0 for tau, iters in accepted if tau < 1.0)
     assert rep.y_passes == 2 + rep.iter + rep.nwtiter
-    assert rep.jacobian_passes == rep.nwtiter + at_rest
-    assert rep.linear_solves == 1 + rep.jacobian_passes
+    assert rep.jacobian_passes == rep.nwtiter + at_rest - 1
+    assert rep.linear_solves == rep.nwtiter + at_rest
+
+
+def test_the_start_point_is_corrected_like_every_point(monkeypatch):
+    # a start lambda 0.1% off its closed form is not within EPS1, so the
+    # corrector updates the start at tau = 0, before the first step, as it
+    # would any predicted point, and counts its iterations in nwtiter
+    from teneig import homotopy
+
+    real_start, real_correct = homotopy.start_pair, homotopy.newton_correct
+    corrections = []
+
+    def off_start(a, b, order):
+        pair = real_start(a, b, order)
+        return EigenPair(1.001 * pair.lam, pair.x)
+
+    def recorded(T, S, tau, u0, tol, cap, state=None):
+        u, iters, g = real_correct(T, S, tau, u0, tol, cap, state)
+        corrections.append((tau, iters))
+        return u, iters, g
+
+    monkeypatch.setattr(homotopy, "start_pair", off_start)
+    monkeypatch.setattr(homotopy, "newton_correct", recorded)
+    rep = solve_dominant(dense_demo())
+    tau, iters = corrections[0]
+    assert tau == 0.0 and iters >= 1
+    assert rep.status == "converged"
+    assert rep.eigen.lam == pytest.approx(36.2757, abs=5e-4)
+    assert rep.y_passes == 2 + rep.iter + rep.nwtiter
 
 
 def test_rejected_first_step_reuses_the_start_tangent(monkeypatch):
-    # the first step stalls once; the start's y-pass is its only pass over A
-    # before either correction, the retry's included
-    from teneig import homotopy
-
-    calls = _count_kernel_calls(monkeypatch)
-    jacobians = _count_kernel_calls(monkeypatch, "jacobian_pass")
-    real = homotopy.newton_correct
-    at_entry = []
-
-    def stalls_once(T, S, tau, u0, tol, cap, state=None):
-        at_entry.append((len(calls), len(jacobians)))
-        if len(at_entry) == 1:
-            raise NewtonStalled(0)
-        return real(T, S, tau, u0, tol, cap, state)
-
-    monkeypatch.setattr(homotopy, "newton_correct", stalls_once)
-    rep = solve_dominant(dense_demo())
-    assert rep.status == "converged"
-    assert at_entry[:2] == [(1, 0), (1, 0)]
-
-
-def test_rejected_step_reuses_the_tangent(monkeypatch):
-    # the second step stalls once before any evaluation; its retry predicts
-    # from the same accepted point without evaluating the tangent again
+    # the first step after the start stalls once; the start's y-pass is its
+    # only pass over A before either correction, the retry's included
     from teneig import homotopy
 
     calls = _count_kernel_calls(monkeypatch)
@@ -733,7 +746,29 @@ def test_rejected_step_reuses_the_tangent(monkeypatch):
     monkeypatch.setattr(homotopy, "newton_correct", stalls_once)
     rep = solve_dominant(dense_demo())
     assert rep.status == "converged"
-    assert at_entry[2] == at_entry[1]
+    assert at_entry[:3] == [(0, 0), (1, 0), (1, 0)]
+
+
+def test_rejected_step_reuses_the_tangent(monkeypatch):
+    # the second step stalls once before any evaluation; its retry predicts
+    # from the same accepted point without evaluating the tangent again
+    from teneig import homotopy
+
+    calls = _count_kernel_calls(monkeypatch)
+    jacobians = _count_kernel_calls(monkeypatch, "jacobian_pass")
+    real = homotopy.newton_correct
+    at_entry = []
+
+    def stalls_once(T, S, tau, u0, tol, cap, state=None):
+        at_entry.append((len(calls), len(jacobians)))
+        if len(at_entry) == 3:
+            raise NewtonStalled(0)
+        return real(T, S, tau, u0, tol, cap, state)
+
+    monkeypatch.setattr(homotopy, "newton_correct", stalls_once)
+    rep = solve_dominant(dense_demo())
+    assert rep.status == "converged"
+    assert at_entry[3] == at_entry[2]
     # the start, every iterate of the iter - 1 corrections and the residual
     assert len(calls) == 2 + (rep.iter - 1) + rep.nwtiter == rep.y_passes
     assert len(jacobians) == rep.jacobian_passes
@@ -1103,11 +1138,16 @@ def test_solve_validates_input():
         ([np.inf, 1.0, 1.0], [1.0, 1.0, 1.0]),
         ([1.0, 1.0, 1.0], [1e300, 1.0, 1.0]),  # (a.b)^{m-1} overflows
         ([1e200, 1.0, 1.0], [1.0, 1.0, 1.0]),  # a^{[m-1]} overflows
+        ([1e-300, 1.0, 1.0], [1.0, 1.0, 1.0]),  # a^{[m-1]} underflows to a zero entry
+        ([1e-160, 1.0, 1.0], [1.0, 1.0, 1.0]),  # a^{[m-1]} is subnormal
+        ([1.0, 1.0, 1.0], [1e-200] * 3),  # (a.b)^{m-1}, the start lambda, underflows
+        ([1e-200] * 3, [1e-200] * 3),  # a.a underflows too
     ],
 )
 def test_solve_rejects_start_vectors_that_are_not_finite(a, b):
-    # a NaN or inf entry, or a start term that overflows, gives no usable
-    # start pair, so it is refused before the path starts
+    # a NaN or inf entry, or a start term that overflows or falls below the
+    # smallest normal float, gives no usable start pair, so it is refused
+    # before the path starts
     with pytest.raises(ValueError, match="a and b must be"):
         solve_dominant(dense_demo(), a=np.array(a), b=np.array(b))
 

@@ -128,7 +128,7 @@ def test_solve_agrees_with_lu(seed, k):
     rng = np.random.default_rng(seed)
     M = well_conditioned(rng, k)
     rhs = rng.standard_normal(k)
-    y = solve(M, rhs)
+    (y,) = solve(M, rhs[:, None])
     assert np.allclose(y, lu_apply(lu_factor(M), rhs), rtol=1e-10, atol=1e-12)
     assert np.abs(M @ y - rhs).max() <= 1e-10 * np.abs(rhs).max()
 
@@ -138,10 +138,7 @@ def test_solve_rejects_singular_systems():
     near = np.array([[1.0, 0.0], [0.0, 0.1 * PIVOT_RTOL]])  # relative pivot 1e-15
     nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
     for M in (exact, near, nan):
-        with pytest.raises(SingularMatrixError) as err:
-            solve(M, np.ones(2))
-        assert err.value.pivot_index is None
-        assert "numerically singular" in str(err.value)
+        assert solve(M, np.ones((2, 1))) == [None]
 
 
 def test_solve_rejects_a_non_finite_solution():
@@ -149,19 +146,18 @@ def test_solve_rejects_a_non_finite_solution():
     # overflow.  Only the isfinite(y) check catches them, since the
     # conditioning test compares inf <= inf.  (A 2-by-2 system with an inf
     # in rhs does not pin this: LAPACK's 0 * inf makes a NaN.)
-    for M, rhs in ((np.eye(1), [np.inf]), ([[1e-300]], [1e300])):
-        with pytest.raises(SingularMatrixError):
-            solve(np.array(M), np.array(rhs))
+    for M, rhs in ((np.eye(1), [[np.inf]]), ([[1e-300]], [[1e300]])):
+        assert solve(np.array(M), np.array(rhs)) == [None]
 
 
 def test_solve_checks_conditioning_without_overflow_warnings():
     # ||M|| ||y|| overflows to inf in the first system and ||rhs|| / PIVOT_RTOL
     # in the second, which is well conditioned; the suite turns warnings into
     # errors, so neither may warn
-    with pytest.raises(SingularMatrixError):
-        solve(np.diag([1e-160, 1e160]), np.ones(2))
-    rhs = np.array([1e300, 1.0])
-    assert np.array_equal(solve(np.eye(2), rhs), rhs)
+    assert solve(np.diag([1e-160, 1e160]), np.ones((2, 1))) == [None]
+    rhs = np.array([[1e300], [1.0]])
+    (y,) = solve(np.eye(2), rhs)
+    assert np.array_equal(y, rhs[:, 0])
 
 
 @st.composite
@@ -193,18 +189,11 @@ def test_solve_rejects_exactly_what_the_reference_check_rejects(system):
     M, rhs = system
     with np.errstate(over="ignore"):
         expected = solve_conditioned_reference(M, rhs, PIVOT_RTOL)
+        (y,) = solve(M, rhs[:, None])
         if expected is None:
-            with pytest.raises(SingularMatrixError):
-                solve(M, rhs)
+            assert y is None
         else:
-            assert solve(M, rhs).tobytes() == expected.tobytes()
-
-
-def _one_column(M, rhs):
-    try:
-        return solve(M, rhs)
-    except SingularMatrixError:
-        return None
+            assert y.tobytes() == expected.tobytes()
 
 
 def _two_column_systems():
@@ -234,7 +223,7 @@ def test_two_columns_are_checked_as_two_one_column_solves():
     for M, rhs in _two_column_systems():
         with np.errstate(over="ignore"):
             both = solve(M, rhs)
-            alone = [_one_column(M, rhs[:, j]) for j in range(2)]
+            alone = [solve(M, rhs[:, j : j + 1])[0] for j in range(2)]
         assert len(both) == 2
         for y2, y1 in zip(both, alone):
             assert (y2 is None) == (y1 is None)

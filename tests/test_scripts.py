@@ -206,10 +206,11 @@ def test_traffic_coverage_lists_the_lines_no_benchmark_case_runs():
     assert lines[-1].startswith("unexecuted: ")
     rows = {line.split(":")[0].strip(): line for line in lines if line.startswith("  ")}
     # no benchmark point has a singular Jacobian, so newton_correct never
-    # rejects a point for want of a tangent (its first break) and predict
-    # runs whole; the reference LU is called by tests alone
+    # rejects a point for want of a tangent (its SingularMatrixError, after
+    # the loop) and predict runs whole; the reference LU is called by tests
+    # alone
     src, first = inspect.getsourcelines(homotopy.newton_correct)
-    no_tangent = [first + i for i, text in enumerate(src) if text.strip().startswith("break")][0]
+    no_tangent = [first + i for i, text in enumerate(src) if "SingularMatrixError()" in text][0]
     assert str(no_tangent) in rows["newton_correct"].split()
     assert "predict" not in rows
     assert "lu_factor" in rows
