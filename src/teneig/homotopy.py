@@ -59,12 +59,12 @@ import numpy as np
 from .linalg import SingularMatrixError, solve
 from .tensor import (
     EigenPair,
+    RankOne,
     ShiftedTensor,
     _add_shift_terms,
     ratio_bracket,
     require_essentially_nonnegative,
     start_pair,
-    start_system,
     tvp,
     weak_irreducibility_check,
 )
@@ -385,8 +385,9 @@ def _solve_shifted(A, alpha, config, a, b, use_perturbation):
     """
     m = A.order
     T = ShiftedTensor(A, alpha, config.eps_perturb if use_perturbation else 0.0)
-    S = start_system(a, b, m)
+    # start_system's record, from the pair start_pair has just checked
     start = start_pair(a, b, m)
+    S = RankOne(a ** (m - 1), b, m)
     u = np.concatenate([[start.lam], start.x])
     state = PathState(0.0, u, None, DTAU0)
     # The start is corrected and accepted like every point; one rejected

@@ -13,9 +13,11 @@ def random_instance(order, dim, d=0, seed=0):
     """Seeded essentially nonnegative tensor, optionally scaled down.
 
     Off-diagonal entries are uniform in [0, 1], diagonal entries uniform in
-    [-1, 0], and every entry is multiplied by 10**-d.  Deterministic for a
-    fixed seed (within this implementation; the draw order is the full
-    uniform block first, then the diagonal).
+    [-1, 0], and every entry is multiplied by 10**-d (skipped at d = 0,
+    where it changes no bit).  Deterministic for a fixed seed (within this
+    implementation; the draw order is the full uniform block first, then
+    the diagonal).  The Tensor takes the drawn array, so building one peaks
+    at one n^m array.
     """
     if order < 2 or dim < 1:
         raise ValueError("need order >= 2 and dim >= 1")
@@ -24,8 +26,9 @@ def random_instance(order, dim, d=0, seed=0):
     rng = np.random.default_rng(seed)
     data = rng.uniform(0.0, 1.0, size=(dim,) * order)
     data[(np.arange(dim),) * order] = rng.uniform(-1.0, 0.0, size=dim)
-    data *= 10.0 ** (-d)
-    return Tensor(data)
+    if d:
+        data *= 10.0 ** (-d)
+    return Tensor._adopt(data)
 
 
 def dense_demo():
@@ -48,7 +51,7 @@ def dense_demo():
         [5.63, 5.55, 1.43],
         [5.76, 8.29, -0.15],
     ]
-    return Tensor(data)
+    return Tensor._adopt(data)
 
 
 def sparse_ring_demo():
@@ -62,4 +65,4 @@ def sparse_ring_demo():
     data[2, 1, 1] = 1.0
     data[0, 0, 0] = -1.0
     data[1, 1, 1] = -1.0
-    return Tensor(data)
+    return Tensor._adopt(data)

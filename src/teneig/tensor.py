@@ -30,23 +30,28 @@ class EssentialNonnegativityError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Tensor:
-    """Dense order-m, dimension-n real tensor with finite entries."""
+    """Dense order-m, dimension-n real tensor with finite entries.
+
+    Tensor(data) copies data, so the caller's array stays writeable and is
+    never shared.  The library's own builders (load_tensor, loads_tensor,
+    random_instance and the demos, add_identity, perturb, rank_one_start)
+    hand over the array they made through Tensor._adopt, so a tensor they
+    build holds one n^m array at its peak, not two.
+    """
 
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=float, order="C")
-        if data.ndim < 2:
-            raise ValueError("tensor order must be at least 2")
-        n = data.shape[0]
-        if any(s != n for s in data.shape):
-            raise ValueError("all modes must share one dimension, got %s" % (data.shape,))
-        if n == 0:
-            raise ValueError("tensor dimension must be at least 1")
-        if not np.isfinite(data).all():
-            raise ValueError("tensor entries must be finite")
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", _frozen(np.array(self.data, dtype=float, order="C")))
+
+    @classmethod
+    def _adopt(cls, data):
+        """A Tensor on data itself, a float64 C-ordered array that nothing
+        else references: checked as the constructor checks its copy, then
+        made read-only in place."""
+        T = object.__new__(cls)
+        object.__setattr__(T, "data", _frozen(data))
+        return T
 
     @property
     def order(self):
@@ -91,6 +96,26 @@ class Tensor:
         return J
 
 
+def _frozen(data):
+    """data, a float64 C-ordered array, checked as a tensor's (order >= 2,
+    equal modes, n >= 1, finite entries) and made read-only.  Finiteness is
+    read SCAN_BLOCK_ENTRIES flat entries at a time: one block's mask, not
+    n^m bools."""
+    if data.ndim < 2:
+        raise ValueError("tensor order must be at least 2")
+    n = data.shape[0]
+    if any(s != n for s in data.shape):
+        raise ValueError("all modes must share one dimension, got %s" % (data.shape,))
+    if n == 0:
+        raise ValueError("tensor dimension must be at least 1")
+    flat = data.reshape(-1)
+    for i in range(0, flat.size, SCAN_BLOCK_ENTRIES):
+        if not np.isfinite(flat[i : i + SCAN_BLOCK_ENTRIES]).all():
+            raise ValueError("tensor entries must be finite")
+    data.flags.writeable = False
+    return data
+
+
 def _diag_index(order, dim):
     return (np.arange(dim),) * order
 
@@ -99,7 +124,7 @@ def add_identity(T, c):
     """T + c * unit tensor: add c to every diagonal entry."""
     data = np.array(T.data)
     data[_diag_index(T.order, T.dim)] += c
-    return Tensor(data)
+    return Tensor._adopt(data)
 
 
 # weak_irreducibility_check and the kernel read T[i0:i1], a block of slices
@@ -278,7 +303,7 @@ def perturb(A, eps):
     """Add eps > 0 to every entry; a nonnegative tensor becomes positive."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return Tensor(A.data + eps)
+    return Tensor._adopt(A.data + eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,7 +328,7 @@ def rank_one_start(a, b, order):
     out = S.c
     for _ in range(order - 1):
         out = np.multiply.outer(out, S.b)
-    return Tensor(out)
+    return Tensor._adopt(out)
 
 
 def start_pair(a, b, order):

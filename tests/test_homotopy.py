@@ -1152,6 +1152,23 @@ def test_solve_rejects_start_vectors_that_are_not_finite(a, b):
         solve_dominant(dense_demo(), a=np.array(a), b=np.array(b))
 
 
+def test_solve_checks_the_start_vectors_once(monkeypatch):
+    # start_pair's check covers the start system built from the same pair
+    from teneig import tensor
+
+    checks = []
+    real = tensor._positive_pair
+
+    def counted(a, b, order):
+        checks.append(order)
+        return real(a, b, order)
+
+    monkeypatch.setattr(tensor, "_positive_pair", counted)
+    solve_dominant(dense_demo())
+    solve_dominant(sparse_ring_demo(), a=[1.0, 2.0, 1.0], b=[2.0, 1.0, 1.0], assume="reducible")
+    assert checks == [3, 3]
+
+
 def test_solve_custom_start_vectors():
     A = dense_demo()
     rng = np.random.default_rng(35)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,29 @@ def test_random_instance_scaling_bound():
     assert np.abs(A.data).max() <= 1e-3
     base = random_instance(3, 4, d=0, seed=9)
     assert np.allclose(A.data, base.data * 1e-3, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("d", [0, 2])
+def test_random_instance_draws_the_documented_entries(d):
+    # the uniform block, then the diagonal, then the 10^-d scale, skipped at
+    # d = 0 where it changes no bit
+    rng = np.random.default_rng(7)
+    data = rng.uniform(0.0, 1.0, size=(4,) * 3)
+    data[(np.arange(4),) * 3] = rng.uniform(-1.0, 0.0, size=4)
+    data *= 10.0 ** (-d)
+    assert np.array_equal(random_instance(3, 4, d=d, seed=7).data.view(np.int64), data.view(np.int64))
+
+
+def test_random_instance_holds_one_array():
+    # the Tensor takes the drawn array; a copy would peak at 2x
+    random_instance(3, 100, seed=1)  # warm-up
+    tracemalloc.start()
+    try:
+        A = random_instance(3, 100, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * A.data.nbytes
 
 
 def test_random_instance_rejects_bad_sizes():

@@ -100,6 +100,57 @@ def test_tensor_is_frozen():
         T.data[0, 0] = 1.0
 
 
+def test_tensor_copies_the_callers_array():
+    # the public constructor never freezes or shares its argument
+    arr = np.ones((3, 3, 3))
+    T = Tensor(arr)
+    assert arr.flags.writeable and not np.shares_memory(arr, T.data)
+    arr[0, 0, 0] = 5.0
+    assert T.data[0, 0, 0] == 1.0
+
+
+def test_adopt_takes_the_array_and_checks_it_as_the_constructor_does():
+    arr = np.ones((3, 3, 3))
+    T = Tensor._adopt(arr)
+    assert T.data is arr and not arr.flags.writeable
+    for bad in (np.ones(3), np.zeros((0, 0)), np.ones((2, 3)), np.array([[1.0, np.nan], [0.0, 0.0]])):
+        with pytest.raises(ValueError):
+            Tensor._adopt(bad)
+
+
+@pytest.mark.parametrize("build", [Tensor, Tensor._adopt], ids=["Tensor", "_adopt"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_nonfinite_entry_in_the_last_block_is_rejected(build, bad):
+    # 100^3 entries are 16 blocks of the finiteness check; the bad entry
+    # opens the last block, then ends it
+    size, block = 100**3, tensor.SCAN_BLOCK_ENTRIES
+    for pos in ((size - 1) // block * block, size - 1):
+        arr = np.zeros((100,) * 3)
+        arr.reshape(-1)[pos] = bad
+        with pytest.raises(ValueError, match="finite"):
+            build(arr)
+
+
+def test_tensor_checks_finiteness_without_a_full_mask():
+    # one block's mask, 2^16 bools, is ~0.008x a (3,100) input; an n^m
+    # mask would be 0.125x
+    import tracemalloc
+
+    arr = np.array(random_instance(3, 100, seed=60).data)
+    mine = np.array(arr)
+    Tensor(arr)  # warm-up
+    peaks = []
+    for build, data in ((Tensor, arr), (Tensor._adopt, mine)):
+        tracemalloc.start()
+        try:
+            build(data)
+            peaks.append(tracemalloc.get_traced_memory()[1] / arr.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 1.02  # the copy and the check
+    assert peaks[1] < 0.02  # the check alone
+
+
 def test_essential_nonnegativity_predicate():
     require_essentially_nonnegative(dense_demo())
     require_essentially_nonnegative(sparse_ring_demo())

@@ -323,6 +323,8 @@ def test_load_matches_the_text_read(tmp_path_factory, text):
 
 BLOCK = tensorfile._READ_SIZE
 ONE_LINE = " ".join(["0.25"] * 40000)
+# 40000 values, separated by every ASCII whitespace byte but the line breaks
+MIXED_SPACES_LINE = b"".join(b"0.%d%s" % (i, b" \t\v\f"[i % 4 : i % 4 + 1]) for i in range(40000))
 
 
 @pytest.mark.parametrize(
@@ -402,9 +404,11 @@ def test_saved_dense_files_take_the_streamed_read(tmp_path, text_reads, T):
         dumps_tensor(random_instance(3, 4, seed=1)).encode(),
         # no "\n" in the file: the first block is cut at its last "\r"
         dumps_tensor(random_instance(4, 16, seed=1)).replace("\n", "\r").encode(),
+        # one payload line, each piece cut at its last whitespace byte
+        b"order 2\ndim 200\nformat dense\n" + MIXED_SPACES_LINE,
     ],
     ids=["utf8-comment", "crlf", "cr", "blank-runs", "comments", "plain", "crlf-tokens", "vt-ff",
-         "cr-comment", "u2028", "saved(3,4)", "cr-only(4,16)"],
+         "cr-comment", "u2028", "saved(3,4)", "cr-only(4,16)", "one-line-mixed-spaces"],
 )
 def test_plain_dense_files_take_the_streamed_read(tmp_path, text_reads, data):
     path = tmp_path / "t.ten"
@@ -508,6 +512,29 @@ def test_load_peak_memory(tmp_path):
         assert _peak_ratio(lambda: load_tensor(path), T) < 3.0, (m, n)
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
         assert _peak_ratio(lambda: load_tensor(path), T) < 3.0, (m, n, "cr-only")
+
+
+def test_load_holds_about_one_tensor(tmp_path):
+    # the Tensor takes the parsed array: a dense load peaks at that array
+    # and one piece, a coo load at the array and the file's text
+    g = np.random.default_rng(2)
+    dense = random_instance(3, 40, seed=1)
+    coo = Tensor(np.where(g.random((40,) * 3) < 0.01, g.uniform(0.0, 1.0, (40,) * 3), 0.0))
+    for T, fmt, bound in ((dense, "dense", 1.25), (coo, "coo", 1.5)):
+        path = tmp_path / ("t." + fmt)
+        save_tensor(path, T, fmt=fmt)
+        assert _peak_ratio(lambda: load_tensor(path), T) < bound, fmt
+
+
+def test_a_one_line_payload_is_read_a_piece_at_a_time(tmp_path, text_reads):
+    # payload pieces are cut at whitespace, so a payload with no line break
+    # is not read whole
+    T = random_instance(4, 16, seed=1)
+    path = tmp_path / "t.ten"
+    path.write_text("order 4\ndim 16\nformat dense\n" + " ".join("%.17g" % v for v in T.entries.tolist()) + "\n")
+    assert np.array_equal(_bits(load_tensor(path).data), _bits(T.data))
+    assert text_reads == []
+    assert _peak_ratio(lambda: load_tensor(path), T) < 1.3
 
 
 def test_save_peak_memory(tmp_path):
