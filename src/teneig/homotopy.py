@@ -18,32 +18,35 @@ holds only what a caller sets, eps_perturb and max_steps.  Every answer
 carries its Collatz-Wielandt bracket [min r, max r], r = A x^{m-1} /
 x^{[m-1]}, on the input A.  One answer stage decides the report: an
 unperturbed answer the bracket does not certify gets Newton-Noda sweeps on
-A (_finish), one outside a finite bracket moves to its nearer end, and
-nothing is retried; the residual is the reported pair's, on A + eps.
+A (_finish) from its x and, if those do not certify, once more from the
+uniform vector; one outside a finite bracket moves to its nearer end, and
+the path is not retried; the residual is the reported pair's, on A + eps.
 
 Cost model.  A is read only by Tensor.tvp and Tensor.jacobian_pass, each one
 read of every slice block; the rest of H_tau is closed form, O(n^2): T's
 alpha*x^{[m-1]} and eps*(1.x)^{m-1}, S's (b.x)^{m-1} c, the lam term and
 their Jacobians.  Every Newton iterate makes a y-pass (_y_pass), which
-writes A's mode-2 Jacobian term into the (n+1)-by-(n+1) system matrix, the
+writes A's mode-2 Jacobian term into a contiguous n-by-n Jacobian slab, the
 residual and -dH into an (n+1)-by-2 right-hand side.  Only an iterate that
-updates makes a J-pass (_j_pass) that completes the system matrix, in which
-the blend tau*J_T + (1-tau)*J_S is formed in place, and one LAPACK call on
-both columns: the Newton step and the path tangent, which the accepted point
-carries for the predictor.  A point within tolerance before tau = 1 without
-an update makes the J-pass and one LAPACK call on the tangent column alone;
-at tau = 1 no tangent is solved.  That block of newton_correct is the
-path's one LAPACK call site.  The start is newton_correct's at tau = 0,
-where T's Jacobian has weight 0, so its J-pass reads nothing of A: the
-closed-form start pair, within tolerance, costs one y-pass and one LAPACK
-call.  A correction is rejected at its first iterate off the positive cone,
-where the curve cannot be, so one rejected after k updates costs k
-y-passes, k J-passes and k LAPACK calls.  So a solve without rejections
-makes 2 + iter + nwtiter y-passes (every iterate of the start's, the
-steps' and the jump's corrections, and the final pass, which gives the
-bracket and the residual) and nwtiter + z LAPACK calls, z the points
-accepted before tau = 1 without an update, the start among them; the
-J-passes are as many, less those at tau = 0.  SolveReport counts all
+updates makes a J-pass (_j_pass), which completes the blend tau*J_T +
+(1-tau)*J_S in the slab, copies it once into the (n+1)-by-(n+1) system
+matrix and adds the borders, and one LAPACK call on both columns: the
+Newton step and the path tangent, which the accepted point carries for the
+predictor.  So a solve's working set is the system matrix, the slab, the
+kernel's per-block results and LAPACK's copy.  A point within tolerance
+before tau = 1 without an update makes the J-pass and one LAPACK call on
+the tangent column alone; at tau = 1 no tangent is solved.  That block of
+newton_correct is the path's one LAPACK call site.  The start is
+newton_correct's at tau = 0, where T's Jacobian has weight 0, so its J-pass
+reads nothing of A: the closed-form start pair, within tolerance, costs one
+y-pass and one LAPACK call.  A correction is rejected at its first iterate
+off the positive cone, where the curve cannot be, so one rejected after k
+updates costs k y-passes, k J-passes and k LAPACK calls.  So a solve
+without rejections makes 2 + iter + nwtiter y-passes (every iterate of the
+start's, the steps' and the jump's corrections, and the final pass, which
+gives the bracket and the residual) and nwtiter + z LAPACK calls, z the
+points accepted before tau = 1 without an update, the start among them;
+the J-passes are as many, less those at tau = 0.  SolveReport counts all
 three.  The finish, only while the bracket is open, makes a y-pass of A per
 sweep, and a J-pass and LAPACK call only for a sweep that goes on.
 """
@@ -200,17 +203,17 @@ class SolveReport:
         return out
 
 
-def _y_pass(T, S, tau, lam, x, M, R):
+def _y_pass(T, S, tau, lam, x, J, R):
     """The first half of H_tau's evaluation at (lam, x), one read of A.
 
     Writes the residual into R[0] and the tangent's right-hand side
     -dH/dtau = ((S - T) x^{m-1}; 0) into R[1].  For tau > 0, A's tvp leaves
-    its mode-2 Jacobian term in M's x-block, where _j_pass completes it.
-    S is the rank-one start system, S x^{m-1} = (b.x)^{m-1} c.  Returns
+    its mode-2 Jacobian term in J, the n-by-n slab where _j_pass completes
+    it.  S is the rank-one start system, S x^{m-1} = (b.x)^{m-1} c.  Returns
     (x^{m-2}, x^{[m-1]}, b.x), which _j_pass reuses.
     """
     m, n = T.A.order, x.shape[0]
-    yT = T.A.tvp(x, M[:n, 1:] if tau else None)
+    yT = T.A.tvp(x, J if tau else None)
     xq = x ** (m - 2)
     xp = xq * x
     _add_shift_terms(yT, x, xp, m, T.alpha, T.eps)
@@ -223,23 +226,24 @@ def _y_pass(T, S, tau, lam, x, M, R):
     return xq, xp, s
 
 
-def _j_pass(T, S, tau, lam, x, M, shared):
-    """The second half: completes M, which holds the y-pass's term, to the
-    (lam, x)-Jacobian of H_tau, from the y-pass's shared values.  One read
-    of A for tau > 0, none at tau = 0, where T's Jacobian has weight 0.
+def _j_pass(T, S, tau, lam, x, J, M, shared):
+    """The second half: completes J, which holds the y-pass's term, to the
+    x-Jacobian of H_tau, then builds M, the (lam, x)-Jacobian, from it and
+    the y-pass's shared values.  One read of A for tau > 0, none at tau = 0,
+    where T's Jacobian has weight 0.
 
-    M's first column is -x^{[m-1]} over 0, its trailing n-by-n block is the
-    x-Jacobian of the blended contraction minus lam*(m-1)*diag(x^{m-2}),
-    and its bottom row is (0, 2x^T) from the normalization constraint.  The
-    blend tau*J_T + (1-tau)*J_S is formed in that block: J_T is A's Jacobian
-    plus alpha*(m-1)*diag(x^{m-2}) and eps*(m-1)*(1.x)^{m-2} in every entry,
-    and S's Jacobian is (m-1)(b.x)^{m-2} c b^T.
+    J, a contiguous n-by-n slab, becomes the x-Jacobian of the blended
+    contraction minus lam*(m-1)*diag(x^{m-2}): the blend tau*J_T +
+    (1-tau)*J_S is formed in it, J_T being A's Jacobian plus
+    alpha*(m-1)*diag(x^{m-2}) and eps*(m-1)*(1.x)^{m-2} in every entry, and
+    S's Jacobian (m-1)(b.x)^{m-2} c b^T, one BLAS product.  Every operation
+    on J is on contiguous memory, where numpy needs no buffer; one strided
+    copy puts J in M's trailing block.  M's first column is -x^{[m-1]} over
+    0, and its bottom row is (0, 2x^T) from the normalization constraint.
     """
     xq, xp, s = shared
     m, n = T.A.order, x.shape[0]
-    J = M[:n, 1:]
-    # J's diagonal, entries (i, i+1) of M, sits at flat offsets 1 + i*(n+2).
-    diag = M.reshape(-1)[1 :: n + 2]
+    diag = J.reshape(-1)[:: n + 1]
     if tau:
         T.A.jacobian_pass(x, J)
         diag += T.alpha * (m - 1) * xq
@@ -249,8 +253,9 @@ def _j_pass(T, S, tau, lam, x, M, shared):
     else:
         J[...] = 0.0
     if tau < 1.0:
-        J += np.multiply.outer(((1.0 - tau) * (m - 1) * s ** (m - 2)) * S.c, S.b)
+        J += np.dot((((1.0 - tau) * (m - 1) * s ** (m - 2)) * S.c)[:, None], S.b[None, :])
     diag -= lam * (m - 1) * xq
+    M[:n, 1:] = J
     np.negative(xp, out=M[:n, 0])
     M[n, 0] = 0.0
     np.multiply(x, 2.0, out=M[n, 1:])
@@ -287,10 +292,11 @@ def newton_correct(T, S, tau, u0, tol, cap, state=None):
         raise ValueError("cap must be at least 1")
     u = np.array(u0, dtype=float)
     state = PathState(tau, u, None, 0.0) if state is None else state
-    M, R = np.empty((u.shape[0],) * 2), np.empty((2, u.shape[0]))
+    n = u.shape[0] - 1
+    M, J, R = np.empty((n + 1, n + 1)), np.empty((n, n)), np.empty((2, n + 1))
     g = None
     for i in range(cap + 1):
-        shared = _y_pass(T, S, tau, u[0], u[1:], M, R)
+        shared = _y_pass(T, S, tau, u[0], u[1:], J, R)
         state.y_passes += 1
         # The 2-norm; r @ r can overflow where it does not.
         within = math.hypot(*R[0].tolist()) <= tol
@@ -305,7 +311,7 @@ def newton_correct(T, S, tau, u0, tol, cap, state=None):
             raise NewtonStalled(cap)
         # The path's one LAPACK call site, after a J-pass: the Newton step and
         # the tangent, or at u0 within tolerance the tangent alone.
-        _j_pass(T, S, tau, u[0], u[1:], M, shared)
+        _j_pass(T, S, tau, u[0], u[1:], J, M, shared)
         state.jacobian_passes += tau > 0.0
         state.linear_solves += 1
         if within:
@@ -418,6 +424,12 @@ def _solve_shifted(A, alpha, config, a, b, use_perturbation):
     if not use_perturbation:
         if not certified(lam, lo, hi):
             sweeps, answer = _finish(A, x, state)
+            # Sweeps from a path's x far from the Perron vector can stall
+            # where the uniform vector's converge: then they run once more
+            # from it, unless they started there (from an x not positive).
+            if not answer and x.min() > 0.0:
+                more, answer = _finish(A, np.full(A.dim, A.dim**-0.5), state)
+                sweeps += more
             if answer:
                 lo, hi, x, y, xp = answer
                 lam, status = 0.5 * (lo + hi), "converged"

@@ -38,11 +38,13 @@ next ``\\n``).  One bulk parser takes the payload's pieces, with one
 ``np.fromstring`` call per piece into a preallocated array; it creates no
 Python object per value.  The bulk parse keeps its result only if every
 piece is ASCII, numpy raised nothing and warned nothing, and the pieces
-gave exactly dim**order finite values; a blank piece gives none (numpy
-would read it as -1).  Any other file (a coo file, a header not complete in
-the first piece, or a dense payload with a comment, an odd token or a wrong
-count) is read again from its start, whole, and given to ``loads_tensor``,
-so it keeps that reader's values and errors.
+gave exactly dim**order values; a blank piece gives none (numpy would read
+it as -1).  Their finiteness is read once, by the ``Tensor``'s own check.
+Any other file (a coo file, a header not complete in the first piece, or a
+dense payload with a comment, an odd token, a wrong count or a value that
+is not finite) is read again from its start, whole, and given to
+``loads_tensor``, so it keeps that reader's values and errors; the bulk
+array is freed first.
 
 Every reader hands the array it filled to the ``Tensor`` without a copy.
 So ``load_tensor`` of a dense file peaks at the array, one piece and the
@@ -148,8 +150,8 @@ def _bulk_dense(pieces, order, dim):
     """The data array of a dense payload given as byte pieces that each end
     between two values, with one np.fromstring call per piece; None when a
     piece has a non-ASCII byte, numpy raises or warns (as it does on a '#'),
-    or the values are not dim**order finite numbers.  A blank piece is
-    skipped: numpy reads it as -1."""
+    or the values are not dim**order numbers.  A blank piece is skipped:
+    numpy reads it as -1.  Finiteness is left to Tensor._adopt."""
     try:
         values = np.empty(dim**order)
     except (ValueError, MemoryError):
@@ -168,7 +170,7 @@ def _bulk_dense(pieces, order, dim):
                 got = np.fromstring(piece, dtype=float, sep=" ")
             except (ValueError, Warning):
                 return None
-            if filled + got.size > values.size or not np.isfinite(got).all():
+            if filled + got.size > values.size:
                 return None
             values[filled : filled + got.size] = got
             filled += got.size
@@ -254,14 +256,16 @@ def load_tensor(path):
     """Read a tensor file from disk; a file that is not UTF-8 text is malformed."""
     with open(path, "rb") as fh:
         values = _load_plain_dense(fh)
-        if values is None:
-            fh.seek(0)
+        if values is not None:
             try:
-                text = fh.read().decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise TensorFileError("not UTF-8 text (%s)" % exc) from None
-    if values is not None:
-        return Tensor._adopt(values)
+                return Tensor._adopt(values)
+            except ValueError:  # a value not finite; loads_tensor names its line
+                values = None  # freed, with the raise, before the text is read
+        fh.seek(0)
+        try:
+            text = fh.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TensorFileError("not UTF-8 text (%s)" % exc) from None
     return loads_tensor(text)
 
 

@@ -35,16 +35,16 @@ def homotopy_residual(T, S, tau, lam, x):
     # T is a dense Tensor, taken as the solver's record with no shift
     n = T.dim
     R = np.empty((2, n + 1))
-    _y_pass(ShiftedTensor(T, 0.0), S, tau, lam, x, np.empty((n + 1, n + 1)), R)
+    _y_pass(ShiftedTensor(T, 0.0), S, tau, lam, x, np.empty((n, n)), R)
     return R[0]
 
 
 def homotopy_jacobian(T, S, tau, lam, x):
-    # the solver's y-pass, then its J-pass, which completes M
+    # the solver's y-pass, then its J-pass, which completes J and builds M
     n, T = T.dim, ShiftedTensor(T, 0.0)
-    M = np.empty((n + 1, n + 1))
-    shared = _y_pass(T, S, tau, lam, x, M, np.empty((2, n + 1)))
-    _j_pass(T, S, tau, lam, x, M, shared)
+    M, J = np.empty((n + 1, n + 1)), np.empty((n, n))
+    shared = _y_pass(T, S, tau, lam, x, J, np.empty((2, n + 1)))
+    _j_pass(T, S, tau, lam, x, J, M, shared)
     return M
 
 

@@ -129,6 +129,16 @@ def test_near_reducible_answers_are_certified(monkeypatch, delta, seed):
         assert [exc.iterations for exc in rejected] == [1] * 6
 
 
+def test_a_near_reducible_finish_that_stalls_restarts_from_the_uniform_vector():
+    # delta = 1e-12, seed 16: the finish's sweeps from the path's x stop
+    # with the bracket 4.1% wide; from the uniform vector they certify
+    data = near_reducible(1e-12, 16)
+    rep = solve_dominant(Tensor(data))
+    assert rep.status == "converged"
+    assert rep.lam_upper - rep.lam_lower <= homotopy.CERT_RTOL * abs(rep.eigen.lam)
+    assert relative_bracket(data, rep.eigen.lam, rep.eigen.x) <= RTOL
+
+
 FLOOR_DEFECT = pytest.mark.xfail(
     strict=True,
     raises=AssertionError,

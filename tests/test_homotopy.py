@@ -23,6 +23,7 @@ from teneig.homotopy import (
     DTAU_MIN,
     EPS1,
     EPS2,
+    SWEEP_CAP,
     PathState,
     _finish,
     _j_pass,
@@ -51,9 +52,9 @@ def system(T, S, tau, lam, x):
     """(residual, Jacobian, tau-derivative) of H_tau at (lam, x), as the
     solver evaluates them: its y-pass, then its J-pass."""
     n = x.shape[0]
-    M, R = np.empty((n + 1, n + 1)), np.empty((2, n + 1))
-    shared = _y_pass(T, S, tau, lam, x, M, R)
-    _j_pass(T, S, tau, lam, x, M, shared)
+    M, J, R = np.empty((n + 1, n + 1)), np.empty((n, n)), np.empty((2, n + 1))
+    shared = _y_pass(T, S, tau, lam, x, J, R)
+    _j_pass(T, S, tau, lam, x, J, M, shared)
     return R[0], M, -R[1]
 
 
@@ -194,37 +195,35 @@ def test_jacobian_nonsingular_on_path():
 def test_system_from_closed_form_operators_matches_dense_tensors():
     # the solver's T = (A + eps) + alpha*I is a record over A whose shift the
     # passes add in closed form; the system is the one of T stored densely
-    # (taken with no shift), at every tau and for the tau-derivative too
-    rng = np.random.default_rng(40)
-    A = random_instance(3, 4, seed=41)
-    a = rng.uniform(0.5, 2.0, size=4)
-    b = rng.uniform(0.5, 2.0, size=4)
-    S = start_system(a, b, 3)
-    for eps in (0.0, 1e-3):
-        dense = ShiftedTensor(Tensor(alpha_shift_dense(A.data, eps)[1]), 0.0)
-        T = ShiftedTensor(A, require_essentially_nonnegative(A)[0], eps)
-        x = rng.uniform(0.2, 1.0, size=4)
-        for tau in (0.0, 0.4, 1.0):
-            for got, want in zip(system(T, S, tau, 7.5, x), system(dense, S, tau, 7.5, x)):
-                assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+    # (taken with no shift), at every tau and for the tau-derivative too;
+    # (3,102) has more than 2^20 entries, so the kernel's blocks fill the
+    # Jacobian slab from the pool
+    for n in (4, 102):
+        rng = np.random.default_rng(40)
+        A = random_instance(3, n, seed=41)
+        a = rng.uniform(0.5, 2.0, size=n)
+        b = rng.uniform(0.5, 2.0, size=n)
+        S = start_system(a, b, 3)
+        for eps in (0.0, 1e-3):
+            dense = ShiftedTensor(Tensor(alpha_shift_dense(A.data, eps)[1]), 0.0)
+            T = ShiftedTensor(A, require_essentially_nonnegative(A)[0], eps)
+            x = rng.uniform(0.2, 1.0, size=n)
+            for tau in (0.0, 0.4, 1.0):
+                for got, want in zip(system(T, S, tau, 7.5, x), system(dense, S, tau, 7.5, x)):
+                    assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
-def test_system_assembly_holds_few_n_by_n_temporaries():
-    # one whole iterate that updates, and the y-pass of the next: the y-pass
-    # leaves T's mode-2 term in the system matrix M, the J-pass completes M
-    # in place, and one LAPACK call on (r, -dH) gives the step and the
-    # tangent; M, S's Jacobian or LAPACK's copy of M and the kernel's own
-    # per-block temporaries are the n-by-n arrays alive at the peak, not the
-    # sums between
+def _updating_iterate_peak(n):
+    """tracemalloc's peak over one whole iterate that updates, and the
+    y-pass of the next, on random_instance(3, n), in units of 8n^2."""
     import tracemalloc
 
-    A = random_instance(3, 120, seed=42)
-    n = A.dim
+    A = random_instance(3, n, seed=42)
     alpha = require_essentially_nonnegative(A)[0]
     T, S = ShiftedTensor(A, alpha), start_system(np.ones(n), np.ones(n), 3)
-    # near the blend's Perron value (about 11520), so the update stays in
+    # near the blend's Perron value (about 0.8n^2), so the update stays in
     # the positive cone and the next y-pass runs
-    u0 = np.concatenate([[11520.0], np.full(n, n**-0.5)])
+    u0 = np.concatenate([[0.8 * n * n], np.full(n, n**-0.5)])
 
     def one_update():
         with pytest.raises(NewtonStalled):
@@ -237,7 +236,28 @@ def test_system_assembly_holds_few_n_by_n_temporaries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.5 * 8 * n * n
+    return peak / (8 * n * n)
+
+
+def test_system_assembly_holds_few_n_by_n_temporaries():
+    # the y-pass leaves T's mode-2 term in the Jacobian slab, the J-pass
+    # completes it in place and copies it into the system matrix M, and one
+    # LAPACK call on (r, -dH) gives the step and the tangent; M, the slab,
+    # S's Jacobian or LAPACK's copy of M and the kernel's own per-block
+    # temporaries are the n-by-n arrays alive at the peak, not the sums
+    # between
+    assert _updating_iterate_peak(120) < 4.5
+
+
+def test_an_updating_iterate_builds_its_system_with_no_hidden_buffer():
+    # every in-place operation on the Jacobian runs on the contiguous slab,
+    # where numpy needs no iterator buffer, and S's rank-one term is one BLAS
+    # product; (3,100) is one kernel block and runs inline, so no worker's
+    # temporaries overlap the caller's
+    from teneig.tensor import KERNEL_BLOCK_ENTRIES
+
+    assert 100**3 <= KERNEL_BLOCK_ENTRIES
+    assert _updating_iterate_peak(100) < 3.4
 
 
 # -------------------------------------------------------------- tau derivative
@@ -321,9 +341,9 @@ def test_corrector_hands_on_the_predictors_tangent(monkeypatch):
     iterates = []
     real = homotopy._y_pass
 
-    def recorded(T, S, tau, lam, x, M, R):
+    def recorded(T, S, tau, lam, x, J, R):
         iterates.append(np.concatenate([[lam], x]))
-        return real(T, S, tau, lam, x, M, R)
+        return real(T, S, tau, lam, x, J, R)
 
     monkeypatch.setattr(homotopy, "_y_pass", recorded)
     w, iters, g = newton_correct(T, S, 0.3, u + 1e-3, 1e-10, 10)
@@ -569,6 +589,50 @@ def test_the_finish_starts_from_the_uniform_vector_when_x_is_not_positive():
     assert np.array_equal(y, A.tvp(x)) and np.array_equal(xp, x * x)
 
 
+@pytest.mark.parametrize("a", [[1e10, 1.0, 1.0], [1.0, 1e-10, 1e-10]])
+def test_an_uncertified_finish_runs_again_from_the_uniform_vector(a):
+    # from a badly scaled start the path does not reach the jump, and the
+    # finish's SWEEP_CAP sweeps from its x stall with the bracket
+    # [-1.51, 6.7e20] open; the run from the uniform vector certifies, and
+    # the report counts the sweeps of both runs
+    rep = solve_dominant(dense_demo(), a=a)
+    assert rep.status == "converged"
+    assert rep.eigen.lam == pytest.approx(36.27571901815835, rel=1e-14)
+    assert certified(rep.eigen.lam, rep.lam_lower, rep.lam_upper)
+    assert rep.finish_sweeps > SWEEP_CAP
+
+
+def test_an_uncertified_finish_runs_twice_and_a_certified_one_once(monkeypatch):
+    # a finish that never certifies runs twice, the second time from the
+    # uniform vector, and both runs' sweeps count; one that certifies runs
+    # once
+    from teneig import homotopy
+
+    starts = []
+
+    def fails(A, x, state):
+        starts.append(x.copy())
+        return 3, None
+
+    def certifies(A, x, state):
+        starts.append(x.copy())
+        return _finish(A, x, state)
+
+    def stalls(T, S, state):
+        raise NewtonStalled(1)
+
+    monkeypatch.setattr(homotopy, "endgame", stalls)
+    monkeypatch.setattr(homotopy, "_finish", fails)
+    rep = solve_dominant(dense_demo())
+    assert rep.status == "endgame_failure" and rep.finish_sweeps == 6
+    assert len(starts) == 2 and not np.array_equal(starts[0], starts[1])
+    assert np.array_equal(starts[1], np.full(3, 3**-0.5))
+    starts.clear()
+    monkeypatch.setattr(homotopy, "_finish", certifies)
+    rep = solve_dominant(dense_demo())
+    assert rep.status == "converged" and rep.finish_sweeps > 0 and len(starts) == 1
+
+
 # --------------------------------------------------------------------- driver
 
 
@@ -616,8 +680,8 @@ def test_a_point_with_a_singular_jacobian_carries_no_tangent(monkeypatch):
 
     real = homotopy._j_pass
 
-    def singular_at_start(T, S, tau, lam, x, M, shared):
-        real(T, S, tau, lam, x, M, shared)
+    def singular_at_start(T, S, tau, lam, x, J, M, shared):
+        real(T, S, tau, lam, x, J, M, shared)
         if tau == 0.0:
             M[:] = 0.0
 

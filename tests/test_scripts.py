@@ -191,6 +191,34 @@ def test_paired_bench_runs_a_tree_against_itself():
     assert [line.split()[0] for line in lines[-len(names):]] == names
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_peak_memory_prints_each_case_and_its_phases(as_json):
+    # file_roundtrip's memory cases are its smallest dense and coo files;
+    # the load reads the file and the solves run no finish
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "peak_memory.py"), "--workload", "file_roundtrip",
+         "--seed", "1", *(["--json"] if as_json else [])],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if not as_json:
+        lines = proc.stdout.splitlines()
+        assert lines[1].split() == ["case", "operation", "scans", "y_pass", "j_pass", "lapack",
+                                    "finish", "save", "load"]
+        assert [line.split()[0] for line in lines[2:]] == ["dense(4,10)", "coo(3,40)", "peak_mem_ratio"]
+        assert lines[2].split()[6] == "-"
+        return
+    out = json.loads(proc.stdout)
+    assert [c["case"] for c in out["cases"]] == ["dense(4,10)", "coo(3,40)"]
+    assert out["peak_mem_ratio"] == max(c["peak"] for c in out["cases"])
+    for case in out["cases"]:
+        assert set(case["phases"]) == {"scans", "y_pass", "j_pass", "lapack", "save", "load"}
+        # the load makes the tensor, so it and the operation hold at least one
+        assert case["phases"]["load"] >= 1.0 and case["peak"] >= 1.0
+
+
 def test_traffic_coverage_lists_the_lines_no_benchmark_case_runs():
     from teneig import homotopy
 

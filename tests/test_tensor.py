@@ -308,9 +308,9 @@ def test_split_passes_match_the_fused_reference_kernel(monkeypatch, m, n):
 
 
 def test_the_passes_write_into_strided_rows():
-    # the solver's Jacobian block is M[:n, 1:] of an (n+1)-by-(n+1) matrix:
-    # the y-pass and the J-pass fill it as they fill a fresh array, and touch
-    # nothing else of M
+    # a caller may hand the passes strided rows, such as the block M[:n, 1:]
+    # of an (n+1)-by-(n+1) matrix: the y-pass and the J-pass fill it as they
+    # fill a fresh array, and touch nothing else of M
     T = random_instance(4, 5, seed=17)
     x = np.linspace(0.5, 1.0, 5)
     M = np.full((6, 6), 7.0)
@@ -454,8 +454,8 @@ def _blend_contraction(T, S, tau, x):
     """H_tau's blended contraction tau*T x^{m-1} + (1-tau)*S x^{m-1} and its
     x-Jacobian, as the solver's y-pass and J-pass evaluate them (lam = 0)."""
     n = x.shape[0]
-    M, R = np.empty((n + 1, n + 1)), np.empty((2, n + 1))
-    _j_pass(T, S, tau, 0.0, x, M, _y_pass(T, S, tau, 0.0, x, M, R))
+    M, J, R = np.empty((n + 1, n + 1)), np.empty((n, n)), np.empty((2, n + 1))
+    _j_pass(T, S, tau, 0.0, x, J, M, _y_pass(T, S, tau, 0.0, x, J, R))
     return R[0, :n], M[:n, 1:]
 
 

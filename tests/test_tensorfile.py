@@ -468,6 +468,37 @@ def test_a_declined_file_is_bulk_parsed_once(tmp_path, monkeypatch, text_reads):
     assert text_reads == ["loads_tensor", "_parse_dense"]
 
 
+def test_a_dense_load_reads_finiteness_once(tmp_path, monkeypatch):
+    # the bulk parse leaves finiteness to the Tensor's own check, which
+    # reads every entry once
+    T = random_instance(3, 24, seed=1)
+    path = tmp_path / "t.ten"
+    save_tensor(path, T)
+    read = []
+    real = np.isfinite
+
+    def counted(a, *args, **kwargs):
+        read.append(np.size(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counted)
+    assert np.array_equal(_bits(load_tensor(path).data), _bits(T.data))
+    assert sum(read) == T.data.size
+
+
+@pytest.mark.parametrize("bad", ["nan", "-inf", "1e400"])
+def test_a_value_not_finite_sends_a_dense_file_to_the_line_loop(tmp_path, text_reads, bad):
+    # numpy parses the value; the Tensor's check refuses it, and the text
+    # read gives the error and its line
+    path = tmp_path / "t.ten"
+    path.write_text("order 2\ndim 2\nformat dense\n1 2\n3 %s\n" % bad)
+    with pytest.raises(TensorFileError, match="finite") as err:
+        load_tensor(path)
+    assert err.value.line == 5
+    assert text_reads == ["loads_tensor", "_parse_dense"]
+    _same_file_outcome(path)
+
+
 def test_a_header_line_cut_by_the_first_block_is_read_whole(tmp_path):
     # The first block ends just after "format dense"; the line goes on.
     head = b"order 2\ndim 2\n"
